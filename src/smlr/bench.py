@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import statistics
+import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -136,11 +137,13 @@ def run_single(scenario: Scenario, planner: str, seed: int,
         raise ValueError(f"unknown planner '{planner}'")
     cfg = _apply_overrides(scenario.config, seed, overrides)
     seq = scenario.seq if planner == "smlr" else scenario.seq.flat()
+    t0 = time.perf_counter()
     try:
         result = SmlrPlanner(seq, cfg).solve(scenario.start, scenario.goal)
     except Exception:  # recorded, never aborts the batch
         return RunRecord(scenario=scenario.name, planner=planner, seed=seed,
-                         status="error", seconds=0.0, cost=None,
+                         status="error", seconds=time.perf_counter() - t0,
+                         cost=None,
                          levels=[LevelRow(1, 0, 0, 0, 0.0)])
     levels = [LevelRow(level=i + 1, vertices=ls.vertices, edges=ls.edges,
                        failures=ls.failures, coverage=ls.coverage)

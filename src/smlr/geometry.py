@@ -151,10 +151,6 @@ class Box(Obstacle):
         v = np.array([[x0, y0], [x1, y0], [x1, y1], [x0, y1]])
         return v, np.roll(v, -1, axis=0)
 
-    def corners2d(self) -> np.ndarray:
-        (x0, y0), (x1, y1) = self.lo, self.hi
-        return np.array([[x0, y0], [x1, y0], [x1, y1], [x0, y1]])
-
 
 class Polygon(Obstacle):
     """Simple CCW polygon (>= 3 non-collinear vertices)."""

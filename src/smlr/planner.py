@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -20,6 +20,11 @@ from .sparse_graph import SparseRoadmap
 
 START_ID = 0
 GOAL_ID = 1
+
+
+class RevalidationError(RuntimeError):
+    """A solution path failed the final check at half the planning
+    resolution."""
 
 
 class Status(Enum):
@@ -190,31 +195,17 @@ def _stats(levels: list[LevelState]) -> list[LevelStats]:
             for ls in levels]
 
 
-def _revalidate(path, validity) -> bool:
-    """Re-check every segment of a solution at half the planning resolution."""
-    half = _half_resolution(validity)
-    return all(half.motion_valid(a, b) for a, b in zip(path[:-1], path[1:]))
-
-
-def _half_resolution(validity):
-    return validity.__class__(
-        space=validity.space, robot=validity.robot,
-        obstacles=validity.obstacles, workspace_lo=validity.workspace_lo,
-        workspace_hi=validity.workspace_hi,
-        check_resolution=validity.check_resolution / 2.0)
-
-
-def simplify_path(path, space, validity, rounds: int = 3):
+def simplify_path(path, space, checker, rounds: int = 3):
     """Deterministic one-shot shortcutting of an extracted solution.
 
     Alternates segment subdivision with greedy vertex elision (skip to the
     farthest vertex directly reachable by a valid motion).  Elision never
     increases cost because straight segments realize the metric.  Motions are
-    checked at half the planning resolution, matching result re-validation.
+    checked with checker; the planner passes its half-resolution validity,
+    the one the final path is re-validated with.
     """
     if len(path) <= 2:
         return list(path)
-    v = _half_resolution(validity)
     pts = [np.asarray(p, dtype=float) for p in path]
     for _ in range(rounds):
         sub = []
@@ -227,7 +218,7 @@ def simplify_path(path, space, validity, rounds: int = 3):
         i = 0
         while i < len(sub) - 1:
             j = len(sub) - 1
-            while j > i + 1 and not v.motion_valid(sub[i], sub[j]):
+            while j > i + 1 and not checker.motion_valid(sub[i], sub[j]):
                 j -= 1
             out.append(sub[j])
             i = j
@@ -256,9 +247,12 @@ class SmlrPlanner:
     def __init__(self, seq: FiberBundleSequence, cfg: PlannerConfig):
         self.seq = seq
         self.cfg = cfg
-        if cfg.check_resolution is not None:
-            for lvl in seq.levels:
-                lvl.validity.check_resolution = cfg.check_resolution
+        # per-planner validity objects: the sequence's are shared by every
+        # run on the same scenario and are never modified
+        self.validities = [
+            lvl.validity if cfg.check_resolution is None
+            else replace(lvl.validity, check_resolution=cfg.check_resolution)
+            for lvl in seq.levels]
 
     def solve(self, start, goal) -> PlannerResult:
         cfg = self.cfg
@@ -278,7 +272,7 @@ class SmlrPlanner:
             if not space.contains(starts[k]) or not space.contains(goals[k]):
                 raise ValueError(f"start/goal outside bounds on level {k + 1}")
 
-        levels = [LevelState(k, seq.levels[k].space, seq.levels[k].validity,
+        levels = [LevelState(k, seq.levels[k].space, self.validities[k],
                              cfg) for k in range(K)]
         self.level_states = levels  # retained for inspection/export
 
@@ -290,7 +284,7 @@ class SmlrPlanner:
 
         # start/goal must be feasible on every level
         for k in range(K):
-            v = seq.levels[k].validity
+            v = self.validities[k]
             if not v.is_valid(starts[k]):
                 return finish(Status.INFEASIBLE,
                               reason=f"start invalid on level {k + 1}")
@@ -317,8 +311,11 @@ class SmlrPlanner:
                 verdict = ptc(levels[cur], cfg, time.perf_counter() - t0)
                 if verdict is Ptc.SOLVED:
                     sol = levels[cur].roadmap.solution_query(START_ID, GOAL_ID)
+                    v = levels[cur].validity
+                    checker = replace(
+                        v, check_resolution=v.check_resolution / 2.0)
                     base_solutions[cur] = simplify_path(
-                        sol[0], levels[cur].space, levels[cur].validity)
+                        sol[0], levels[cur].space, checker)
                     break
                 if verdict is Ptc.INFEASIBLE:
                     return finish(
@@ -338,11 +335,14 @@ class SmlrPlanner:
                 else:
                     top.roadmap.record_failure()
 
-        path, cost = base_solutions[K - 1], None
+        # the finest level solved last, so checker is its half-resolution one
+        path = base_solutions[K - 1]
+        if not all(checker.motion_valid(a, b)
+                   for a, b in zip(path[:-1], path[1:])):
+            raise RevalidationError(
+                "solution failed re-validation at half resolution")
         cost = sum(seq.finest.space.distance(a, b)
                    for a, b in zip(path[:-1], path[1:]))
-        assert _revalidate(path, seq.finest.validity), \
-            "solution failed re-validation at half resolution"
         return finish(Status.FEASIBLE, path=path, cost=cost,
                       coverage=levels[-1].roadmap.coverage_estimate())
 

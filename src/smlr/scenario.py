@@ -10,7 +10,7 @@ in a different workspace (e.g. angle-space levels).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -41,7 +41,6 @@ class Scenario:
     ground_truth: str
     workspace: np.ndarray | None
     path: str = ""
-    obstacles_by_level: list = field(default_factory=list)
 
 
 def _require(mapping, key, where):
@@ -177,7 +176,6 @@ def load_scenario(path) -> Scenario:
 
     levels: list[Level] = []
     bundles: list[FiberBundle] = []
-    obstacles_by_level = []
     for k, lvl in enumerate(level_specs):
         where = f"{name}.levels[{k}]"
         space = _build_space(_require(lvl, "space", where), where)
@@ -187,7 +185,6 @@ def load_scenario(path) -> Scenario:
         if "obstacles" in lvl:
             obstacles = [_build_obstacle(o, f"{where}.obstacles[{i}]")
                          for i, o in enumerate(lvl["obstacles"])]
-        obstacles_by_level.append(obstacles)
         ws_lo = ws_hi = None
         if workspace is not None and not lvl.get("ignore_workspace", False):
             pos_dim = len(getattr(robot, "position_indices",
@@ -196,10 +193,13 @@ def load_scenario(path) -> Scenario:
                 pos_dim = 2
             if pos_dim == len(workspace):
                 ws_lo, ws_hi = workspace[:, 0], workspace[:, 1]
-        validity = LevelValidity(space=space, robot=robot,
-                                 obstacles=obstacles,
-                                 workspace_lo=ws_lo, workspace_hi=ws_hi,
-                                 check_resolution=check_res)
+        try:
+            validity = LevelValidity(space=space, robot=robot,
+                                     obstacles=obstacles,
+                                     workspace_lo=ws_lo, workspace_hi=ws_hi,
+                                     check_resolution=check_res)
+        except ValueError as e:
+            raise ScenarioError(f"{where}: {e}") from None
         levels.append(Level(space=space, validity=validity))
         if k > 0:
             base_dim = levels[k - 1].space.dim
@@ -232,7 +232,7 @@ def load_scenario(path) -> Scenario:
 
     return Scenario(name=name, seq=seq, start=start, goal=goal, config=cfg,
                     ground_truth=ground_truth, workspace=workspace,
-                    path=str(path), obstacles_by_level=obstacles_by_level)
+                    path=str(path))
 
 
 def shipped_scenario_dir() -> Path:

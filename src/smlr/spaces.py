@@ -86,6 +86,17 @@ class StateSpace:
         d = self._absdiff(a, b)
         return float(math.sqrt(np.dot(self.weights, d * d)))
 
+    def distances(self, q, pts: np.ndarray) -> list[float]:
+        """distance(q, p) for each row p of pts, bit for bit.
+
+        distance_many's matrix product can round differently in the last
+        bit; use this where a result must equal the scalar distance.
+        """
+        q = self._check(q)
+        d = self._absdiff(q, np.asarray(pts, dtype=float))
+        d *= d
+        return [math.sqrt(np.dot(self.weights, row)) for row in d]
+
     def distance_many(self, q, pts: np.ndarray) -> np.ndarray:
         """Distances from a single state q to each row of pts, vectorized."""
         q = self._check(q)
@@ -110,6 +121,19 @@ class StateSpace:
         b = self._check(b)
         svals = np.asarray(svals, dtype=float)
         x = a[None, :] + svals[:, None] * self._diff(a, b)[None, :]
+        x[:, self.circular] = np.mod(x[:, self.circular], TWO_PI)
+        return x
+
+    def interpolate_rows(self, a, bs: np.ndarray, rows: np.ndarray,
+                         svals: np.ndarray) -> np.ndarray:
+        """State i lies on the segment from a to bs[rows[i]] at svals[i];
+        the arithmetic of interpolate_many, shape (len(svals), dim)."""
+        a = self._check(a)
+        bs = np.asarray(bs, dtype=float)
+        if bs.ndim != 2 or bs.shape[1] != self.dim:
+            raise ValueError(
+                f"targets have shape {bs.shape}, expected (k, {self.dim})")
+        x = a[None, :] + svals[:, None] * self._diff(a, bs)[rows]
         x[:, self.circular] = np.mod(x[:, self.circular], TWO_PI)
         return x
 

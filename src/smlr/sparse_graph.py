@@ -149,8 +149,8 @@ class SparseRoadmap:
         dists = self.space.distance_many(q, self.guard_coords())
         near = np.nonzero(dists <= self.delta)[0]
         order = near[np.lexsort((near, dists[near]))]
-        return [int(g) for g in order
-                if self.validity.motion_valid(q, self._coords[g])]
+        visible = self.validity.motions_valid(q, self.guard_coords()[order])
+        return [int(g) for g, ok in zip(order, visible) if ok]
 
     def shortest_graph_path(self, u: int, v: int):
         """Dijkstra path (ids, cost) or None if disconnected; deterministic

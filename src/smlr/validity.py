@@ -1,8 +1,10 @@
 """Per-level constraint checking: robot models, state and motion validity.
 
 A :class:`LevelValidity` owns the robot geometry of one abstraction level and
-the shared obstacle list.  All checks are vectorized over batches of states so
-a discretized motion can be validated in a single numpy pass.
+the shared obstacle list, compiled once into a :class:`CollisionWorld` of
+stacked arrays.  All checks are vectorized over batches of states and over
+obstacles, so the discretized motions from one state to many others are
+validated in a single numpy pass.
 """
 
 from __future__ import annotations
@@ -12,10 +14,71 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import (Box, Disc, Obstacle, Polygon, points_in_polygon,
-                       points_to_segments_dist, segments_intersect,
-                       segments_to_segments_dist)
+from .geometry import (Box, Disc, points_to_segments_dist,
+                       segments_intersect, segments_to_segments_dist)
 from .spaces import StateSpace
+
+# States tested per collision pass: bounds the (states x obstacle edges)
+# temporaries on the grid oracle's batches of 1e4-1e5 states.
+CHUNK_STATES = 1024
+
+
+class CollisionWorld:
+    """An obstacle list compiled into stacked arrays for one-pass tests.
+
+    Boxes are stacked into (nb, d) lo/hi arrays, discs into centres and
+    radii, and every obstacle's boundary segments (2-D boxes and polygons)
+    into one (ns, 2) pair.  Other obstacles (polygons) keep their own signed
+    distance field and are tested in a short loop.  Each test uses the same
+    float operations as the obstacle's own predicate, so results are
+    bit-identical to testing the obstacles one by one.
+    """
+
+    def __init__(self, obstacles):
+        boxes = [o for o in obstacles if isinstance(o, Box)]
+        discs = [o for o in obstacles if isinstance(o, Disc)]
+        self.others = [o for o in obstacles
+                       if not isinstance(o, (Box, Disc))]
+        for kind, dims in (("box", {len(b.lo) for b in boxes}),
+                           ("disc", {len(d.center) for d in discs})):
+            if len(dims) > 1:
+                raise ValueError(f"{kind} obstacles mix dimensions "
+                                 f"{sorted(dims)}")
+        self.has_boxes = bool(boxes)
+        if boxes:
+            self.box_lo = np.stack([b.lo for b in boxes])
+            self.box_hi = np.stack([b.hi for b in boxes])
+        self.has_discs = bool(discs)
+        if discs:
+            self.disc_centers = np.stack([d.center for d in discs])
+            self.disc_radii = np.array([d.radius for d in discs])
+        segs = [s for s in (o.boundary_segments() for o in obstacles)
+                if s is not None]
+        self.has_segments = bool(segs)
+        if segs:
+            self.seg_a = np.concatenate([a for a, _ in segs])
+            self.seg_b = np.concatenate([b for _, b in segs])
+        self.empty = not obstacles
+
+    def near_points(self, pts, margin: float, discs: bool = True):
+        """Rows of pts whose signed distance to some obstacle is <= margin
+        (discs skipped when discs is False) -> (m,) bool."""
+        hit = np.zeros(len(pts), dtype=bool)
+        p = pts[:, None, :]
+        if self.has_boxes:
+            lo, hi = self.box_lo, self.box_hi
+            outside = np.maximum(np.maximum(lo - p, p - hi), 0.0)
+            dist_out = np.linalg.norm(outside, axis=2)
+            inside_margin = np.minimum(p - lo, hi - p).min(axis=2)
+            sd = np.where(dist_out > 0, dist_out, -inside_margin)
+            hit |= (sd <= margin).any(axis=1)
+        if discs and self.has_discs:
+            sd = np.linalg.norm(p - self.disc_centers, axis=2) \
+                - self.disc_radii
+            hit |= (sd <= margin).any(axis=1)
+        for o in self.others:
+            hit |= o.signed_distance(pts) <= margin
+        return hit
 
 
 # -- posed-polygon helpers (robot polygon differs per state) ----------------
@@ -44,18 +107,19 @@ def _posed_contains(verts, points):
     return (crossings % 2) == 1
 
 
-def _posed_edges_point_dist(verts, point):
-    """Min distance from a fixed point to each pose's polygon edges -> (m,)."""
-    a = verts
-    b = np.roll(verts, -1, axis=1)
-    d = b - a
-    dd = np.sum(d * d, axis=2)
-    ap = point[None, None, :] - a
+def _posed_edges_point_dist(verts, points):
+    """Min distance from fixed points to each pose's polygon edges
+    -> (m, p)."""
+    a = verts[:, None, :, :]                   # (m, 1, nv, 2)
+    d = np.roll(verts, -1, axis=1)[:, None, :, :] - a
+    dd = np.sum(d * d, axis=3)
+    pt = points[None, :, None, :]              # (1, p, 1, 2)
+    ap = pt - a
     with np.errstate(divide="ignore", invalid="ignore"):
-        t = np.sum(ap * d, axis=2) / dd
+        t = np.sum(ap * d, axis=3) / dd
     t = np.where(dd == 0.0, 0.0, np.clip(t, 0.0, 1.0))
-    closest = a + t[:, :, None] * d
-    return np.linalg.norm(point[None, None, :] - closest, axis=2).min(axis=1)
+    closest = a + t[..., None] * d
+    return np.linalg.norm(pt - closest, axis=3).min(axis=2)
 
 
 # -- robot models ------------------------------------------------------------
@@ -63,7 +127,10 @@ def _posed_edges_point_dist(verts, point):
 class RobotModel:
     """Maps level states to workspace geometry and tests obstacle overlap."""
 
-    def collides(self, coords: np.ndarray, obstacle: Obstacle) -> np.ndarray:
+    def collides(self, coords: np.ndarray,
+                 world: CollisionWorld) -> np.ndarray:
+        """Rows of coords whose posed robot overlaps any obstacle of world;
+        the robot is posed once for the whole batch -> (m,) bool."""
         raise NotImplementedError
 
     def in_workspace(self, coords, lo, hi) -> np.ndarray:
@@ -83,8 +150,8 @@ class PointRobot(RobotModel):
 
     reference_points = _pos
 
-    def collides(self, coords, obstacle):
-        return obstacle.signed_distance(self._pos(coords)) <= 0.0
+    def collides(self, coords, world):
+        return world.near_points(self._pos(coords), 0.0)
 
     def in_workspace(self, coords, lo, hi):
         p = self._pos(coords)
@@ -105,8 +172,8 @@ class DiscRobot(RobotModel):
 
     reference_points = _pos
 
-    def collides(self, coords, obstacle):
-        return obstacle.signed_distance(self._pos(coords)) <= self.radius
+    def collides(self, coords, world):
+        return world.near_points(self._pos(coords), self.radius)
 
     def in_workspace(self, coords, lo, hi):
         p = self._pos(coords)
@@ -136,26 +203,22 @@ class PolygonRobot(RobotModel):
         i, j, _ = self.pose_indices
         return coords[:, [i, j]]
 
-    def collides(self, coords, obstacle):
+    def collides(self, coords, world):
         verts = self._verts(coords)
         m, nv, _ = verts.shape
         flat = verts.reshape(m * nv, 2)
-        hit = (obstacle.signed_distance(flat) <= 0.0).reshape(m, nv).any(axis=1)
-        if isinstance(obstacle, Disc):
-            center_in = _posed_contains(verts, obstacle.center[None, :])[:, 0]
-            near = _posed_edges_point_dist(verts, obstacle.center) \
-                <= obstacle.radius
-            return hit | center_in | near
-        seg = obstacle.boundary_segments()
-        if seg is None:
-            return hit
-        oa, ob = seg
-        corner_in = _posed_contains(verts, oa).any(axis=1)
-        ra = flat
-        rb = np.roll(verts, -1, axis=1).reshape(m * nv, 2)
-        crossing = segments_intersect(ra, rb, oa, ob) \
-            .reshape(m, nv, -1).any(axis=(1, 2))
-        return hit | corner_in | crossing
+        hit = world.near_points(flat, 0.0).reshape(m, nv).any(axis=1)
+        if world.has_discs:
+            c = world.disc_centers
+            hit |= _posed_contains(verts, c).any(axis=1)
+            hit |= (_posed_edges_point_dist(verts, c)
+                    <= world.disc_radii).any(axis=1)
+        if world.has_segments:
+            hit |= _posed_contains(verts, world.seg_a).any(axis=1)
+            rb = np.roll(verts, -1, axis=1).reshape(m * nv, 2)
+            hit |= segments_intersect(flat, rb, world.seg_a, world.seg_b) \
+                .reshape(m, -1).any(axis=1)
+        return hit
 
     def in_workspace(self, coords, lo, hi):
         verts = self._verts(coords)
@@ -214,24 +277,22 @@ class ChainRobot(RobotModel):
         j = self.joints(coords)
         return j[:, :-1, :], j[:, 1:, :]
 
-    def collides(self, coords, obstacle):
+    def collides(self, coords, world):
         a, b = self._links(coords)
         m, L, _ = a.shape
         fa, fb = a.reshape(m * L, 2), b.reshape(m * L, 2)
-        if isinstance(obstacle, Disc):
-            d = points_to_segments_dist(obstacle.center[None, :], fa, fb)
-            d = d.reshape(m, L).min(axis=1)
-            return d <= obstacle.radius + self.link_radius
-        near_end = (obstacle.signed_distance(fa) <= self.link_radius) | \
-                   (obstacle.signed_distance(fb) <= self.link_radius)
-        near_end = near_end.reshape(m, L).any(axis=1)
-        seg = obstacle.boundary_segments()
-        if seg is None:
-            return near_end
-        oa, ob = seg
-        d = segments_to_segments_dist(fa, fb, oa, ob)
-        crossing = (d.reshape(m, L, -1) <= self.link_radius).any(axis=(1, 2))
-        return near_end | crossing
+        r = self.link_radius
+        hit = (world.near_points(fa, r, discs=False)
+               | world.near_points(fb, r, discs=False)) \
+            .reshape(m, L).any(axis=1)
+        if world.has_discs:
+            d = points_to_segments_dist(world.disc_centers, fa, fb)
+            d = d.reshape(-1, m, L).min(axis=2)
+            hit |= (d <= (world.disc_radii + r)[:, None]).any(axis=0)
+        if world.has_segments:
+            d = segments_to_segments_dist(fa, fb, world.seg_a, world.seg_b)
+            hit |= (d.reshape(m, -1) <= r).any(axis=1)
+        return hit
 
     def in_workspace(self, coords, lo, hi):
         j = self.joints(coords)
@@ -254,12 +315,14 @@ class ChainRobot(RobotModel):
 
 # -- level validity ----------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class LevelValidity:
     """Constraint function of one level: robot + shared obstacles.
 
     check_resolution is the motion discretization step as a fraction of the
-    space's max extent.
+    space's max extent.  The obstacles are compiled into a CollisionWorld at
+    construction, so the object is frozen: derive a variant with
+    dataclasses.replace.
     """
 
     space: StateSpace
@@ -272,7 +335,8 @@ class LevelValidity:
     def __post_init__(self):
         if not 0 < self.check_resolution <= 1:
             raise ValueError("check_resolution must be in (0, 1]")
-        self._extent = self.space.max_extent()
+        object.__setattr__(self, "_extent", self.space.max_extent())
+        object.__setattr__(self, "_world", CollisionWorld(self.obstacles))
 
     def valid_mask(self, coords: np.ndarray) -> np.ndarray:
         coords = np.asarray(coords, dtype=float)
@@ -282,25 +346,52 @@ class LevelValidity:
         if self.workspace_lo is not None:
             ok &= self.robot.in_workspace(coords, self.workspace_lo,
                                           self.workspace_hi)
-        for obs in self.obstacles:
-            if not ok.any():
-                break
-            idx = np.nonzero(ok)[0]
-            ok[idx] &= ~self.robot.collides(coords[idx], obs)
+        if self._world.empty:
+            return ok
+        idx = np.flatnonzero(ok)
+        for i in range(0, len(idx), CHUNK_STATES):
+            part = idx[i:i + CHUNK_STATES]
+            ok[part] = ~self.robot.collides(coords[part], self._world)
         return ok
 
     def is_valid(self, x) -> bool:
         return bool(self.valid_mask(np.asarray(x, dtype=float)[None, :])[0])
 
+    def _steps(self, length: float) -> int:
+        """Discretization steps of a straight motion of the given length."""
+        step = self.check_resolution * self._extent
+        return max(1, int(math.ceil(length / step)))
+
     def motion_valid(self, a, b) -> bool:
+        # not motions_valid(a, [b]): its batch set-up costs more than this
+        # on the one-motion checks of path simplification and interfaces
         a = np.asarray(a, dtype=float)
         b = np.asarray(b, dtype=float)
-        length = self.space.distance(a, b)
-        step = self.check_resolution * self._extent
-        n = max(1, int(math.ceil(length / step)))
-        svals = np.linspace(0.0, 1.0, n + 1)
+        svals = np.linspace(0.0, 1.0,
+                            self._steps(self.space.distance(a, b)) + 1)
         pts = self.space.interpolate_many(a, b, svals)
         return bool(self.valid_mask(pts).all())
+
+    def motions_valid(self, a, bs) -> list[bool]:
+        """motion_valid(a, b) for every row b of bs, with all the motions'
+        states checked in one valid_mask call.
+
+        Each motion is discretized into the states motion_valid checks:
+        s = k * (1 / n) for k = 0..n with the last value 1.0, the values
+        np.linspace(0, 1, n + 1) returns.
+        """
+        a = np.asarray(a, dtype=float)
+        bs = np.asarray(bs, dtype=float)
+        if not len(bs):
+            return []
+        n = np.array([self._steps(d) for d in self.space.distances(a, bs)])
+        ends = np.cumsum(n + 1)
+        starts = ends - (n + 1)
+        rows = np.repeat(np.arange(len(bs)), n + 1)
+        svals = (np.arange(ends[-1]) - starts[rows]) * (1.0 / n)[rows]
+        svals[ends - 1] = 1.0
+        pts = self.space.interpolate_rows(a, bs, rows, svals)
+        return np.logical_and.reduceat(self.valid_mask(pts), starts).tolist()
 
     def clearance(self, x) -> float:
         """Signed distance from the robot geometry to the nearest obstacle.

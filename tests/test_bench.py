@@ -1,9 +1,12 @@
+import time
+
 import numpy as np
 import pytest
 
 from smlr.bench import (CSV_HEADER, LevelRow, ResultTable, RunRecord,
                         run_benchmark, run_single, write_results)
 from smlr.cli import EXIT_BAD_INPUT, EXIT_OK, main
+from smlr.planner import SmlrPlanner
 from smlr.scenario import load_scenario, shipped_scenario_dir
 
 SQUARE_FREE = """\
@@ -98,6 +101,15 @@ class TestRunSingle:
         assert rec.cost is not None and rec.cost > 0
         assert len(rec.levels) == 1
         assert rec.levels[0].vertices >= 2
+
+    def test_error_row_records_elapsed_time(self, free_path, monkeypatch):
+        def failing_solve(self, start, goal):
+            time.sleep(0.05)
+            raise RuntimeError("planner failed")
+        monkeypatch.setattr(SmlrPlanner, "solve", failing_solve)
+        rec = run_single(load_scenario(free_path), "smlr", seed=1)
+        assert rec.status == "error"
+        assert rec.seconds >= 0.05
 
     def test_unknown_planner(self, free_path):
         sc = load_scenario(free_path)

@@ -1,4 +1,9 @@
 import math
+import os
+import subprocess
+import sys
+from dataclasses import FrozenInstanceError, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,9 +14,37 @@ from smlr.planner import (GOAL_ID, START_ID, LevelState, PlannerConfig,
                           Ptc, SmlrPlanner, Status, compute_importance,
                           flat_solve, ptc, restriction_sample, section_test,
                           simplify_path, smlr_solve, smooth_parameter)
+from smlr.scenario import load_scenario, shipped_scenario_dir
 from smlr.spaces import (CircleSpace, ProductSpace, RealVectorSpace,
                          point_to_edge_distance)
 from smlr.validity import LevelValidity, PointRobot
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# A free world whose validity rejects every motion checked finer than the
+# planning resolution 0.1, so the path the planner finds always fails the
+# final half-resolution check.
+FORCED_REVALIDATION_FAILURE = """
+import numpy as np
+from smlr.bundles import FiberBundleSequence, Level
+from smlr.planner import PlannerConfig, RevalidationError, SmlrPlanner
+from smlr.spaces import RealVectorSpace
+from smlr.validity import LevelValidity, PointRobot
+
+class FineBlind(LevelValidity):
+    def motion_valid(self, a, b):
+        return self.check_resolution >= 0.1 and super().motion_valid(a, b)
+
+space = RealVectorSpace([[0, 1], [0, 1]])
+seq = FiberBundleSequence(levels=[Level(space, FineBlind(
+    space=space, robot=PointRobot(), obstacles=[]))], bundles=[])
+cfg = PlannerConfig(seed=0, time_limit=10, check_resolution=0.1)
+try:
+    SmlrPlanner(seq, cfg).solve(np.array([0.1, 0.1]), np.array([0.9, 0.9]))
+    print("returned", __debug__)
+except RevalidationError as e:
+    print("raised", __debug__, e)
+"""
 
 
 def r2_level(obstacles, res=0.01):
@@ -338,6 +371,40 @@ class TestSolveFlatWorlds:
         res = smlr_solve(seq, np.array([0.2, 0.5]), np.array([0.8, 0.5]), cfg)
         assert res.status is Status.TIMEOUT
         assert res.seconds >= 0.2
+
+
+class TestPlannerInputs:
+    def test_check_resolution_override_leaves_scenario_untouched(self):
+        sc = load_scenario(shipped_scenario_dir() / "chain4_feasible.yaml")
+        cfg = replace(sc.config, seed=1, check_resolution=0.2)
+        planner = SmlrPlanner(sc.seq, cfg)
+        assert [v.check_resolution for v in planner.validities] == [0.2, 0.2]
+        planner.solve(sc.start, sc.goal)
+        assert [lvl.validity.check_resolution for lvl in sc.seq.levels] \
+            == [0.01, 0.01]
+
+    def test_validity_objects_are_frozen(self):
+        v = single_level_seq([]).levels[0].validity
+        with pytest.raises(FrozenInstanceError):
+            v.check_resolution = 0.2
+
+    def test_no_override_shares_validity(self):
+        seq = single_level_seq([])
+        planner = SmlrPlanner(seq, PlannerConfig())
+        assert planner.validities[0] is seq.levels[0].validity
+
+
+class TestRevalidation:
+    @pytest.mark.parametrize("flags, debug", [([], True), (["-O"], False)],
+                             ids=["plain", "optimized"])
+    def test_failure_raises_named_error(self, flags, debug):
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        out = subprocess.run(
+            [sys.executable, *flags, "-c", FORCED_REVALIDATION_FAILURE],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.startswith(f"raised {debug} solution failed "
+                                     "re-validation at half resolution")
 
 
 class TestSolveMultilevel:

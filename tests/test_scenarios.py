@@ -123,6 +123,16 @@ class TestDiagnostics:
         with pytest.raises(ScenarioError, match="obstacle type"):
             load_scenario(write(tmp_path, text))
 
+    def test_mixed_box_dimensions_named(self, tmp_path):
+        text = MINIMAL.replace(
+            "levels:",
+            "obstacles:\n  - {type: box, lo: [0.4, 0.4], hi: [0.6, 0.6]}\n"
+            "  - {type: box, lo: [0.4], hi: [0.6]}\nlevels:")
+        with pytest.raises(ScenarioError,
+                           match=r"levels\[0\]: box obstacles "
+                                 r"mix dimensions \[1, 2\]"):
+            load_scenario(write(tmp_path, text))
+
     def test_mismatched_base_indices(self, tmp_path):
         text = MINIMAL.replace(
             "start: [0.1, 0.1]\ngoal: [0.9, 0.9]",
