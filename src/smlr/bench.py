@@ -11,11 +11,12 @@ import csv
 import io
 import statistics
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .planner import PlannerConfig, SmlrPlanner, Status
+from .planner import LevelStats, PlannerResult, SmlrPlanner, Status
 from .scenario import Scenario, load_scenario
 
 CSV_HEADER = ["scenario", "planner", "seed", "status", "seconds", "cost",
@@ -25,28 +26,15 @@ PLANNERS = ("smlr", "flat")
 
 
 @dataclass
-class LevelRow:
-    level: int
-    vertices: int
-    edges: int
-    failures: int
-    coverage: float
-
-
-@dataclass
 class RunRecord:
     """One planner run; per-level graph statistics flattened at CSV time."""
 
     scenario: str
     planner: str
-    seed: int
-    status: str
-    seconds: float
-    cost: float | None
-    levels: list[LevelRow] = field(default_factory=list)
+    result: PlannerResult
 
     def key(self):
-        return (self.scenario, self.planner, self.seed)
+        return (self.scenario, self.planner, self.result.seed)
 
 
 @dataclass
@@ -76,18 +64,18 @@ class ResultTable:
         self.rows.append(row)
 
     def summaries(self) -> list[SummaryRow]:
-        groups: dict[tuple, list[RunRecord]] = {}
+        groups: dict[tuple, list[PlannerResult]] = {}
         for r in self.rows:
-            groups.setdefault((r.scenario, r.planner), []).append(r)
+            groups.setdefault((r.scenario, r.planner), []).append(r.result)
         out = []
-        for (scn, pl), rows in sorted(groups.items()):
+        for (scn, pl), results in sorted(groups.items()):
+            tally = Counter(r.status for r in results)
             out.append(SummaryRow(
-                scenario=scn, planner=pl, runs=len(rows),
-                mean_seconds=statistics.fmean(r.seconds for r in rows),
-                feasible=sum(r.status == "feasible" for r in rows),
-                infeasible=sum(r.status == "infeasible" for r in rows),
-                timeout=sum(r.status == "timeout" for r in rows),
-                errors=sum(r.status == "error" for r in rows)))
+                scenario=scn, planner=pl, runs=len(results),
+                mean_seconds=statistics.fmean(r.seconds for r in results),
+                feasible=tally[Status.FEASIBLE],
+                infeasible=tally[Status.INFEASIBLE],
+                timeout=tally[Status.TIMEOUT], errors=tally[Status.ERROR]))
         return out
 
     def to_csv(self) -> str:
@@ -95,70 +83,81 @@ class ResultTable:
         writer = csv.writer(buf)
         writer.writerow(CSV_HEADER)
         for r in self.rows:
-            for lv in r.levels:
+            res = r.result
+            for level, ls in enumerate(res.level_stats, start=1):
                 writer.writerow([
-                    r.scenario, r.planner, r.seed, r.status,
-                    f"{r.seconds:.6f}",
-                    "" if r.cost is None else f"{r.cost:.9f}",
-                    lv.level, lv.vertices, lv.edges, lv.failures,
-                    f"{lv.coverage:.9f}"])
+                    r.scenario, r.planner, res.seed, res.status.value,
+                    f"{res.seconds:.6f}",
+                    "" if res.cost is None else f"{res.cost:.9f}",
+                    level, ls.vertices, ls.edges, ls.failures,
+                    f"{ls.coverage:.9f}"])
         return buf.getvalue()
 
     @classmethod
     def from_csv(cls, text: str) -> "ResultTable":
+        """Parse to_csv output.  Each run's rows must be numbered 1..k in
+        order.  Paths, reasons and the run's overall coverage are not in the
+        CSV, so they read None and ''."""
         reader = csv.reader(io.StringIO(text))
         header = next(reader)
         if header != CSV_HEADER:
             raise ValueError(f"unexpected CSV header {header}")
         table = cls()
         current: RunRecord | None = None
-        for row in reader:
+        for line, row in enumerate(reader, start=2):
             scn, pl, seed, status, seconds, cost, level, v, e, f, cov = row
-            key = (scn, pl, int(seed))
-            if current is None or current.key() != key:
+            if current is None or current.key() != (scn, pl, int(seed)):
                 if current is not None:
                     table.add(current)
-                current = RunRecord(
-                    scenario=scn, planner=pl, seed=int(seed), status=status,
-                    seconds=float(seconds),
-                    cost=None if cost == "" else float(cost))
-            current.levels.append(LevelRow(
-                level=int(level), vertices=int(v), edges=int(e),
-                failures=int(f), coverage=float(cov)))
+                current = RunRecord(scn, pl, PlannerResult(
+                    status=Status(status), level_stats=[], path=None,
+                    cost=None if cost == "" else float(cost),
+                    seconds=float(seconds), seed=int(seed),
+                    coverage_estimate=None))
+            stats = current.result.level_stats
+            if int(level) != len(stats) + 1:
+                raise ValueError(
+                    f"CSV line {line}: level {level} of run "
+                    f"{current.key()} should be {len(stats) + 1}")
+            stats.append(LevelStats(vertices=int(v), edges=int(e),
+                                    failures=int(f), coverage=float(cov)))
         if current is not None:
             table.add(current)
         return table
 
 
-def run_single(scenario: Scenario, planner: str, seed: int,
-               overrides: dict | None = None) -> RunRecord:
-    """Execute one run; planner failures become rows with status 'error'."""
+def make_planner(scenario: Scenario, planner: str, seed: int,
+                 overrides: dict | None = None) -> SmlrPlanner:
+    """The named planner on the scenario: smlr on its bundle sequence, flat
+    on the one-level sequence over its finest space, configured with the
+    scenario's planner settings, the seed and any overrides."""
     if planner not in PLANNERS:
         raise ValueError(f"unknown planner '{planner}'")
-    cfg = _apply_overrides(scenario.config, seed, overrides)
+    cfg = replace(scenario.config, seed=seed, **(overrides or {}))
     seq = scenario.seq if planner == "smlr" else scenario.seq.flat()
+    return SmlrPlanner(seq, cfg)
+
+
+def solve_scenario(solver: SmlrPlanner, scenario: Scenario) -> PlannerResult:
+    """Solve the scenario's query.  An exception becomes a Status.ERROR
+    result with the elapsed time and the exception as its reason."""
     t0 = time.perf_counter()
     try:
-        result = SmlrPlanner(seq, cfg).solve(scenario.start, scenario.goal)
-    except Exception:  # recorded, never aborts the batch
-        return RunRecord(scenario=scenario.name, planner=planner, seed=seed,
-                         status="error", seconds=time.perf_counter() - t0,
-                         cost=None,
-                         levels=[LevelRow(1, 0, 0, 0, 0.0)])
-    levels = [LevelRow(level=i + 1, vertices=ls.vertices, edges=ls.edges,
-                       failures=ls.failures, coverage=ls.coverage)
-              for i, ls in enumerate(result.level_stats)]
-    return RunRecord(scenario=scenario.name, planner=planner, seed=seed,
-                     status=result.status.value, seconds=result.seconds,
-                     cost=result.cost, levels=levels)
+        return solver.solve(scenario.start, scenario.goal)
+    except Exception as e:  # recorded, never aborts the batch
+        # one empty level, so the run keeps its row in the CSV
+        return PlannerResult(
+            status=Status.ERROR, level_stats=[LevelStats(0, 0, 0, 0.0)],
+            path=None, cost=None, seconds=time.perf_counter() - t0,
+            seed=solver.cfg.seed, coverage_estimate=None,
+            reason=f"{type(e).__name__}: {e}")
 
 
-def _apply_overrides(cfg: PlannerConfig, seed: int,
-                     overrides: dict | None) -> PlannerConfig:
-    kwargs = {"seed": seed}
-    if overrides:
-        kwargs.update(overrides)
-    return replace(cfg, **kwargs)
+def run_single(scenario: Scenario, planner: str, seed: int,
+               overrides: dict | None = None) -> RunRecord:
+    """Execute one run; planner failures become Status.ERROR records."""
+    solver = make_planner(scenario, planner, seed, overrides)
+    return RunRecord(scenario.name, planner, solve_scenario(solver, scenario))
 
 
 def _worker(args):

@@ -13,10 +13,9 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .bench import (PLANNERS, ResultTable, run_benchmark, run_single,
+from .bench import (PLANNERS, make_planner, run_benchmark, solve_scenario,
                     write_results)
 from .oracle import GridOracle
-from .planner import PlannerConfig, SmlrPlanner, Status
 from .scenario import ScenarioError, load_scenario
 from .svg_export import UnsupportedDimensionError, export_svg, \
     write_graph_files
@@ -66,24 +65,22 @@ def cmd_plan(args) -> int:
     except (ScenarioError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    over = _config_overrides(args)
-    record = run_single(scenario, args.planner, args.seed, over)
+    solver = make_planner(scenario, args.planner, args.seed,
+                          _config_overrides(args))
+    result = solve_scenario(solver, scenario)
+    reason = f" reason={result.reason}" if result.reason else ""
     print(f"{scenario.name} planner={args.planner} seed={args.seed} "
-          f"status={record.status} seconds={record.seconds:.3f} "
-          f"cost={'' if record.cost is None else f'{record.cost:.4f}'}")
-    for lv in record.levels:
-        print(f"  level {lv.level}: vertices={lv.vertices} edges={lv.edges} "
-              f"failures={lv.failures} coverage={lv.coverage:.4f}")
+          f"status={result.status.value} seconds={result.seconds:.3f} "
+          f"cost={'' if result.cost is None else f'{result.cost:.4f}'}"
+          f"{reason}")
+    for level, ls in enumerate(result.level_stats, start=1):
+        print(f"  level {level}: vertices={ls.vertices} edges={ls.edges} "
+              f"failures={ls.failures} coverage={ls.coverage:.4f}")
 
     if args.out:
         out = Path(args.out)
-        # re-run with retained planner state to export roadmaps
-        from dataclasses import replace
-        cfg = replace(scenario.config, seed=args.seed, **over)
-        seq = scenario.seq if args.planner == "smlr" else scenario.seq.flat()
-        planner = SmlrPlanner(seq, cfg)
-        result = planner.solve(scenario.start, scenario.goal)
-        for ls in planner.level_states:
+        seq = solver.seq
+        for ls in solver.level_states:
             prefix = out / f"{scenario.name}_level{ls.index + 1}"
             write_graph_files(ls.roadmap, prefix)
             try:

@@ -28,16 +28,13 @@ class RevalidationError(RuntimeError):
 
 
 class Status(Enum):
+    """Outcome of a run.  ERROR marks a run whose planner raised:
+    bench.run_single records it, the planner itself never returns it."""
+
     FEASIBLE = "feasible"
     INFEASIBLE = "infeasible"
     TIMEOUT = "timeout"
-
-
-class Ptc(Enum):
-    CONTINUE = "continue"
-    SOLVED = "solved"
-    INFEASIBLE = "infeasible"
-    TIMEOUT = "timeout"
+    ERROR = "error"
 
 
 @dataclass
@@ -48,7 +45,6 @@ class PlannerConfig:
     stretch_t: float = 3.0
     time_limit: float = 60.0
     seed: int = 0
-    check_resolution: float | None = None   # None: keep per-level defaults
 
     def __post_init__(self):
         if self.max_failures < 1:
@@ -79,7 +75,7 @@ class PlannerResult:
     cost: float | None
     seconds: float
     seed: int
-    coverage_estimate: float
+    coverage_estimate: float | None   # None when unknown (errors, CSV rows)
     reason: str = ""
 
 
@@ -174,17 +170,18 @@ def section_test(level: LevelState, bundle, base_path, start, goal):
     return lifted
 
 
-def ptc(level: LevelState, cfg: PlannerConfig, elapsed: float) -> Ptc:
+def ptc(level: LevelState, cfg: PlannerConfig,
+        elapsed: float) -> Status | None:
     """Planner termination condition, checked in precedence order
-    Solved > Infeasible > Timeout > Continue."""
+    Feasible > Infeasible > Timeout; None means continue."""
     rm = level.roadmap
     if rm.num_guards >= 2 and rm.same_component(START_ID, GOAL_ID):
-        return Ptc.SOLVED
+        return Status.FEASIBLE
     if rm.consecutive_failures > cfg.max_failures:
-        return Ptc.INFEASIBLE
+        return Status.INFEASIBLE
     if elapsed > cfg.time_limit:
-        return Ptc.TIMEOUT
-    return Ptc.CONTINUE
+        return Status.TIMEOUT
+    return None
 
 
 def _stats(levels: list[LevelState]) -> list[LevelStats]:
@@ -247,12 +244,7 @@ class SmlrPlanner:
     def __init__(self, seq: FiberBundleSequence, cfg: PlannerConfig):
         self.seq = seq
         self.cfg = cfg
-        # per-planner validity objects: the sequence's are shared by every
-        # run on the same scenario and are never modified
-        self.validities = [
-            lvl.validity if cfg.check_resolution is None
-            else replace(lvl.validity, check_resolution=cfg.check_resolution)
-            for lvl in seq.levels]
+        self.level_states: list[LevelState] = []  # set by solve, for export
 
     def solve(self, start, goal) -> PlannerResult:
         cfg = self.cfg
@@ -272,9 +264,9 @@ class SmlrPlanner:
             if not space.contains(starts[k]) or not space.contains(goals[k]):
                 raise ValueError(f"start/goal outside bounds on level {k + 1}")
 
-        levels = [LevelState(k, seq.levels[k].space, self.validities[k],
-                             cfg) for k in range(K)]
-        self.level_states = levels  # retained for inspection/export
+        levels = [LevelState(k, lvl.space, lvl.validity, cfg)
+                  for k, lvl in enumerate(seq.levels)]
+        self.level_states = levels
 
         def finish(status, reason="", path=None, cost=None, coverage=0.0):
             return PlannerResult(
@@ -284,7 +276,7 @@ class SmlrPlanner:
 
         # start/goal must be feasible on every level
         for k in range(K):
-            v = self.validities[k]
+            v = levels[k].validity
             if not v.is_valid(starts[k]):
                 return finish(Status.INFEASIBLE,
                               reason=f"start invalid on level {k + 1}")
@@ -309,7 +301,7 @@ class SmlrPlanner:
             active = levels[:cur + 1]
             while True:
                 verdict = ptc(levels[cur], cfg, time.perf_counter() - t0)
-                if verdict is Ptc.SOLVED:
+                if verdict is Status.FEASIBLE:
                     sol = levels[cur].roadmap.solution_query(START_ID, GOAL_ID)
                     v = levels[cur].validity
                     checker = replace(
@@ -317,12 +309,12 @@ class SmlrPlanner:
                     base_solutions[cur] = simplify_path(
                         sol[0], levels[cur].space, checker)
                     break
-                if verdict is Ptc.INFEASIBLE:
+                if verdict is Status.INFEASIBLE:
                     return finish(
                         Status.INFEASIBLE,
                         reason=f"failure bound exceeded on level {cur + 1}",
                         coverage=levels[cur].roadmap.coverage_estimate())
-                if verdict is Ptc.TIMEOUT:
+                if verdict is Status.TIMEOUT:
                     return finish(Status.TIMEOUT, reason="time limit")
                 # pop the max-importance level (ties: coarser level first)
                 top = max(active,

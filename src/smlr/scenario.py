@@ -9,7 +9,6 @@ in a different workspace (e.g. angle-space levels).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -125,17 +124,28 @@ def _build_robot(spec, space: StateSpace, where):
 
 
 def _planner_config(spec) -> PlannerConfig:
-    spec = spec or {}
     try:
         return PlannerConfig(
             max_failures=int(spec.get("M", 1000)),
             delta_fraction=float(spec.get("delta_fraction", 0.25)),
             eta=int(spec.get("eta", 1000)),
             stretch_t=float(spec.get("stretch_t", 3.0)),
-            time_limit=float(spec.get("time_limit", 60.0)),
-            check_resolution=spec.get("check_resolution"))
+            time_limit=float(spec.get("time_limit", 60.0)))
     except ValueError as e:
         raise ScenarioError(f"planner: {e}") from None
+
+
+def _check_resolution(spec) -> float:
+    """The motion-check step of every level's LevelValidity."""
+    raw = spec.get("check_resolution", 0.01)
+    message = f"planner: check_resolution must be in (0, 1], got {raw!r}"
+    try:
+        res = float(raw)
+    except (TypeError, ValueError):
+        raise ScenarioError(message) from None
+    if not 0 < res <= 1:
+        raise ScenarioError(message)
+    return res
 
 
 def load_scenario(path) -> Scenario:
@@ -167,8 +177,9 @@ def load_scenario(path) -> Scenario:
         _build_obstacle(o, f"{name}.obstacles[{i}]")
         for i, o in enumerate(doc.get("obstacles", []))]
 
-    cfg = _planner_config(doc.get("planner"))
-    check_res = cfg.check_resolution if cfg.check_resolution else 0.01
+    planner_spec = doc.get("planner") or {}
+    cfg = _planner_config(planner_spec)
+    check_res = _check_resolution(planner_spec)
 
     level_specs = _require(doc, "levels", name)
     if not isinstance(level_specs, list) or not level_specs:

@@ -136,10 +136,6 @@ class RobotModel:
     def in_workspace(self, coords, lo, hi) -> np.ndarray:
         raise NotImplementedError
 
-    def reference_points(self, coords: np.ndarray) -> np.ndarray:
-        """Workspace positions used for clearance queries -> (m, d)."""
-        raise NotImplementedError
-
 
 @dataclass
 class PointRobot(RobotModel):
@@ -147,8 +143,6 @@ class PointRobot(RobotModel):
 
     def _pos(self, coords):
         return coords[:, list(self.position_indices)]
-
-    reference_points = _pos
 
     def collides(self, coords, world):
         return world.near_points(self._pos(coords), 0.0)
@@ -169,8 +163,6 @@ class DiscRobot(RobotModel):
 
     def _pos(self, coords):
         return coords[:, list(self.position_indices)]
-
-    reference_points = _pos
 
     def collides(self, coords, world):
         return world.near_points(self._pos(coords), self.radius)
@@ -199,10 +191,6 @@ class PolygonRobot(RobotModel):
         theta = coords[:, k]
         return _posed_vertices(self.vertices, xy, theta)
 
-    def reference_points(self, coords):
-        i, j, _ = self.pose_indices
-        return coords[:, [i, j]]
-
     def collides(self, coords, world):
         verts = self._verts(coords)
         m, nv, _ = verts.shape
@@ -223,21 +211,6 @@ class PolygonRobot(RobotModel):
     def in_workspace(self, coords, lo, hi):
         verts = self._verts(coords)
         return np.all((verts >= lo) & (verts <= hi), axis=(1, 2))
-
-    def boundary_dist(self, coords, obstacle):
-        """Distance from the posed boundary to the obstacle (unsigned)."""
-        verts = self._verts(coords)
-        m, nv, _ = verts.shape
-        ra = verts.reshape(m * nv, 2)
-        rb = np.roll(verts, -1, axis=1).reshape(m * nv, 2)
-        if isinstance(obstacle, Disc):
-            d = points_to_segments_dist(
-                obstacle.center[None, :],
-                ra, rb).reshape(m, nv).min(axis=1) - obstacle.radius
-            return d
-        oa, ob = obstacle.boundary_segments()
-        d = segments_to_segments_dist(ra, rb, oa, ob)
-        return d.reshape(m, nv, -1).min(axis=(1, 2))
 
 
 @dataclass
@@ -270,9 +243,6 @@ class ChainRobot(RobotModel):
                              axis=1)
         return pts
 
-    def reference_points(self, coords):
-        return coords[:, list(self.base_indices)]
-
     def _links(self, coords):
         j = self.joints(coords)
         return j[:, :-1, :], j[:, 1:, :]
@@ -298,19 +268,6 @@ class ChainRobot(RobotModel):
         j = self.joints(coords)
         r = self.link_radius
         return np.all((j >= lo + r) & (j <= hi - r), axis=(1, 2))
-
-    def boundary_dist(self, coords, obstacle):
-        a, b = self._links(coords)
-        m, L, _ = a.shape
-        fa, fb = a.reshape(m * L, 2), b.reshape(m * L, 2)
-        if isinstance(obstacle, Disc):
-            d = points_to_segments_dist(obstacle.center[None, :], fa, fb)
-            d = d.reshape(m, L).min(axis=1) - obstacle.radius
-        else:
-            oa, ob = obstacle.boundary_segments()
-            d = segments_to_segments_dist(fa, fb, oa, ob)
-            d = d.reshape(m, L, -1).min(axis=(1, 2))
-        return d - self.link_radius
 
 
 # -- level validity ----------------------------------------------------------
@@ -392,25 +349,3 @@ class LevelValidity:
         svals[ends - 1] = 1.0
         pts = self.space.interpolate_rows(a, bs, rows, svals)
         return np.logical_and.reduceat(self.valid_mask(pts), starts).tolist()
-
-    def clearance(self, x) -> float:
-        """Signed distance from the robot geometry to the nearest obstacle.
-
-        Exact for point and disc robots; for polygon/chain robots the
-        magnitude is the boundary separation with the sign taken from
-        is_valid (containment depth is not resolved).
-        """
-        x = np.asarray(x, dtype=float)[None, :]
-        if not self.obstacles:
-            return math.inf
-        if isinstance(self.robot, PointRobot):
-            return float(min(o.signed_distance(
-                self.robot.reference_points(x))[0] for o in self.obstacles))
-        if isinstance(self.robot, DiscRobot):
-            return float(min(o.signed_distance(
-                self.robot.reference_points(x))[0] - self.robot.radius
-                for o in self.obstacles))
-        mag = float(min(self.robot.boundary_dist(x, o)[0]
-                        for o in self.obstacles))
-        sign = 1.0 if self.is_valid(x[0]) else -1.0
-        return sign * abs(mag)

@@ -3,10 +3,10 @@ import time
 import numpy as np
 import pytest
 
-from smlr.bench import (CSV_HEADER, LevelRow, ResultTable, RunRecord,
-                        run_benchmark, run_single, write_results)
+from smlr.bench import (CSV_HEADER, ResultTable, RunRecord, run_benchmark,
+                        run_single, write_results)
 from smlr.cli import EXIT_BAD_INPUT, EXIT_OK, main
-from smlr.planner import SmlrPlanner
+from smlr.planner import LevelStats, PlannerResult, SmlrPlanner, Status
 from smlr.scenario import load_scenario, shipped_scenario_dir
 
 SQUARE_FREE = """\
@@ -51,18 +51,20 @@ def walled_path(tmp_path):
     return f
 
 
+def record(planner, seed, status, seconds, cost, levels):
+    return RunRecord("a", planner, PlannerResult(
+        status=status, level_stats=[LevelStats(*lv) for lv in levels],
+        path=None, cost=cost, seconds=seconds, seed=seed,
+        coverage_estimate=None))
+
+
 def sample_table():
     t = ResultTable()
-    t.add(RunRecord(scenario="a", planner="smlr", seed=1, status="feasible",
-                    seconds=0.25, cost=1.5,
-                    levels=[LevelRow(1, 3, 2, 0, 0.0),
-                            LevelRow(2, 7, 9, 0, 0.5)]))
-    t.add(RunRecord(scenario="a", planner="flat", seed=1, status="timeout",
-                    seconds=60.0, cost=None,
-                    levels=[LevelRow(1, 40, 55, 12, 0.0)]))
-    t.add(RunRecord(scenario="a", planner="smlr", seed=2, status="infeasible",
-                    seconds=2.0, cost=None,
-                    levels=[LevelRow(1, 5, 4, 201, 0.995)]))
+    t.add(record("smlr", 1, Status.FEASIBLE, 0.25, 1.5,
+                 [(3, 2, 0, 0.0), (7, 9, 0, 0.5)]))
+    t.add(record("flat", 1, Status.TIMEOUT, 60.0, None, [(40, 55, 12, 0.0)]))
+    t.add(record("smlr", 2, Status.INFEASIBLE, 2.0, None,
+                 [(5, 4, 201, 0.995)]))
     return t
 
 
@@ -70,9 +72,8 @@ class TestResultTable:
     def test_duplicate_key_rejected(self):
         t = sample_table()
         with pytest.raises(ValueError):
-            t.add(RunRecord(scenario="a", planner="smlr", seed=1,
-                            status="feasible", seconds=0.1, cost=1.0,
-                            levels=[LevelRow(1, 1, 0, 0, 0.0)]))
+            t.add(record("smlr", 1, Status.FEASIBLE, 0.1, 1.0,
+                         [(1, 0, 0, 0.0)]))
 
     def test_csv_round_trip(self):
         t = sample_table()
@@ -80,6 +81,17 @@ class TestResultTable:
         assert text.splitlines()[0] == ",".join(CSV_HEADER)
         back = ResultTable.from_csv(text)
         assert back.to_csv() == text
+
+    @pytest.mark.parametrize("levels", ["1,3", "2", "1,1"])
+    def test_malformed_level_column_rejected(self, levels):
+        lines = sample_table().to_csv().splitlines()
+        # the first run's level rows, renumbered
+        rows = [line.split(",") for line in lines[1:3]]
+        wanted = levels.split(",")
+        rows = [r[:6] + [lv] + r[7:] for r, lv in zip(rows, wanted)]
+        text = "\n".join([lines[0]] + [",".join(r) for r in rows]) + "\n"
+        with pytest.raises(ValueError, match="CSV line [23]: level"):
+            ResultTable.from_csv(text)
 
     def test_summary_recomputes_from_rows(self):
         t = sample_table()
@@ -96,20 +108,23 @@ class TestResultTable:
 class TestRunSingle:
     def test_feasible_record(self, free_path):
         sc = load_scenario(free_path)
-        rec = run_single(sc, "smlr", seed=1, overrides={"time_limit": 20})
-        assert rec.status == "feasible"
-        assert rec.cost is not None and rec.cost > 0
-        assert len(rec.levels) == 1
-        assert rec.levels[0].vertices >= 2
+        res = run_single(sc, "smlr", seed=1,
+                         overrides={"time_limit": 20}).result
+        assert res.status is Status.FEASIBLE
+        assert res.cost is not None and res.cost > 0
+        assert len(res.level_stats) == 1
+        assert res.level_stats[0].vertices >= 2
 
     def test_error_row_records_elapsed_time(self, free_path, monkeypatch):
         def failing_solve(self, start, goal):
             time.sleep(0.05)
             raise RuntimeError("planner failed")
         monkeypatch.setattr(SmlrPlanner, "solve", failing_solve)
-        rec = run_single(load_scenario(free_path), "smlr", seed=1)
-        assert rec.status == "error"
-        assert rec.seconds >= 0.05
+        res = run_single(load_scenario(free_path), "smlr", seed=1).result
+        assert res.status is Status.ERROR
+        assert res.seconds >= 0.05
+        assert res.reason == "RuntimeError: planner failed"
+        assert res.coverage_estimate is None
 
     def test_unknown_planner(self, free_path):
         sc = load_scenario(free_path)
@@ -120,12 +135,12 @@ class TestRunSingle:
         recs = []
         for _ in range(2):
             sc = load_scenario(walled_path)
-            recs.append(run_single(sc, "flat", seed=3))
+            recs.append(run_single(sc, "flat", seed=3).result)
         a, b = recs
         assert a.status == b.status
         assert a.cost == b.cost
-        assert [(l.level, l.vertices, l.edges, l.failures) for l in a.levels] \
-            == [(l.level, l.vertices, l.edges, l.failures) for l in b.levels]
+        assert [(l.vertices, l.edges, l.failures) for l in a.level_stats] \
+            == [(l.vertices, l.edges, l.failures) for l in b.level_stats]
 
 
 class TestRunBenchmark:
@@ -144,7 +159,8 @@ class TestRunBenchmark:
     def test_infeasible_scenario_never_feasible(self, walled_path):
         table = run_benchmark([walled_path], ["smlr", "flat"],
                               seeds=[1, 2, 3])
-        assert all(r.status != "feasible" for r in table.rows)
+        assert all(r.result.status is not Status.FEASIBLE
+                   for r in table.rows)
 
     def test_parallel_matches_serial(self, free_path, walled_path):
         serial = run_benchmark([free_path, walled_path], ["smlr"],
@@ -158,8 +174,8 @@ class TestRunBenchmark:
         assert skey == pkey
         for r in serial.rows:
             other = next(x for x in parallel.rows if x.key() == r.key())
-            assert r.status == other.status
-            assert r.cost == other.cost
+            assert r.result.status == other.result.status
+            assert r.result.cost == other.result.cost
 
 
 class TestCli:
@@ -170,14 +186,32 @@ class TestCli:
         out = capsys.readouterr().out
         assert "status=feasible" in out
 
-    def test_plan_with_export(self, free_path, tmp_path, capsys):
+    def test_plan_with_export(self, free_path, tmp_path, monkeypatch,
+                              capsys):
+        solves = []
+        solve = SmlrPlanner.solve
+
+        def counting_solve(self, start, goal):
+            solves.append(self)
+            return solve(self, start, goal)
+        monkeypatch.setattr(SmlrPlanner, "solve", counting_solve)
         out_dir = tmp_path / "figs"
         code = main(["plan", "--scenario", str(free_path), "--seed", "1",
                      "--out", str(out_dir)])
         assert code == EXIT_OK
+        assert len(solves) == 1  # the export is of the run just printed
         assert (out_dir / "tiny_free_level1_edges.txt").exists()
         assert (out_dir / "tiny_free_level1_vertices.txt").exists()
         assert (out_dir / "tiny_free_level1.svg").exists()
+
+    def test_plan_error_reports_reason(self, free_path, monkeypatch, capsys):
+        def failing_solve(self, start, goal):
+            raise RuntimeError("planner failed")
+        monkeypatch.setattr(SmlrPlanner, "solve", failing_solve)
+        assert main(["plan", "--scenario", str(free_path)]) == EXIT_OK
+        line = capsys.readouterr().out.splitlines()[0]
+        assert "status=error" in line
+        assert line.endswith(" reason=RuntimeError: planner failed")
 
     def test_plan_missing_scenario(self, tmp_path):
         assert main(["plan", "--scenario", str(tmp_path / "nope.yaml")]) \

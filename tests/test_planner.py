@@ -11,8 +11,8 @@ import pytest
 from smlr.bundles import FiberBundle, FiberBundleSequence, Level
 from smlr.geometry import Box
 from smlr.planner import (GOAL_ID, START_ID, LevelState, PlannerConfig,
-                          Ptc, SmlrPlanner, Status, compute_importance,
-                          flat_solve, ptc, restriction_sample, section_test,
+                          SmlrPlanner, Status, compute_importance, flat_solve,
+                          ptc, restriction_sample, section_test,
                           simplify_path, smlr_solve, smooth_parameter)
 from smlr.scenario import load_scenario, shipped_scenario_dir
 from smlr.spaces import (CircleSpace, ProductSpace, RealVectorSpace,
@@ -37,8 +37,9 @@ class FineBlind(LevelValidity):
 
 space = RealVectorSpace([[0, 1], [0, 1]])
 seq = FiberBundleSequence(levels=[Level(space, FineBlind(
-    space=space, robot=PointRobot(), obstacles=[]))], bundles=[])
-cfg = PlannerConfig(seed=0, time_limit=10, check_resolution=0.1)
+    space=space, robot=PointRobot(), obstacles=[], check_resolution=0.1))],
+    bundles=[])
+cfg = PlannerConfig(seed=0, time_limit=10)
 try:
     SmlrPlanner(seq, cfg).solve(np.array([0.1, 0.1]), np.array([0.9, 0.9]))
     print("returned", __debug__)
@@ -256,39 +257,39 @@ class TestPtc:
     def test_continue_initially(self):
         cfg = PlannerConfig()
         ls = self.make_level(cfg)
-        assert ptc(ls, cfg, 0.0) is Ptc.CONTINUE
+        assert ptc(ls, cfg, 0.0) is None
 
     def test_solved_when_connected(self):
         cfg = PlannerConfig()
         ls = self.make_level(cfg)
         self.connect_start_goal(ls)
-        assert ptc(ls, cfg, 0.0) is Ptc.SOLVED
+        assert ptc(ls, cfg, 0.0) is Status.FEASIBLE
 
     def test_infeasible_after_failure_bound(self):
         cfg = PlannerConfig(max_failures=10)
         ls = self.make_level(cfg)
         ls.roadmap.consecutive_failures = 10
-        assert ptc(ls, cfg, 0.0) is Ptc.CONTINUE
+        assert ptc(ls, cfg, 0.0) is None
         ls.roadmap.consecutive_failures = 11
-        assert ptc(ls, cfg, 0.0) is Ptc.INFEASIBLE
+        assert ptc(ls, cfg, 0.0) is Status.INFEASIBLE
 
     def test_timeout(self):
         cfg = PlannerConfig(time_limit=1.0)
         ls = self.make_level(cfg)
-        assert ptc(ls, cfg, 1.5) is Ptc.TIMEOUT
+        assert ptc(ls, cfg, 1.5) is Status.TIMEOUT
 
     def test_precedence_solved_over_all(self):
         cfg = PlannerConfig(max_failures=5, time_limit=1.0)
         ls = self.make_level(cfg)
         self.connect_start_goal(ls)
         ls.roadmap.consecutive_failures = 99
-        assert ptc(ls, cfg, 99.0) is Ptc.SOLVED
+        assert ptc(ls, cfg, 99.0) is Status.FEASIBLE
 
     def test_precedence_infeasible_over_timeout(self):
         cfg = PlannerConfig(max_failures=5, time_limit=1.0)
         ls = self.make_level(cfg)
         ls.roadmap.consecutive_failures = 99
-        assert ptc(ls, cfg, 99.0) is Ptc.INFEASIBLE
+        assert ptc(ls, cfg, 99.0) is Status.INFEASIBLE
 
 
 class TestSimplifyPath:
@@ -374,24 +375,22 @@ class TestSolveFlatWorlds:
 
 
 class TestPlannerInputs:
-    def test_check_resolution_override_leaves_scenario_untouched(self):
-        sc = load_scenario(shipped_scenario_dir() / "chain4_feasible.yaml")
-        cfg = replace(sc.config, seed=1, check_resolution=0.2)
-        planner = SmlrPlanner(sc.seq, cfg)
-        assert [v.check_resolution for v in planner.validities] == [0.2, 0.2]
-        planner.solve(sc.start, sc.goal)
-        assert [lvl.validity.check_resolution for lvl in sc.seq.levels] \
-            == [0.01, 0.01]
-
     def test_validity_objects_are_frozen(self):
         v = single_level_seq([]).levels[0].validity
         with pytest.raises(FrozenInstanceError):
             v.check_resolution = 0.2
 
     def test_no_override_shares_validity(self):
-        seq = single_level_seq([])
-        planner = SmlrPlanner(seq, PlannerConfig())
-        assert planner.validities[0] is seq.levels[0].validity
+        # solve leaves the scenario's validity objects unchanged and shared
+        sc = load_scenario(shipped_scenario_dir() / "chain4_feasible.yaml")
+        before = [lvl.validity for lvl in sc.seq.levels]
+        planner = SmlrPlanner(sc.seq, replace(sc.config, seed=1))
+        planner.solve(sc.start, sc.goal)
+        assert all(lvl.validity is v
+                   for lvl, v in zip(sc.seq.levels, before))
+        assert all(ls.validity is v
+                   for ls, v in zip(planner.level_states, before))
+        assert [v.check_resolution for v in before] == [0.01, 0.01]
 
 
 class TestRevalidation:

@@ -152,3 +152,10 @@ goal: [0.9, 0.9, 0.0]""")
             "- {type: real, bounds: [[0.0, 1.0], [0.0, 1.0]], weight: 0.5}")
         with pytest.raises(ScenarioError, match="weight"):
             load_scenario(write(tmp_path, text))
+
+    @pytest.mark.parametrize("value", ["0", "abc", "2.0"])
+    def test_bad_check_resolution_named(self, tmp_path, value):
+        text = MINIMAL + f"planner: {{check_resolution: {value}}}\n"
+        with pytest.raises(ScenarioError,
+                           match=r"planner: check_resolution must be in"):
+            load_scenario(write(tmp_path, text))

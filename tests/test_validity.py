@@ -1,7 +1,6 @@
 import math
 
 import numpy as np
-import pytest
 
 from smlr.geometry import Box, Disc, Polygon
 from smlr.spaces import CircleSpace, ProductSpace, RealVectorSpace
@@ -78,29 +77,6 @@ class TestMotionValid:
             b = coarse.space.sample_uniform(rng)
             if not coarse.motion_valid(a, b):
                 assert not fine.motion_valid(a, b)
-
-
-class TestClearance:
-    def test_point_distance_to_disc(self):
-        v = point_world([Disc([0.5, 0.5], 0.2)])
-        assert v.clearance([0.5, 0.0]) == pytest.approx(0.3)
-
-    def test_boundary_zero(self):
-        v = point_world([Disc([0.5, 0.5], 0.2)])
-        assert v.clearance([0.5, 0.3]) == pytest.approx(0.0, abs=1e-12)
-
-    def test_penetration_depth(self):
-        v = point_world([Disc([0.5, 0.5], 0.2)])
-        assert v.clearance([0.5, 0.5]) == pytest.approx(-0.2)
-
-    def test_sign_matches_validity(self):
-        v = point_world([Disc([0.5, 0.5], 0.2), Box([0.0, 0.0], [0.2, 0.2])])
-        rng = np.random.default_rng(10)
-        for _ in range(300):
-            x = v.space.sample_uniform(rng)
-            c = v.clearance(x)
-            if abs(c) > 1e-9:
-                assert (c > 0) == v.is_valid(x)
 
 
 class TestPolygonRobot:
