@@ -375,6 +375,23 @@ class TestSolveFlatWorlds:
 
 
 class TestPlannerInputs:
+    def test_check_resolution_override_leaves_scenario_untouched(
+            self, tmp_path):
+        # the override is the scenario's planner.check_resolution key
+        path = shipped_scenario_dir() / "chain4_feasible.yaml"
+        override = tmp_path / "chain4_coarse.yaml"
+        override.write_text(path.read_text()
+                            + "planner: {check_resolution: 0.2}\n")
+        base, sc = load_scenario(path), load_scenario(override)
+        planner = SmlrPlanner(sc.seq, replace(sc.config, seed=1))
+        planner.solve(sc.start, sc.goal)
+        assert [ls.validity.check_resolution
+                for ls in planner.level_states] == [0.2, 0.2]
+        assert [lvl.validity.check_resolution for lvl in sc.seq.levels] \
+            == [0.2, 0.2]
+        assert [lvl.validity.check_resolution for lvl in base.seq.levels] \
+            == [0.01, 0.01]
+
     def test_validity_objects_are_frozen(self):
         v = single_level_seq([]).levels[0].validity
         with pytest.raises(FrozenInstanceError):
