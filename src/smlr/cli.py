@@ -16,6 +16,7 @@ from . import __version__
 from .bench import (PLANNERS, make_planner, run_benchmark, solve_scenario,
                     write_results)
 from .oracle import GridOracle
+from .planner import PlannerConfig
 from .scenario import ScenarioError, load_scenario
 from .svg_export import UnsupportedDimensionError, export_svg, \
     write_graph_files
@@ -35,38 +36,50 @@ def _parse_seeds(spec: str) -> list[int]:
     return [int(s) for s in spec.split(",")]
 
 
+# planner settings a command may override: flag, PlannerConfig field, type,
+# help
+PARAM_ARGS = (
+    ("--time-limit", "time_limit", float, "planning time limit in seconds"),
+    ("--M", "max_failures", int, "max consecutive addition failures"),
+    ("--delta-fraction", "delta_fraction", float,
+     "visibility radius as a fraction of the extent"),
+    ("--eta", "eta", int, "bias ramp horizon for restriction sampling"),
+)
+
+
 def _config_overrides(args) -> dict:
+    """The planner settings given on the command line.  A value
+    PlannerConfig rejects raises ValueError naming the flag and field."""
     over = {}
-    if args.time_limit is not None:
-        over["time_limit"] = args.time_limit
-    if args.max_failures is not None:
-        over["max_failures"] = args.max_failures
-    if args.delta_fraction is not None:
-        over["delta_fraction"] = args.delta_fraction
-    if args.eta is not None:
-        over["eta"] = args.eta
+    for flag, name, _, _ in PARAM_ARGS:
+        value = getattr(args, name)
+        if value is None:
+            continue
+        try:
+            PlannerConfig(**{name: value})
+        except ValueError as e:
+            raise ValueError(f"{flag}: {e}") from None
+        over[name] = value
     return over
 
 
 def _add_param_args(p):
-    p.add_argument("--time-limit", type=float, default=None,
-                   help="planning time limit in seconds")
-    p.add_argument("--M", dest="max_failures", type=int, default=None,
-                   help="max consecutive addition failures")
-    p.add_argument("--delta-fraction", type=float, default=None,
-                   help="visibility radius as a fraction of the extent")
-    p.add_argument("--eta", type=int, default=None,
-                   help="bias ramp horizon for restriction sampling")
+    for flag, name, type_, help_ in PARAM_ARGS:
+        p.add_argument(flag, dest=name, type=type_, default=None, help=help_)
 
 
 def cmd_plan(args) -> int:
+    try:
+        overrides = _config_overrides(args)
+    except ValueError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_BAD_INPUT
     try:
         scenario = load_scenario(args.scenario)
     except (ScenarioError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    solver = make_planner(scenario, args.planner, args.seed,
-                          _config_overrides(args))
+    solver = make_planner(scenario, args.planner, args.seed, overrides)
     result = solve_scenario(solver, scenario)
     reason = f" reason={result.reason}" if result.reason else ""
     print(f"{scenario.name} planner={args.planner} seed={args.seed} "
@@ -99,6 +112,11 @@ def cmd_plan(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    try:
+        overrides = _config_overrides(args)
+    except ValueError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_BAD_INPUT
     paths = sorted(Path(args.scenarios).glob("*.yaml")) \
         if Path(args.scenarios).is_dir() else [Path(args.scenarios)]
     if not paths:
@@ -116,7 +134,7 @@ def cmd_bench(args) -> int:
             return EXIT_BAD_INPUT
     try:
         table = run_benchmark(paths, planners, seeds,
-                              overrides=_config_overrides(args),
+                              overrides=overrides,
                               workers=args.workers)
     except ScenarioError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -55,7 +55,7 @@ class PlannerConfig:
             raise ValueError("eta must be >= 1")
         if self.stretch_t <= 1:
             raise ValueError("stretch_t must exceed 1")
-        if self.time_limit <= 0:
+        if not self.time_limit > 0:   # also rejects nan
             raise ValueError("time_limit must be positive")
 
 
@@ -153,7 +153,9 @@ def section_test(level: LevelState, bundle, base_path, start, goal):
     """Try to solve a level instantly by lifting the base solution path.
 
     Returns the fully validated lifted path or None.  Simplified variant:
-    a single linear fiber interpolation is attempted, no local repair.
+    a single linear fiber interpolation is attempted, no local repair.  The
+    lifted vertices and every segment's motion states are checked in one
+    valid_mask call.
     """
     if bundle is None or base_path is None:
         return None
@@ -161,12 +163,10 @@ def section_test(level: LevelState, bundle, base_path, start, goal):
     goal_fiber = bundle.fiber_of(goal)
     lifted = lift_section(bundle, base_path, start_fiber, goal_fiber)
     v = level.validity
-    for x in lifted:
-        if not v.is_valid(x):
-            return None
-    for a, b in zip(lifted[:-1], lifted[1:]):
-        if not v.motion_valid(a, b):
-            return None
+    states = [np.stack(lifted)] + [v.motion_states(a, b)
+                                   for a, b in zip(lifted[:-1], lifted[1:])]
+    if not v.valid_mask(np.concatenate(states)).all():
+        return None
     return lifted
 
 
@@ -322,10 +322,11 @@ class SmlrPlanner:
                 top_bundle = seq.bundles[top.index - 1] if top.index else None
                 top_base = levels[top.index - 1] if top.index else None
                 x = restriction_sample(top, top_base, top_bundle, cfg, rng)
-                if top.validity.is_valid(x):
-                    top.roadmap.add_conditional(x)
-                else:
+                visible = top.roadmap.visible_guard_distances(x)
+                if visible is None:
                     top.roadmap.record_failure()
+                else:
+                    top.roadmap.add_conditional(x, visible)
 
         # the finest level solved last, so checker is its half-resolution one
         path = base_solutions[K - 1]

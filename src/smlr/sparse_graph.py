@@ -81,6 +81,8 @@ class SparseRoadmap:
         self.total_additions = 0
         self.total_samples = 0
         self._motion_cache: dict[tuple[int, int], bool] = {}
+        self._checked = 0   # samples visible_guard_distances checked
+        self._invalid = 0   # of them invalid
 
     # -- basic accessors ----------------------------------------------------
 
@@ -140,17 +142,30 @@ class SparseRoadmap:
             self._motion_cache[key] = cached
         return cached
 
-    def visible_guards(self, q) -> list[int]:
-        """Guard ids within delta of q with a valid straight-line motion,
-        ordered by increasing distance (ties by smaller id)."""
-        if not self._coords:
-            return []
+    def visible_guard_distances(self, q) -> list[tuple[int, float]] | None:
+        """(id, distance) of the guards within delta of q with a valid
+        straight-line motion, ordered by increasing distance (ties by
+        smaller id); None when q itself is invalid.  q and all the motions
+        are checked in one valid_mask call, unless the share of invalid
+        states seen so far makes checking q first cheaper (see
+        LevelValidity.visibility)."""
         q = np.asarray(q, dtype=float)
-        dists = self.space.distance_many(q, self.guard_coords())
+        coords = self.guard_coords()
+        dists = self.space.distance_many(q, coords)
         near = np.nonzero(dists <= self.delta)[0]
         order = near[np.lexsort((near, dists[near]))]
-        visible = self.validity.motions_valid(q, self.guard_coords()[order])
-        return [int(g) for g, ok in zip(order, visible) if ok]
+        p_valid = (self._checked - self._invalid + 1) / (self._checked + 2)
+        vis = self.validity.visibility(q, coords[order], p_valid)
+        self._checked += 1
+        self._invalid += not vis.state
+        if not vis.state:
+            return None
+        return [(int(g), d) for g, ok, d in
+                zip(order, vis.motions, vis.distances) if ok]
+
+    def visible_guards(self, q) -> list[int]:
+        """Ids of visible_guard_distances(q); [] when q is invalid."""
+        return [g for g, _ in self.visible_guard_distances(q) or []]
 
     def shortest_graph_path(self, u: int, v: int):
         """Dijkstra path (ids, cost) or None if disconnected; deterministic
@@ -242,10 +257,16 @@ class SparseRoadmap:
         nbrs = {g for g, _ in self.adjacency[u]}
         return any(g in nbrs for g, _ in self.adjacency[w])
 
-    def add_conditional(self, q) -> AddOutcome:
-        """Apply the four admission tests in order; q must be a valid state."""
+    def add_conditional(self, q, visible=None) -> AddOutcome:
+        """Apply the four admission tests in order; q must be a valid state.
+
+        visible is visible_guard_distances(q) when the caller has it; an
+        invalid q sees no guard.
+        """
         q = np.asarray(q, dtype=float)
-        vis = self.visible_guards(q)
+        if visible is None:
+            visible = self.visible_guard_distances(q) or []
+        vis = [g for g, _ in visible]
 
         # (1) coverage
         if not vis:
@@ -289,7 +310,7 @@ class SparseRoadmap:
                 return AddOutcome.ADDED_INTERFACE_VERTEX
 
         # (4) quality / shortcut
-        dq = {g: self.space.distance(q, self._coords[g]) for g in vis}
+        dq = dict(visible)
         for i in range(len(vis)):
             for j in range(i + 1, len(vis)):
                 u, w = vis[i], vis[j]

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,6 +22,13 @@ from .spaces import StateSpace
 # States tested per collision pass: bounds the (states x obstacle edges)
 # temporaries on the grid oracle's batches of 1e4-1e5 states.
 CHUNK_STATES = 1024
+
+# Motion states worth one extra valid_mask call in LevelValidity.visibility.
+# A call's fixed overhead costs as much as 50-80 states on the shipped
+# polygon and chain worlds, but a state outside the workspace bounds is
+# rejected before that overhead, so a lower price errs towards checking a
+# likely invalid sample on its own.
+CALL_STATES = 32
 
 
 class CollisionWorld:
@@ -272,6 +280,15 @@ class ChainRobot(RobotModel):
 
 # -- level validity ----------------------------------------------------------
 
+class Visibility(NamedTuple):
+    """LevelValidity.visibility(a, bs): whether a is valid, whether each
+    motion a -> bs[i] is valid, and each motion's exact length."""
+
+    state: bool
+    motions: list[bool]
+    distances: list[float]
+
+
 @dataclass(frozen=True)
 class LevelValidity:
     """Constraint function of one level: robot + shared obstacles.
@@ -319,33 +336,57 @@ class LevelValidity:
         step = self.check_resolution * self._extent
         return max(1, int(math.ceil(length / step)))
 
-    def motion_valid(self, a, b) -> bool:
-        # not motions_valid(a, [b]): its batch set-up costs more than this
-        # on the one-motion checks of path simplification and interfaces
+    def motion_states(self, a, b) -> np.ndarray:
+        """The states motion_valid(a, b) checks, a and b included:
+        s = np.linspace(0, 1, n + 1) for the motion's n steps."""
         a = np.asarray(a, dtype=float)
         b = np.asarray(b, dtype=float)
         svals = np.linspace(0.0, 1.0,
                             self._steps(self.space.distance(a, b)) + 1)
-        pts = self.space.interpolate_many(a, b, svals)
-        return bool(self.valid_mask(pts).all())
+        return self.space.interpolate_many(a, b, svals)
 
-    def motions_valid(self, a, bs) -> list[bool]:
-        """motion_valid(a, b) for every row b of bs, with all the motions'
-        states checked in one valid_mask call.
+    def motion_valid(self, a, b) -> bool:
+        # not visibility(a, [b]): its batch set-up costs more than this on
+        # the one-motion checks of path simplification and interfaces
+        return bool(self.valid_mask(self.motion_states(a, b)).all())
 
-        Each motion is discretized into the states motion_valid checks:
-        s = k * (1 / n) for k = 0..n with the last value 1.0, the values
-        np.linspace(0, 1, n + 1) returns.
+    def visibility(self, a, bs, p_valid: float = 1.0) -> Visibility:
+        """is_valid(a), motion_valid(a, b) for every row b of bs and the
+        exact distance(a, b), from one valid_mask call.
+
+        The batch is a itself, then states 1..n of each motion, discretized
+        as motion_valid does: s = k * (1 / n) with the last value 1.0, the
+        values np.linspace(0, 1, n + 1) returns.  Each motion's state 0
+        equals a byte for byte when a is normalized, so it is checked once
+        for all of them.
+
+        p_valid is the caller's estimate that a is valid.  When the motion
+        states an invalid a would waste, (1 - p_valid) * S of S, outweigh
+        the second call a valid a then pays, p_valid * CALL_STATES, a is
+        checked on its own first and its motions only if it is valid.
         """
         a = np.asarray(a, dtype=float)
         bs = np.asarray(bs, dtype=float)
         if not len(bs):
-            return []
-        n = np.array([self._steps(d) for d in self.space.distances(a, bs)])
-        ends = np.cumsum(n + 1)
-        starts = ends - (n + 1)
-        rows = np.repeat(np.arange(len(bs)), n + 1)
-        svals = (np.arange(ends[-1]) - starts[rows]) * (1.0 / n)[rows]
+            return Visibility(bool(self.valid_mask(a[None, :])[0]), [], [])
+        dists = self.space.distances(a, bs)
+        blocked = Visibility(False, [False] * len(bs), dists)
+        n = np.array([self._steps(d) for d in dists])
+        ends = np.cumsum(n)
+        alone = (1.0 - p_valid) * ends[-1] > p_valid * CALL_STATES
+        if alone and not self.valid_mask(a[None, :])[0]:
+            return blocked
+        starts = ends - n
+        rows = np.repeat(np.arange(len(bs)), n)
+        svals = (np.arange(1, ends[-1] + 1) - starts[rows]) * (1.0 / n)[rows]
         svals[ends - 1] = 1.0
         pts = self.space.interpolate_rows(a, bs, rows, svals)
-        return np.logical_and.reduceat(self.valid_mask(pts), starts).tolist()
+        if alone:
+            mask = self.valid_mask(pts)
+        else:
+            mask = self.valid_mask(np.concatenate([a[None, :], pts]))
+            if not mask[0]:
+                return blocked
+            mask = mask[1:]
+        motions = np.logical_and.reduceat(mask, starts).tolist()
+        return Visibility(True, motions, dists)

@@ -232,6 +232,30 @@ class TestCli:
                      "--seeds", "x..y",
                      "--out", str(tmp_path / "o")]) == EXIT_BAD_INPUT
 
+    @pytest.mark.parametrize("flag, value, field", [
+        ("--M", "0", "max_failures"),
+        ("--delta-fraction", "1.5", "delta_fraction"),
+        ("--eta", "0", "eta"),
+        ("--time-limit", "-1", "time_limit"),
+        ("--time-limit", "nan", "time_limit"),
+    ])
+    def test_bad_override_rejected_before_solving(
+            self, free_path, tmp_path, monkeypatch, capsys, flag, value,
+            field):
+        def no_solve(self, start, goal):
+            raise AssertionError("solved despite a bad override")
+        monkeypatch.setattr(SmlrPlanner, "solve", no_solve)
+        out_dir = tmp_path / "o"
+        for cmd in (["plan", "--scenario", str(free_path)],
+                    ["bench", "--scenarios", str(free_path), "--seeds", "1",
+                     "--workers", "2"]):
+            assert main(cmd + [flag, value, "--out", str(out_dir)]) \
+                == EXIT_BAD_INPUT
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith(f"error: {flag}: {field} ")
+            assert not out_dir.exists()
+
     def test_bench_bad_planner(self, walled_path, tmp_path):
         assert main(["bench", "--scenarios", str(walled_path),
                      "--planners", "rrt",

@@ -284,17 +284,27 @@ def batches(monkeypatch):
 
 
 def assert_same_as_one_by_one(v, q, bs, batches):
+    """visibility(q, bs) equals is_valid(q) and motion_valid(q, b) for each
+    b, from one valid_mask call over [q] and the one-by-one states with each
+    motion's state 0 (byte-equal to q) removed."""
     batches.clear()
-    one_by_one = [v.motion_valid(q, b) for b in bs]
-    single = np.concatenate(batches) if batches else np.empty((0,))
+    state = v.is_valid(q)
+    motions = [v.motion_valid(q, b) for b in bs]
+    one_by_one = batches[1:]
+    assert len(one_by_one) == len(bs)
+    assert all(m[0].tobytes() == q.tobytes() for m in one_by_one)
+    expected = np.concatenate([q[None, :]] + [m[1:] for m in one_by_one])
     batches.clear()
-    assert v.motions_valid(q, bs) == one_by_one
-    batched = np.concatenate(batches) if batches else np.empty((0,))
-    assert len(batches) <= 1
-    assert single.tobytes() == batched.tobytes()
+    got = v.visibility(q, bs)
+    assert got == (state, motions, [v.space.distance(q, b) for b in bs])
+    assert len(batches) == 1
+    assert batches[0].tobytes() == expected.tobytes()
 
 
 class TestMotionsValid:
+    """LevelValidity.visibility, the fused state and motion check that
+    replaced motions_valid, against is_valid and motion_valid one by one."""
+
     def test_circle_wrapped_torus(self, batches):
         v = scenario("torus_band_feasible").seq.finest.validity
         rng = np.random.default_rng(3)
@@ -322,11 +332,43 @@ class TestMotionsValid:
         q = np.array([0.2, 0.5, 0.3, -0.4])
         assert_same_as_one_by_one(v, q, np.stack([q, q, q + 1e-12]), batches)
 
-    def test_empty_targets(self):
+    def test_q_in_collision(self, batches):
+        sc = scenario("torus_band_feasible")
+        v = sc.seq.finest.validity
+        q = np.array([2.25, 1.0])          # inside the first band
+        assert not v.is_valid(q)
+        bs = np.array([[1.9, 1.0], [2.6, 1.2], [2.25, 5.5], [2.25, 1.0]])
+        assert_same_as_one_by_one(v, q, bs, batches)
+        assert v.visibility(q, bs).motions == [False] * 4
+
+    def test_sample_checked_alone_when_likely_invalid(self, batches):
+        sc = scenario("chain4_feasible")
+        v, space = sc.seq.finest.validity, sc.seq.finest.space
+        rng = np.random.default_rng(8)
+        outcomes = set()
+        for _ in range(30):
+            q = space.sample_uniform(rng)
+            bs = np.stack([space.sample_uniform(rng) for _ in range(5)])
+            batches.clear()
+            fused = v.visibility(q, bs)
+            fused_states = batches[0]
+            batches.clear()
+            assert v.visibility(q, bs, p_valid=0.0) == fused
+            # q on its own, then states 1..n of its motions if q is valid
+            assert batches[0].tobytes() == q[None, :].tobytes()
+            assert len(batches) == (2 if fused.state else 1)
+            assert np.concatenate(batches).tobytes() == \
+                (fused_states if fused.state else q[None, :]).tobytes()
+            outcomes.add(fused.state)
+        assert outcomes == {True, False}
+
+    def test_empty_targets(self, batches):
         v = scenario("torus_band_feasible").seq.finest.validity
-        q = np.array([1.0, 1.0])
-        assert v.motions_valid(q, np.empty((0, 2))) == []
-        assert v.motions_valid(q, []) == []
+        for q in (np.array([1.0, 1.0]), np.array([2.25, 1.0])):
+            for bs in (np.empty((0, 2)), []):
+                batches.clear()
+                assert v.visibility(q, bs) == (v.is_valid(q), [], [])
+                assert len(batches) == 2
 
     def test_visible_guards_unchanged_on_seeded_roadmap(self):
         level = scenario("chain4_feasible").seq.finest
@@ -350,6 +392,34 @@ class TestMotionsValid:
             assert rm.visible_guards(q) == expected
             seen += len(expected)
         assert seen > 0
+
+    def test_planner_step_builds_the_same_roadmap(self):
+        """The planner's step (one visibility call, then add_conditional
+        with it) against is_valid followed by add_conditional(q)."""
+        level = scenario("se2_lshape_feasible").seq.finest
+        delta = 0.25 * level.space.max_extent()
+        fused, two_pass = (SparseRoadmap(level.space, level.validity, delta)
+                           for _ in range(2))
+        rng = np.random.default_rng(9)
+        outcomes = []
+        for _ in range(400):
+            x = level.space.sample_uniform(rng)
+            visible = fused.visible_guard_distances(x)
+            if visible is None:
+                fused.record_failure()
+            else:
+                outcomes.append(fused.add_conditional(x, visible))
+            if level.validity.is_valid(x):
+                assert two_pass.add_conditional(x) is outcomes[-1]
+            else:
+                two_pass.record_failure()
+            assert (visible is None) != level.validity.is_valid(x)
+        assert len(set(outcomes)) >= 3
+        assert fused.guard_coords().tobytes() == \
+            two_pass.guard_coords().tobytes()
+        assert fused.edges == two_pass.edges
+        assert fused.consecutive_failures == two_pass.consecutive_failures
+        assert fused.total_samples == two_pass.total_samples
 
 
 class TestBatchedSpaceHelpers:

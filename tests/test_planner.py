@@ -1,3 +1,4 @@
+import functools
 import math
 import os
 import subprocess
@@ -7,12 +8,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smlr.bundles import FiberBundle, FiberBundleSequence, Level
 from smlr.geometry import Box
 from smlr.planner import (GOAL_ID, START_ID, LevelState, PlannerConfig,
                           SmlrPlanner, Status, compute_importance, flat_solve,
-                          ptc, restriction_sample, section_test,
+                          lift_section, ptc, restriction_sample, section_test,
                           simplify_path, smlr_solve, smooth_parameter)
 from smlr.scenario import load_scenario, shipped_scenario_dir
 from smlr.spaces import (CircleSpace, ProductSpace, RealVectorSpace,
@@ -107,6 +110,7 @@ class TestConfigValidation:
         {"eta": 0},
         {"stretch_t": 1.0},
         {"time_limit": 0.0},
+        {"time_limit": float("nan")},
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
@@ -199,7 +203,101 @@ class TestRestrictionSampling:
         assert late > 0.25
 
 
+@functools.lru_cache(maxsize=None)
+def grown_levels(name):
+    """The shipped scenario's two levels, the base roadmap grown until it
+    has edges to restrict samples to."""
+    sc = load_scenario(shipped_scenario_dir() / f"{name}.yaml")
+    base, top = (LevelState(k, lvl.space, lvl.validity, sc.config)
+                 for k, lvl in enumerate(sc.seq.levels))
+    rng = np.random.default_rng(0)
+    while base.roadmap.num_edges < 3:
+        x = base.space.sample_uniform(rng)
+        if base.validity.is_valid(x):
+            base.roadmap.add_conditional(x)
+    return sc, base, top
+
+
+class TestSamplesAreNormalized:
+    """Every restriction sample is its own normalize(): the visibility check
+    relies on it to check a sample once as state 0 of all its motions."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(name=st.sampled_from(["torus_band_feasible",
+                                 "se2_lshape_feasible"]),
+           branch=st.sampled_from(["uniform", "base_edge", "delta_biased"]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_restriction_sample_is_normalized(self, name, branch, seed):
+        sc, base, top = grown_levels(name)
+        rng = np.random.default_rng(seed)
+        if branch == "uniform":
+            x = restriction_sample(top, None, None, sc.config, rng)
+        else:
+            # t = 0 gives bias radius 0; t = eta saturates the ramp, so the
+            # base point is always perturbed
+            top.sample_count = 0 if branch == "base_edge" else sc.config.eta
+            x = restriction_sample(top, base, sc.seq.bundles[0], sc.config,
+                                   rng)
+        assert x.tobytes() == top.space.normalize(x).tobytes()
+
+
+def per_state_section_test(level, bundle, base_path, start, goal):
+    """section_test as it checked its lift before the batched check: each
+    lifted vertex, then each segment's motion."""
+    lifted = lift_section(bundle, base_path, bundle.fiber_of(start),
+                          bundle.fiber_of(goal))
+    v = level.validity
+    if not all(v.is_valid(x) for x in lifted):
+        return None
+    if not all(v.motion_valid(a, b) for a, b in zip(lifted[:-1], lifted[1:])):
+        return None
+    return lifted
+
+
 class TestSectionTest:
+    @pytest.mark.parametrize("collision", ["vertex", "mid_segment", "none"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_batched_check_matches_per_state_loops(self, collision, seed,
+                                                   monkeypatch):
+        rng = np.random.default_rng(seed)
+        base_path = [np.array([t]) for t in np.sort(rng.uniform(0.3, 6, 4))]
+        start = np.array([base_path[0][0], rng.uniform(0.3, 6)])
+        goal = np.array([base_path[-1][0], rng.uniform(0.3, 6)])
+        free = torus_over_circle_seq()
+        lifted = lift_section(free.bundles[0], base_path, start[1:],
+                              goal[1:])
+        # a box too small to hold any other checked state
+        if collision == "vertex":
+            spot = [lifted[2]]
+        elif collision == "mid_segment":
+            states = free.finest.validity.motion_states(lifted[1], lifted[2])
+            spot = [states[len(states) // 2]]
+        else:
+            spot = []
+        seq = torus_over_circle_seq(
+            bundle_obstacles=[Box(x - 1e-9, x + 1e-9) for x in spot])
+        top = LevelState(1, seq.levels[1].space, seq.levels[1].validity,
+                         PlannerConfig())
+        want = per_state_section_test(top, seq.bundles[0], base_path, start,
+                                      goal)
+        if collision == "mid_segment":
+            assert all(top.validity.is_valid(x) for x in lifted)
+        assert (want is None) == (collision != "none")
+
+        calls = []
+        valid_mask = LevelValidity.valid_mask
+
+        def counting_valid_mask(self, coords):
+            calls.append(len(coords))
+            return valid_mask(self, coords)
+        monkeypatch.setattr(LevelValidity, "valid_mask", counting_valid_mask)
+        got = section_test(top, seq.bundles[0], base_path, start, goal)
+        assert len(calls) == 1
+        if want is None:
+            assert got is None
+        else:
+            assert np.array_equal(np.stack(got), np.stack(want))
+
     def test_lifts_free_base_path(self):
         seq = torus_over_circle_seq()
         cfg = PlannerConfig()

@@ -126,6 +126,29 @@ class TestAddConditional:
         assert rm.num_guards == 3
         assert rm.has_edge(2, 0) and rm.has_edge(2, 1)
 
+    @pytest.mark.parametrize("witness, outcome", [
+        ((0.5, 0.1), AddOutcome.ADDED_QUALITY),   # detour 1.37 > 3 * 0.226
+        ((0.5, 0.95), AddOutcome.REJECTED),       # detour 0.38 < 3 * 0.226
+    ])
+    @pytest.mark.parametrize("precomputed", [False, True])
+    def test_quality_test_against_stretched_detour(self, witness, outcome,
+                                                   precomputed):
+        # u and w straddle the wall top, both 0.113 from q above it; their
+        # direct motion is blocked and the witness bridges them
+        rm = walled_world(delta=0.3)
+        u = rm.add_guard(np.array([0.42, 0.78]))
+        w = rm.add_guard(np.array([0.58, 0.78]))
+        c = rm.add_guard(np.array(witness))
+        rm.add_edge(u, c)
+        rm.add_edge(w, c)
+        q = np.array([0.5, 0.86])
+        visible = rm.visible_guard_distances(q)
+        dq = dict(visible)
+        assert [dq[g] for g in (u, w)] == \
+            [rm.space.distance(q, rm.guard_state(g)) for g in (u, w)]
+        out = rm.add_conditional(q, visible if precomputed else None)
+        assert out is outcome
+
 
 class TestShortestPath:
     def triangle(self, long_edge):
