@@ -115,6 +115,11 @@ class Obstacle:
         """(seg_a, seg_b) arrays for edge-based tests; None for discs."""
         return None
 
+    def bounding_box(self):
+        """(lo, hi) corners of the axis-aligned box that holds the
+        obstacle; None when unknown."""
+        return None
+
 
 class Disc(Obstacle):
     def __init__(self, center, radius: float):
@@ -126,6 +131,9 @@ class Disc(Obstacle):
     def signed_distance(self, pts) -> np.ndarray:
         pts = _as_points(pts)
         return np.linalg.norm(pts - self.center, axis=1) - self.radius
+
+    def bounding_box(self):
+        return self.center - self.radius, self.center + self.radius
 
 
 class Box(Obstacle):
@@ -143,6 +151,9 @@ class Box(Obstacle):
         dist_out = np.linalg.norm(outside, axis=1)
         inside_margin = np.minimum(pts - self.lo, self.hi - pts).min(axis=1)
         return np.where(dist_out > 0, dist_out, -inside_margin)
+
+    def bounding_box(self):
+        return self.lo, self.hi
 
     def boundary_segments(self):
         if len(self.lo) != 2:
@@ -173,6 +184,9 @@ class Polygon(Obstacle):
         d = points_to_segments_dist(pts, a, b).min(axis=1)
         inside = points_in_polygon(pts, a)
         return np.where(inside, -d, d)
+
+    def bounding_box(self):
+        return self.vertices.min(axis=0), self.vertices.max(axis=0)
 
     def boundary_segments(self):
         a = self.vertices

@@ -78,11 +78,11 @@ class GridOracle:
                 offs.append(np.array([dx, dy]))
         return offs
 
-    def _edge_valid_mask(self, a_centers, b_centers):
-        """Vectorized motion check between paired cell centers."""
+    def _edge_valid_mask(self, a_centers, diff):
+        """Vectorized motion check from cell centers a_centers along their
+        differences diff to the paired centers."""
         ok = np.ones(len(a_centers), dtype=bool)
         svals = np.linspace(0.0, 1.0, self._substeps + 1)[1:-1]
-        diff = self.space._diff(a_centers, b_centers)
         for s in svals:
             idx = np.nonzero(ok)[0]
             if not len(idx):
@@ -121,12 +121,13 @@ class GridOracle:
             if not len(src):
                 continue
             a = self.centers[src]
-            b = self.centers[dst]
-            motion_ok = self._edge_valid_mask(a, b)
-            src, dst = src[motion_ok], dst[motion_ok]
-            if not len(src):
-                continue
-            d = self.space._diff(a[motion_ok], b[motion_ok])
+            d = self.space._diff(a, self.centers[dst])
+            # one substep has no interior state to check
+            if self._substeps > 1:
+                motion_ok = self._edge_valid_mask(a, d)
+                src, dst, d = src[motion_ok], dst[motion_ok], d[motion_ok]
+                if not len(src):
+                    continue
             w = np.sqrt((d * d) @ self.space.weights)
             rows.append(src)
             cols.append(dst)

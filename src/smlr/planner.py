@@ -268,7 +268,7 @@ class SmlrPlanner:
                   for k, lvl in enumerate(seq.levels)]
         self.level_states = levels
 
-        def finish(status, reason="", path=None, cost=None, coverage=0.0):
+        def finish(status, reason="", path=None, cost=None, coverage=None):
             return PlannerResult(
                 status=status, level_stats=_stats(levels), path=path,
                 cost=cost, seconds=time.perf_counter() - t0, seed=cfg.seed,

@@ -24,11 +24,18 @@ from .spaces import StateSpace
 CHUNK_STATES = 1024
 
 # Motion states worth one extra valid_mask call in LevelValidity.visibility.
-# A call's fixed overhead costs as much as 50-80 states on the shipped
-# polygon and chain worlds, but a state outside the workspace bounds is
-# rejected before that overhead, so a lower price errs towards checking a
-# likely invalid sample on its own.
+# On the shipped polygon and chain worlds a valid sample checked on its own
+# costs 60-100 us, as much as 5-30 of the motion states (3-12 us each) an
+# invalid sample wastes in a fused call (2-vCPU Xeon VM, with the broad
+# phase; 0.4-0.47 ms and 12-20 us before it).  The value predates the broad
+# phase and is kept: it decides which states are checked, so a new value
+# has to win paired benchmark runs first.
 CALL_STATES = 32
+
+# Widening of each obstacle's bounding box in the broad phase, far above the
+# 1e-12 touch tolerance of segments_intersect and points_in_polygon and the
+# rounding of the exact tests, so a pose they find touching is a candidate.
+BOX_MARGIN = 1e-9
 
 
 class CollisionWorld:
@@ -40,6 +47,11 @@ class CollisionWorld:
     distance field and are tested in a short loop.  Each test uses the same
     float operations as the obstacle's own predicate, so results are
     bit-identical to testing the obstacles one by one.
+
+    When every obstacle is planar, their bounding boxes widened by
+    BOX_MARGIN are stacked too (aabb_lo, aabb_hi), and the polygon and chain
+    robots run their exact test only on the poses whose box meets one
+    (broad_phase).
     """
 
     def __init__(self, obstacles):
@@ -67,6 +79,22 @@ class CollisionWorld:
             self.seg_a = np.concatenate([a for a, _ in segs])
             self.seg_b = np.concatenate([b for _, b in segs])
         self.empty = not obstacles
+        bounds = [o.bounding_box() for o in obstacles]
+        self.has_aabbs = not self.empty and all(
+            b is not None and len(b[0]) == 2 for b in bounds)
+        if self.has_aabbs:
+            self.aabb_lo = np.stack([lo for lo, _ in bounds]) - BOX_MARGIN
+            self.aabb_hi = np.stack([hi for _, hi in bounds]) + BOX_MARGIN
+
+    def broad_phase(self, lo, hi):
+        """Rows whose planar box [lo[i], hi[i]] meets some obstacle's
+        widened box, the only rows that can collide -> (k,) indices; every
+        row when the world has no boxes."""
+        if not self.has_aabbs:
+            return np.arange(len(lo))
+        meets = (lo[:, None, :] <= self.aabb_hi) & \
+            (hi[:, None, :] >= self.aabb_lo)
+        return np.flatnonzero(meets.all(axis=2).any(axis=1))
 
     def near_points(self, pts, margin: float, discs: bool = True):
         """Rows of pts whose signed distance to some obstacle is <= margin
@@ -201,6 +229,14 @@ class PolygonRobot(RobotModel):
 
     def collides(self, coords, world):
         verts = self._verts(coords)
+        hit = np.zeros(len(verts), dtype=bool)
+        rows = world.broad_phase(verts.min(axis=1), verts.max(axis=1))
+        if len(rows):
+            hit[rows] = self._collides_exact(verts[rows], world)
+        return hit
+
+    @staticmethod
+    def _collides_exact(verts, world):
         m, nv, _ = verts.shape
         flat = verts.reshape(m * nv, 2)
         hit = world.near_points(flat, 0.0).reshape(m, nv).any(axis=1)
@@ -251,12 +287,17 @@ class ChainRobot(RobotModel):
                              axis=1)
         return pts
 
-    def _links(self, coords):
-        j = self.joints(coords)
-        return j[:, :-1, :], j[:, 1:, :]
-
     def collides(self, coords, world):
-        a, b = self._links(coords)
+        j = self.joints(coords)
+        r = self.link_radius
+        hit = np.zeros(len(j), dtype=bool)
+        rows = world.broad_phase(j.min(axis=1) - r, j.max(axis=1) + r)
+        if len(rows):
+            hit[rows] = self._collides_exact(j[rows], world)
+        return hit
+
+    def _collides_exact(self, joints, world):
+        a, b = joints[:, :-1, :], joints[:, 1:, :]
         m, L, _ = a.shape
         fa, fb = a.reshape(m * L, 2), b.reshape(m * L, 2)
         r = self.link_radius

@@ -1,9 +1,10 @@
 """The compiled collision world and batched motion checks against the
 per-obstacle and per-motion code they replace.
 
-The reference below tests one obstacle at a time, exactly as valid_mask did
-before the obstacles were compiled into stacked arrays; the world-level
-masks must equal it bit for bit.
+The reference below tests one obstacle at a time on every state, exactly as
+valid_mask did before the obstacles were compiled into stacked arrays and
+before the bounding-box broad phase; the world-level masks must equal it
+bit for bit.
 """
 
 import math
@@ -13,12 +14,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import smlr.validity as validity_module
 from smlr.geometry import (Box, Disc, Polygon, points_to_segments_dist,
                            segments_intersect, segments_to_segments_dist)
 from smlr.scenario import load_scenario, shipped_scenario_dir
 from smlr.spaces import CircleSpace, ProductSpace, RealVectorSpace
 from smlr.sparse_graph import SparseRoadmap
-from smlr.validity import (CHUNK_STATES, ChainRobot, DiscRobot,
+from smlr.validity import (BOX_MARGIN, CHUNK_STATES, ChainRobot, DiscRobot,
                            LevelValidity, PointRobot, PolygonRobot,
                            _posed_contains)
 
@@ -60,7 +62,8 @@ def _ref_polygon(robot, coords, obstacle):
 
 
 def _ref_chain(robot, coords, obstacle):
-    a, b = robot._links(coords)
+    j = robot.joints(coords)
+    a, b = j[:, :-1, :], j[:, 1:, :]
     m, L, _ = a.shape
     fa, fb = a.reshape(m * L, 2), b.reshape(m * L, 2)
     if isinstance(obstacle, Disc):
@@ -262,6 +265,142 @@ class TestWorldEqualsPerObstacle:
                           robot=PointRobot(),
                           obstacles=[Box([0.1, 0.1], [0.2, 0.2]),
                                      Box([0.5], [0.6])])
+
+
+# -- bounding-box broad phase -------------------------------------------------
+
+BOUNDARY_OBSTACLES = [Box([0.375, 0.4375], [0.625, 0.5625]),
+                      Disc([0.5, 0.5], 0.125),
+                      Polygon([[0.375, 0.4375], [0.625, 0.5],
+                               [0.4375, 0.625]])]
+TOUCHING_ROBOTS = [
+    PolygonRobot(vertices=[[0.0, 0.0], [0.125, 0.0625], [0.03125, 0.125]]),
+    ChainRobot(link_lengths=(0.125, 0.0625), link_radius=0.03125,
+               angle_indices=(2, 3))]
+
+
+def poses_around(robot, obstacle, gap):
+    """Poses whose robot box lies gap outside the obstacle's bounding box,
+    beside each of its sides and corners; gap 0 touches it exactly.  At
+    zero angles cos and sin are exact, so with these dyadic shapes every
+    posed coordinate is exact too."""
+    zero = np.zeros((1, robot_dim(robot)))
+    body = (robot._verts(zero) if isinstance(robot, PolygonRobot)
+            else robot.joints(zero))[0]
+    pad = robot.link_radius if isinstance(robot, ChainRobot) else 0.0
+    body_lo, body_hi = body.min(axis=0) - pad, body.max(axis=0) + pad
+    lo, hi = obstacle.bounding_box()
+    poses = []
+    for side in ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1),
+                 (1, 0), (1, 1)):
+        xy = (lo + hi) / 2 - (body_lo + body_hi) / 2
+        for i, s in enumerate(side):
+            if s > 0:
+                xy[i] = hi[i] + gap - body_lo[i]
+            elif s < 0:
+                xy[i] = lo[i] - gap - body_hi[i]
+        poses.append(np.concatenate([xy, zero[0, 2:]]))
+    return np.array(poses)
+
+
+class TestBroadPhase:
+    @pytest.mark.parametrize("robot", TOUCHING_ROBOTS,
+                             ids=lambda r: type(r).__name__)
+    @pytest.mark.parametrize("obstacle", BOUNDARY_OBSTACLES,
+                             ids=["box", "disc", "polygon"])
+    def test_touching_the_bounding_box(self, robot, obstacle):
+        v = validity(robot, [obstacle], workspace=False)
+        touching = poses_around(robot, obstacle, 0.0)
+        got = v.valid_mask(touching)
+        np.testing.assert_array_equal(got, ref_valid_mask(v, touching))
+        if isinstance(obstacle, Box):
+            # a box fills its bounding box: every side contact collides
+            assert not got[[1, 3, 4, 6]].any()
+        outside = poses_around(robot, obstacle, 1e-7)
+        np.testing.assert_array_equal(v.valid_mask(outside),
+                                      ref_valid_mask(v, outside))
+        assert v.valid_mask(outside).all()
+
+    @pytest.mark.parametrize("robot", TOUCHING_ROBOTS,
+                             ids=lambda r: type(r).__name__)
+    def test_exact_test_runs_on_candidates_only(self, robot, monkeypatch):
+        rows = []
+        for name in ("segments_intersect", "segments_to_segments_dist"):
+            original = getattr(validity_module, name)
+
+            def counted(a0, *rest, _original=original):
+                rows.append(len(a0))
+                return _original(a0, *rest)
+            monkeypatch.setattr(validity_module, name, counted)
+        v = validity(robot, BOUNDARY_OBSTACLES, workspace=True)
+        far = np.zeros((50, robot_dim(robot)))
+        far[:, 0] = np.linspace(0.05, 0.1, 50)
+        far[:, 1] = 0.1
+        assert v.valid_mask(far).all()
+        assert rows == []
+        near = np.concatenate([far, poses_around(robot,
+                                                 BOUNDARY_OBSTACLES[0], 0.0)])
+        np.testing.assert_array_equal(v.valid_mask(near),
+                                      ref_valid_mask(v, near))
+        # one link or edge row per candidate pose's link or edge
+        per_pose = len(robot.vertices) if isinstance(robot, PolygonRobot) \
+            else len(robot.link_lengths)
+        assert rows == [8 * per_pose]
+
+    def test_non_planar_world_has_no_boxes(self):
+        v = LevelValidity(space=RealVectorSpace([[0, 1]] * 3),
+                          robot=PointRobot(position_indices=(0, 1, 2)),
+                          obstacles=[Box([0.1] * 3, [0.2] * 3)])
+        assert not v._world.has_aabbs
+        assert v._world.broad_phase(np.zeros((4, 2)),
+                                    np.ones((4, 2))).tolist() == [0, 1, 2, 3]
+
+
+# -- segments_intersect properties --------------------------------------------
+
+coord = st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False)
+point = st.tuples(coord, coord)
+
+
+def segment_batch(n_max=4):
+    return st.lists(st.tuples(point, point), min_size=1, max_size=n_max) \
+        .map(lambda segs: (np.array([a for a, _ in segs]),
+                           np.array([b for _, b in segs])))
+
+
+class TestSegmentsIntersect:
+    @settings(max_examples=300, deadline=None)
+    @given(a=segment_batch(), b=segment_batch())
+    def test_symmetric(self, a, b):
+        np.testing.assert_array_equal(segments_intersect(*a, *b),
+                                      segments_intersect(*b, *a).T)
+
+    @settings(max_examples=300, deadline=None)
+    @given(p=point, q=point, r=point)
+    def test_shared_endpoint_intersects(self, p, q, r):
+        p, q, r = (np.array([x]) for x in (p, q, r))
+        for a in ((p, q), (q, p)):
+            for b in ((p, r), (r, p)):
+                assert segments_intersect(*a, *b)[0, 0]
+
+    @settings(max_examples=500, deadline=None)
+    @given(a0=point, a1=point, b0=point, b1=point,
+           gap=st.floats(2 * BOX_MARGIN, 1.0), axis=st.sampled_from([0, 1]),
+           sign=st.sampled_from([-1.0, 1.0]))
+    def test_apart_beyond_margin_never_intersect(self, a0, a1, b0, b1, gap,
+                                                 axis, sign):
+        """The broad phase's premise: boxes more than BOX_MARGIN apart hold
+        no intersecting pair.  B is moved beside A along one axis."""
+        a = np.array([a0, a1])
+        b = np.array([b0, b1])
+        if sign > 0:
+            b[:, axis] += a[:, axis].max() - b[:, axis].min() + gap
+        else:
+            b[:, axis] -= b[:, axis].max() - a[:, axis].min() + gap
+        apart = max((b.min(axis=0) - a.max(axis=0)).max(),
+                    (a.min(axis=0) - b.max(axis=0)).max())
+        assert apart > BOX_MARGIN
+        assert not segments_intersect(a[:1], a[1:], b[:1], b[1:])[0, 0]
 
 
 # -- batched motion checks ---------------------------------------------------

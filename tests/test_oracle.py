@@ -90,6 +90,31 @@ class TestShortestPath:
         assert cost == pytest.approx(0.4, abs=0.2)
 
 
+class TestGraph:
+    def test_motion_substeps(self, monkeypatch):
+        # a wall thinner than a cell, between two columns of free centres
+        space, v = world([Box([0.49, 0.0], [0.51, 1.0])])
+        one, four = (GridOracle(space, v, 0.1, motion_substeps=n)
+                     for n in (1, 4))
+        checked = []
+        original = LevelValidity.valid_mask
+
+        def valid_mask(self, coords):
+            checked.append(len(coords))
+            return original(self, coords)
+        monkeypatch.setattr(LevelValidity, "valid_mask", valid_mask)
+        # one substep has no interior state: the edges across the wall
+        # stay, and the graph checks nothing
+        assert one.feasible([0.45, 0.5], [0.55, 0.5])
+        assert checked == []
+        assert not four.feasible([0.45, 0.5], [0.55, 0.5])
+        assert checked
+        g = one.graph().tocoo()
+        for r, c, w in zip(g.row, g.col, g.data):
+            assert w == pytest.approx(
+                space.distance(one.centers[r], one.centers[c]))
+
+
 class TestCoverageFraction:
     def make_roadmap(self, edges, guards):
         space = RealVectorSpace([[0, 1], [0, 1]])

@@ -471,6 +471,21 @@ class TestSolveFlatWorlds:
         assert res.status is Status.TIMEOUT
         assert res.seconds >= 0.2
 
+    def test_no_coverage_when_no_roadmap_measured_it(self):
+        # a timeout and an invalid endpoint end before any failure bound
+        # measured a roadmap's coverage, so the estimate is unknown, not 0
+        sc = load_scenario(shipped_scenario_dir()
+                           / "square_wall_infeasible.yaml")
+        cfg = replace(sc.config, seed=0, max_failures=10 ** 6,
+                      time_limit=0.3)
+        res = smlr_solve(sc.seq, sc.start, sc.goal, cfg)
+        assert res.status is Status.TIMEOUT
+        assert res.coverage_estimate is None
+        res = smlr_solve(sc.seq, np.array([0.5, 0.5]), sc.goal, cfg)
+        assert res.status is Status.INFEASIBLE
+        assert res.reason == "start invalid on level 1"
+        assert res.coverage_estimate is None
+
 
 class TestPlannerInputs:
     def test_check_resolution_override_leaves_scenario_untouched(
