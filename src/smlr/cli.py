@@ -155,12 +155,8 @@ def cmd_oracle(args) -> int:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_BAD_INPUT
     finest = scenario.seq.finest
-    if finest.space.dim > 4:
-        print("error: oracle supports levels of dimension <= 4",
-              file=sys.stderr)
-        return EXIT_BAD_INPUT
-    oracle = GridOracle(finest.space, finest.validity, args.resolution)
     try:
+        oracle = GridOracle(finest.space, finest.validity, args.resolution)
         feasible = oracle.feasible(scenario.start, scenario.goal)
         cost = oracle.shortest_path_cost(scenario.start, scenario.goal)
     except ValueError as e:

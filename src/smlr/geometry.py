@@ -25,24 +25,30 @@ def polygon_area(vertices: np.ndarray) -> float:
     return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
 
 
+def polygons_contain(polygons, pts) -> np.ndarray:
+    """Even-odd containment of points (p, 2) in each of m polygons
+    (m, nv, 2) -> (m, p); a point on an edge may count either way."""
+    a = polygons
+    b = np.roll(polygons, -1, axis=1)
+    x = pts[None, :, None, 0]
+    y = pts[None, :, None, 1]
+    ax, ay = a[:, None, :, 0], a[:, None, :, 1]
+    bx, by = b[:, None, :, 0], b[:, None, :, 1]
+    cond = (ay > y) != (by > y)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        xint = ax + (y - ay) * (bx - ax) / (by - ay)
+    crossings = np.sum(cond & (x < xint), axis=2)
+    return (crossings % 2) == 1
+
+
 def points_in_polygon(pts, vertices) -> np.ndarray:
     """Even-odd rule containment test, boundary counts as inside."""
     pts = _as_points(pts)
     v = np.asarray(vertices, dtype=float)
-    a = v
-    b = np.roll(v, -1, axis=0)
-    x = pts[:, 0][:, None]
-    y = pts[:, 1][:, None]
-    ay, by = a[None, :, 1], b[None, :, 1]
-    ax, bx = a[None, :, 0], b[None, :, 0]
-    cond = (ay > y) != (by > y)
-    denom = by - ay
-    with np.errstate(divide="ignore", invalid="ignore"):
-        xint = ax + (y - ay) * (bx - ax) / denom
-    crossings = np.sum(cond & (x < xint), axis=1)
-    inside = (crossings % 2) == 1
+    inside = polygons_contain(v[None], pts)[0]
     # boundary: distance to any edge ~ 0
-    on_edge = points_to_segments_dist(pts, a, b).min(axis=1) <= 1e-12
+    on_edge = points_to_segments_dist(pts, v, np.roll(v, -1, axis=0)) \
+        .min(axis=1) <= 1e-12
     return inside | on_edge
 
 
@@ -80,7 +86,14 @@ def segments_intersect(a0, a1, b0, b1) -> np.ndarray:
     d2 = cross(b0, b1, a1)
     d3 = cross(a0, a1, b0)
     d4 = cross(a0, a1, b1)
-    proper = ((d1 > 0) != (d2 > 0)) & ((d3 > 0) != (d4 > 0))
+    # a crossing also needs the boxes to meet: when all four points are
+    # collinear, rounding gives the cross products arbitrary signs
+    a_lo, a_hi = np.minimum(a0, a1), np.maximum(a0, a1)
+    b_lo, b_hi = np.minimum(b0, b1), np.maximum(b0, b1)
+    boxes_meet = (a_lo[..., 0] <= b_hi[..., 0]) & \
+        (b_lo[..., 0] <= a_hi[..., 0]) & \
+        (a_lo[..., 1] <= b_hi[..., 1]) & (b_lo[..., 1] <= a_hi[..., 1])
+    proper = ((d1 > 0) != (d2 > 0)) & ((d3 > 0) != (d4 > 0)) & boxes_meet
 
     def on_seg(o, p, q, c):
         return (np.abs(c) <= 1e-12) & \

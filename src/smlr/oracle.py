@@ -25,7 +25,7 @@ class GridOracle:
     per-coordinate spacing is h / sqrt(w_i)."""
 
     def __init__(self, space: StateSpace, validity: LevelValidity,
-                 resolution: float, motion_substeps: int | None = None):
+                 resolution: float):
         if resolution <= 0:
             raise ValueError("resolution must be positive")
         if space.dim > MAX_ORACLE_DIM:
@@ -46,12 +46,10 @@ class GridOracle:
         self.centers = np.stack([m.ravel() for m in mesh], axis=-1)
         self.n_cells = len(self.centers)
         self.free = validity.valid_mask(self.centers)
-        if motion_substeps is None:
-            step_metric = validity.check_resolution * space.max_extent()
-            # neighbor centers are at most h*sqrt(dim) apart
-            motion_substeps = max(1, int(math.ceil(
-                self.h * math.sqrt(space.dim) / step_metric)))
-        self._substeps = motion_substeps
+        step_metric = validity.check_resolution * space.max_extent()
+        # neighbor centers are at most h*sqrt(dim) apart
+        self._substeps = max(1, int(math.ceil(
+            self.h * math.sqrt(space.dim) / step_metric)))
         self._graph = None
         self._labels = None
 

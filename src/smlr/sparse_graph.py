@@ -167,16 +167,11 @@ class SparseRoadmap:
         """Ids of visible_guard_distances(q); [] when q is invalid."""
         return [g for g, _ in self.visible_guard_distances(q) or []]
 
-    def shortest_graph_path(self, u: int, v: int):
-        """Dijkstra path (ids, cost) or None if disconnected; deterministic
-        tie-break by smaller guard id."""
-        n = self.num_guards
-        if not (0 <= u < n and 0 <= v < n):
-            raise ValueError("unknown guard id")
-        if u == v:
-            return [u], 0.0
-        if not self.same_component(u, v):
-            return None
+    def _search(self, u: int, v: int, bound: float = math.inf):
+        """Dijkstra from u until v is settled, over paths of cost at most
+        bound -> (dist, prev) maps, or None when no such path reaches v.
+        Neighbours are visited in id order, so ties go to the smaller
+        guard id."""
         dist = {u: 0.0}
         prev: dict[int, int] = {}
         heap = [(0.0, u)]
@@ -187,15 +182,27 @@ class SparseRoadmap:
                 continue
             done.add(node)
             if node == v:
-                break
+                return dist, prev
             for nbr, length in sorted(self.adjacency[node]):
                 cand = cost + length
-                if cand < dist.get(nbr, math.inf) - 1e-15:
+                if cand <= bound and cand < dist.get(nbr, math.inf) - 1e-15:
                     dist[nbr] = cand
                     prev[nbr] = node
                     heapq.heappush(heap, (cand, nbr))
-        if v not in dist:
+        return None
+
+    def shortest_graph_path(self, u: int, v: int):
+        """Dijkstra path (ids, cost) or None if disconnected; deterministic
+        tie-break by smaller guard id."""
+        n = self.num_guards
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError("unknown guard id")
+        if u == v:
+            return [u], 0.0
+        found = self.same_component(u, v) and self._search(u, v)
+        if not found:
             return None
+        dist, prev = found
         path = [v]
         while path[-1] != u:
             path.append(prev[path[-1]])
@@ -207,26 +214,8 @@ class SparseRoadmap:
         (early-exit bounded Dijkstra)."""
         if u == v:
             return bound < 0.0
-        if not self.same_component(u, v):
-            return True
-        dist = {u: 0.0}
-        heap = [(0.0, u)]
-        done = set()
-        while heap:
-            cost, node = heapq.heappop(heap)
-            if cost > bound:
-                return True
-            if node in done:
-                continue
-            done.add(node)
-            if node == v:
-                return False
-            for nbr, length in self.adjacency[node]:
-                cand = cost + length
-                if cand <= bound and cand < dist.get(nbr, math.inf) - 1e-15:
-                    dist[nbr] = cand
-                    heapq.heappush(heap, (cand, nbr))
-        return True
+        return not self.same_component(u, v) or \
+            self._search(u, v, bound) is None
 
     def solution_query(self, start_id: int, goal_id: int):
         """Shortest roadmap path as a list of states, or None."""

@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import (Box, Disc, points_to_segments_dist,
+from .geometry import (Box, Disc, points_to_segments_dist, polygons_contain,
                        segments_intersect, segments_to_segments_dist)
 from .spaces import StateSpace
 
@@ -88,13 +88,13 @@ class CollisionWorld:
 
     def broad_phase(self, lo, hi):
         """Rows whose planar box [lo[i], hi[i]] meets some obstacle's
-        widened box, the only rows that can collide -> (k,) indices; every
+        widened box, the only rows that can collide -> (m,) bool; every
         row when the world has no boxes."""
         if not self.has_aabbs:
-            return np.arange(len(lo))
+            return np.ones(len(lo), dtype=bool)
         meets = (lo[:, None, :] <= self.aabb_hi) & \
             (hi[:, None, :] >= self.aabb_lo)
-        return np.flatnonzero(meets.all(axis=2).any(axis=1))
+        return meets.all(axis=2).any(axis=1)
 
     def near_points(self, pts, margin: float, discs: bool = True):
         """Rows of pts whose signed distance to some obstacle is <= margin
@@ -117,7 +117,7 @@ class CollisionWorld:
         return hit
 
 
-# -- posed-polygon helpers (robot polygon differs per state) ----------------
+# -- robot models ------------------------------------------------------------
 
 def _posed_vertices(local_vertices, xy, theta):
     """Rigid transform of local vertices for m poses -> (m, nv, 2)."""
@@ -128,85 +128,63 @@ def _posed_vertices(local_vertices, xy, theta):
     return np.stack([px, py], axis=-1)
 
 
-def _posed_contains(verts, points):
-    """Even-odd containment of fixed points in per-pose polygons -> (m, p)."""
-    a = verts                                  # (m, nv, 2)
-    b = np.roll(verts, -1, axis=1)
-    x = points[None, :, None, 0]
-    y = points[None, :, None, 1]
-    ax, ay = a[:, None, :, 0], a[:, None, :, 1]
-    bx, by = b[:, None, :, 0], b[:, None, :, 1]
-    cond = (ay > y) != (by > y)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        xint = ax + (y - ay) * (bx - ax) / (by - ay)
-    crossings = np.sum(cond & (x < xint), axis=2)
-    return (crossings % 2) == 1
+def _in_workspace(body_lo, body_hi, lo, hi, r):
+    """Rows whose box [body_lo, body_hi], widened by r, lies inside the
+    workspace [lo, hi]; every row when there is none -> (m,) bool."""
+    if lo is None:
+        return np.ones(len(body_lo), dtype=bool)
+    return np.all((body_lo >= lo + r) & (body_hi <= hi - r), axis=1)
 
 
-def _posed_edges_point_dist(verts, points):
-    """Min distance from fixed points to each pose's polygon edges
-    -> (m, p)."""
-    a = verts[:, None, :, :]                   # (m, 1, nv, 2)
-    d = np.roll(verts, -1, axis=1)[:, None, :, :] - a
-    dd = np.sum(d * d, axis=3)
-    pt = points[None, :, None, :]              # (1, p, 1, 2)
-    ap = pt - a
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = np.sum(ap * d, axis=3) / dd
-    t = np.where(dd == 0.0, 0.0, np.clip(t, 0.0, 1.0))
-    closest = a + t[..., None] * d
-    return np.linalg.norm(pt - closest, axis=3).min(axis=2)
+def _valid_body(body, r, world, lo, hi, collides):
+    """Validity of posed bodies (m, k, 2) whose points are widened by r:
+    the workspace test and the broad phase share each pose's box, and the
+    exact collides(body[rows], world) runs only on the rows both pass."""
+    body_lo, body_hi = body.min(axis=1), body.max(axis=1)
+    ok = _in_workspace(body_lo, body_hi, lo, hi, r)
+    rows = np.flatnonzero(ok & world.broad_phase(body_lo - r, body_hi + r))
+    if len(rows):
+        ok[rows] = ~collides(body[rows], world)
+    return ok
 
-
-# -- robot models ------------------------------------------------------------
 
 class RobotModel:
-    """Maps level states to workspace geometry and tests obstacle overlap."""
+    """Maps level states to workspace geometry and tests its validity."""
 
-    def collides(self, coords: np.ndarray,
-                 world: CollisionWorld) -> np.ndarray:
-        """Rows of coords whose posed robot overlaps any obstacle of world;
-        the robot is posed once for the whole batch -> (m,) bool."""
-        raise NotImplementedError
-
-    def in_workspace(self, coords, lo, hi) -> np.ndarray:
+    def valid(self, coords: np.ndarray, world: CollisionWorld,
+              lo: np.ndarray | None, hi: np.ndarray | None) -> np.ndarray:
+        """Rows of coords whose posed robot lies inside the workspace box
+        [lo, hi] (any pose when lo is None) and overlaps no obstacle of
+        world; the robot is posed once for the whole batch -> (m,) bool."""
         raise NotImplementedError
 
 
 @dataclass
 class PointRobot(RobotModel):
     position_indices: tuple = (0, 1)
+    # a point is a disc of radius 0: a class attribute, not a field, so
+    # PointRobot's one positional field stays position_indices
+    radius = 0.0
 
     def _pos(self, coords):
         return coords[:, list(self.position_indices)]
 
-    def collides(self, coords, world):
-        return world.near_points(self._pos(coords), 0.0)
-
-    def in_workspace(self, coords, lo, hi):
+    def valid(self, coords, world, lo, hi):
+        # every row, not only those inside the workspace: a row gather
+        # costs about as much as the obstacle test it would save
         p = self._pos(coords)
-        return np.all((p >= lo) & (p <= hi), axis=1)
+        return _in_workspace(p, p, lo, hi, self.radius) & \
+            ~world.near_points(p, self.radius)
 
 
 @dataclass
-class DiscRobot(RobotModel):
+class DiscRobot(PointRobot):
     radius: float = 0.05
     position_indices: tuple = (0, 1)
 
     def __post_init__(self):
         if self.radius <= 0:
             raise ValueError("disc robot radius must be positive")
-
-    def _pos(self, coords):
-        return coords[:, list(self.position_indices)]
-
-    def collides(self, coords, world):
-        return world.near_points(self._pos(coords), self.radius)
-
-    def in_workspace(self, coords, lo, hi):
-        p = self._pos(coords)
-        return np.all((p >= lo + self.radius) & (p <= hi - self.radius),
-                      axis=1)
 
 
 @dataclass
@@ -227,34 +205,27 @@ class PolygonRobot(RobotModel):
         theta = coords[:, k]
         return _posed_vertices(self.vertices, xy, theta)
 
-    def collides(self, coords, world):
-        verts = self._verts(coords)
-        hit = np.zeros(len(verts), dtype=bool)
-        rows = world.broad_phase(verts.min(axis=1), verts.max(axis=1))
-        if len(rows):
-            hit[rows] = self._collides_exact(verts[rows], world)
-        return hit
+    def valid(self, coords, world, lo, hi):
+        return _valid_body(self._verts(coords), 0.0, world, lo, hi,
+                           self._collides)
 
     @staticmethod
-    def _collides_exact(verts, world):
+    def _collides(verts, world):
         m, nv, _ = verts.shape
         flat = verts.reshape(m * nv, 2)
+        rb = np.roll(verts, -1, axis=1).reshape(m * nv, 2)
         hit = world.near_points(flat, 0.0).reshape(m, nv).any(axis=1)
         if world.has_discs:
             c = world.disc_centers
-            hit |= _posed_contains(verts, c).any(axis=1)
-            hit |= (_posed_edges_point_dist(verts, c)
-                    <= world.disc_radii).any(axis=1)
+            hit |= polygons_contain(verts, c).any(axis=1)
+            d = points_to_segments_dist(c, flat, rb)
+            d = d.reshape(-1, m, nv).min(axis=2)
+            hit |= (d <= world.disc_radii[:, None]).any(axis=0)
         if world.has_segments:
-            hit |= _posed_contains(verts, world.seg_a).any(axis=1)
-            rb = np.roll(verts, -1, axis=1).reshape(m * nv, 2)
+            hit |= polygons_contain(verts, world.seg_a).any(axis=1)
             hit |= segments_intersect(flat, rb, world.seg_a, world.seg_b) \
                 .reshape(m, -1).any(axis=1)
         return hit
-
-    def in_workspace(self, coords, lo, hi):
-        verts = self._verts(coords)
-        return np.all((verts >= lo) & (verts <= hi), axis=(1, 2))
 
 
 @dataclass
@@ -287,16 +258,11 @@ class ChainRobot(RobotModel):
                              axis=1)
         return pts
 
-    def collides(self, coords, world):
-        j = self.joints(coords)
-        r = self.link_radius
-        hit = np.zeros(len(j), dtype=bool)
-        rows = world.broad_phase(j.min(axis=1) - r, j.max(axis=1) + r)
-        if len(rows):
-            hit[rows] = self._collides_exact(j[rows], world)
-        return hit
+    def valid(self, coords, world, lo, hi):
+        return _valid_body(self.joints(coords), self.link_radius, world, lo,
+                           hi, self._collides)
 
-    def _collides_exact(self, joints, world):
+    def _collides(self, joints, world):
         a, b = joints[:, :-1, :], joints[:, 1:, :]
         m, L, _ = a.shape
         fa, fb = a.reshape(m * L, 2), b.reshape(m * L, 2)
@@ -312,11 +278,6 @@ class ChainRobot(RobotModel):
             d = segments_to_segments_dist(fa, fb, world.seg_a, world.seg_b)
             hit |= (d.reshape(m, -1) <= r).any(axis=1)
         return hit
-
-    def in_workspace(self, coords, lo, hi):
-        j = self.joints(coords)
-        r = self.link_radius
-        return np.all((j >= lo + r) & (j <= hi - r), axis=(1, 2))
 
 
 # -- level validity ----------------------------------------------------------
@@ -357,16 +318,13 @@ class LevelValidity:
         coords = np.asarray(coords, dtype=float)
         if coords.ndim == 1:
             coords = coords[None, :]
-        ok = np.ones(len(coords), dtype=bool)
-        if self.workspace_lo is not None:
-            ok &= self.robot.in_workspace(coords, self.workspace_lo,
-                                          self.workspace_hi)
-        if self._world.empty:
-            return ok
-        idx = np.flatnonzero(ok)
-        for i in range(0, len(idx), CHUNK_STATES):
-            part = idx[i:i + CHUNK_STATES]
-            ok[part] = ~self.robot.collides(coords[part], self._world)
+        if self._world.empty and self.workspace_lo is None:
+            return np.ones(len(coords), dtype=bool)
+        ok = np.empty(len(coords), dtype=bool)
+        for i in range(0, len(coords), CHUNK_STATES):
+            ok[i:i + CHUNK_STATES] = self.robot.valid(
+                coords[i:i + CHUNK_STATES], self._world, self.workspace_lo,
+                self.workspace_hi)
         return ok
 
     def is_valid(self, x) -> bool:

@@ -36,6 +36,19 @@ start: [0.2, 0.5]
 goal: [0.8, 0.5]
 """
 
+# one level more than GridOracle's MAX_ORACLE_DIM
+FIVE_D = """\
+format_version: 1
+name: five_d
+ground_truth: feasible
+levels:
+  - space:
+      - {type: real, bounds: [[0, 1], [0, 1], [0, 1], [0, 1], [0, 1]]}
+    robot: {type: point}
+start: [0.1, 0.1, 0.1, 0.1, 0.1]
+goal: [0.9, 0.9, 0.9, 0.9, 0.9]
+"""
+
 
 @pytest.fixture
 def free_path(tmp_path):
@@ -268,6 +281,15 @@ class TestCli:
         out = capsys.readouterr().out
         assert "oracle=infeasible" in out
         assert "agreement=True" in out
+
+    def test_oracle_rejects_five_dimensions(self, tmp_path, capsys):
+        f = tmp_path / "five_d.yaml"
+        f.write_text(FIVE_D)
+        code = main(["oracle", "--scenario", str(f), "--resolution", "0.5"])
+        assert code == EXIT_BAD_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: oracle limited to 4 dimensions\n"
 
     def test_out_dir_env_default(self, walled_path, tmp_path, monkeypatch,
                                  capsys):

@@ -1,28 +1,29 @@
 """The compiled collision world and batched motion checks against the
 per-obstacle and per-motion code they replace.
 
-The reference below tests one obstacle at a time on every state, exactly as
-valid_mask did before the obstacles were compiled into stacked arrays and
-before the bounding-box broad phase; the world-level masks must equal it
-bit for bit.
+The reference below tests the workspace point by point and then one
+obstacle at a time on every state, exactly as valid_mask did before the
+obstacles were compiled into stacked arrays, before the bounding-box broad
+phase and before each robot answered both in one posed pass; the
+world-level masks must equal it bit for bit.
 """
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import smlr.validity as validity_module
 from smlr.geometry import (Box, Disc, Polygon, points_to_segments_dist,
-                           segments_intersect, segments_to_segments_dist)
+                           polygons_contain, segments_intersect,
+                           segments_to_segments_dist)
 from smlr.scenario import load_scenario, shipped_scenario_dir
 from smlr.spaces import CircleSpace, ProductSpace, RealVectorSpace
 from smlr.sparse_graph import SparseRoadmap
 from smlr.validity import (BOX_MARGIN, CHUNK_STATES, ChainRobot, DiscRobot,
-                           LevelValidity, PointRobot, PolygonRobot,
-                           _posed_contains)
+                           LevelValidity, PointRobot, PolygonRobot)
 
 # -- per-obstacle reference ---------------------------------------------------
 
@@ -46,7 +47,7 @@ def _ref_polygon(robot, coords, obstacle):
     flat = verts.reshape(m * nv, 2)
     hit = (obstacle.signed_distance(flat) <= 0.0).reshape(m, nv).any(axis=1)
     if isinstance(obstacle, Disc):
-        center_in = _posed_contains(verts, obstacle.center[None, :])[:, 0]
+        center_in = polygons_contain(verts, obstacle.center[None, :])[:, 0]
         near = _ref_edges_point_dist(verts, obstacle.center) \
             <= obstacle.radius
         return hit | center_in | near
@@ -54,7 +55,7 @@ def _ref_polygon(robot, coords, obstacle):
     if seg is None:
         return hit
     oa, ob = seg
-    corner_in = _posed_contains(verts, oa).any(axis=1)
+    corner_in = polygons_contain(verts, oa).any(axis=1)
     rb = np.roll(verts, -1, axis=1).reshape(m * nv, 2)
     crossing = segments_intersect(flat, rb, oa, ob) \
         .reshape(m, nv, -1).any(axis=(1, 2))
@@ -92,11 +93,29 @@ def ref_collides(robot, coords, obstacle):
     return obstacle.signed_distance(p) <= margin
 
 
+def ref_in_workspace(robot, coords, lo, hi):
+    """Every posed vertex, joint or position inside [lo, hi], shrunk by the
+    disc radius or link radius."""
+    if isinstance(robot, PolygonRobot):
+        verts = robot._verts(coords)
+        return np.all((verts >= lo) & (verts <= hi), axis=(1, 2))
+    if isinstance(robot, ChainRobot):
+        j = robot.joints(coords)
+        r = robot.link_radius
+        return np.all((j >= lo + r) & (j <= hi - r), axis=(1, 2))
+    p = robot._pos(coords)
+    if isinstance(robot, DiscRobot):
+        return np.all((p >= lo + robot.radius) & (p <= hi - robot.radius),
+                      axis=1)
+    return np.all((p >= lo) & (p <= hi), axis=1)
+
+
 def ref_valid_mask(v: LevelValidity, coords):
     coords = np.asarray(coords, dtype=float)
     ok = np.ones(len(coords), dtype=bool)
     if v.workspace_lo is not None:
-        ok &= v.robot.in_workspace(coords, v.workspace_lo, v.workspace_hi)
+        ok &= ref_in_workspace(v.robot, coords, v.workspace_lo,
+                               v.workspace_hi)
     for obs in v.obstacles:
         if not ok.any():
             break
@@ -227,6 +246,25 @@ class TestWorldEqualsPerObstacle:
         np.testing.assert_array_equal(v.valid_mask(x), ref_valid_mask(v, x))
 
     @settings(max_examples=60, deadline=None)
+    @given(robot=robots(), obstacle_list=obstacles(),
+           workspace=st.booleans(), seed=st.integers(0, 2 ** 32 - 1),
+           cuts=st.lists(st.integers(0, 60), max_size=4))
+    def test_row_wise(self, robot, obstacle_list, workspace, seed, cuts):
+        """A row's verdict depends on that row alone: any split of the
+        batch, its rows in any order, and the batch in C or Fortran order
+        give the same mask bytes."""
+        v = validity(robot, obstacle_list, workspace)
+        rng = np.random.default_rng(seed)
+        x = states(rng, robot, 60, obstacle_list)
+        whole = v.valid_mask(x).tobytes()
+        parts = [v.valid_mask(part) for part in np.split(x, sorted(cuts))]
+        assert np.concatenate(parts).tobytes() == whole
+        assert v.valid_mask(np.asfortranarray(x)).tobytes() == whole
+        order = rng.permutation(len(x))
+        assert v.valid_mask(x[order]).tobytes() == \
+            v.valid_mask(x)[order].tobytes()
+
+    @settings(max_examples=60, deadline=None)
     @given(dim=st.sampled_from([1, 3]), data=st.data(),
            seed=st.integers(0, 2 ** 32 - 1))
     def test_point_robot_other_dimensions(self, dim, data, seed):
@@ -353,7 +391,83 @@ class TestBroadPhase:
                           obstacles=[Box([0.1] * 3, [0.2] * 3)])
         assert not v._world.has_aabbs
         assert v._world.broad_phase(np.zeros((4, 2)),
-                                    np.ones((4, 2))).tolist() == [0, 1, 2, 3]
+                                    np.ones((4, 2))).tolist() == [True] * 4
+
+
+class TestOnePosedPass:
+    @pytest.mark.parametrize("robot", TOUCHING_ROBOTS,
+                             ids=lambda r: type(r).__name__)
+    def test_each_chunk_posed_once(self, robot, monkeypatch):
+        """The workspace test and the collision test share one pose of
+        each chunk of CHUNK_STATES states."""
+        v = validity(robot, BOUNDARY_OBSTACLES, workspace=True)
+        rng = np.random.default_rng(2)
+        small = states(rng, robot, CHUNK_STATES, BOUNDARY_OBSTACLES)
+        large = states(rng, robot, 2 * CHUNK_STATES + 7, BOUNDARY_OBSTACLES)
+        want = [ref_valid_mask(v, x) for x in (small, large)]
+        name = "_verts" if isinstance(robot, PolygonRobot) else "joints"
+        posed = []
+        original = getattr(type(robot), name)
+
+        def counted(self, coords):
+            posed.append(len(coords))
+            return original(self, coords)
+        monkeypatch.setattr(type(robot), name, counted)
+        np.testing.assert_array_equal(v.valid_mask(small), want[0])
+        assert posed == [CHUNK_STATES]
+        posed.clear()
+        np.testing.assert_array_equal(v.valid_mask(large), want[1])
+        assert posed == [CHUNK_STATES, CHUNK_STATES, 7]
+
+
+# -- dense point-sampled reference --------------------------------------------
+
+def body_points(robot, coords, rng, n=200):
+    """n points of each posed robot body -> (m, n, 2).  A polygon robot
+    drawn by star_vertices is star-shaped around its local origin, so its
+    points lie in the triangles (origin, v[i], v[i + 1]); a chain's lie
+    within link_radius of its links."""
+    m = len(coords)
+    if isinstance(robot, PolygonRobot):
+        v = robot.vertices
+        i = rng.integers(0, len(v), (m, n))
+        t, s = rng.random((m, n, 1)), rng.random((m, n, 1))
+        s[:, :len(v)] = 1.0                      # on the boundary
+        local = s * (v[i] + t * (v[(i + 1) % len(v)] - v[i]))
+        x, y, theta = (coords[:, k, None] for k in robot.pose_indices)
+        c, sn = np.cos(theta), np.sin(theta)
+        return np.stack([c * local[..., 0] - sn * local[..., 1] + x,
+                         sn * local[..., 0] + c * local[..., 1] + y],
+                        axis=-1)
+    j = robot.joints(coords)
+    link = rng.integers(0, len(j[0]) - 1, (m, n))
+    a = np.take_along_axis(j, link[..., None], axis=1)
+    b = np.take_along_axis(j, link[..., None] + 1, axis=1)
+    t = rng.random((m, n, 1))
+    rho = robot.link_radius * rng.random((m, n, 1))
+    phi = rng.uniform(0, 2 * math.pi, (m, n))
+    return a + t * (b - a) + rho * np.stack([np.cos(phi), np.sin(phi)],
+                                            axis=-1)
+
+
+class TestDenseReference:
+    @settings(max_examples=100, deadline=None)
+    @given(robot=robots().filter(
+               lambda r: isinstance(r, (PolygonRobot, ChainRobot))),
+           obstacle_list=obstacles(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_body_point_inside_an_obstacle_collides(self, robot,
+                                                    obstacle_list, seed):
+        """A pose with a body point more than 1e-9 deep in an obstacle is
+        invalid, whatever the broad phase and the exact tests decide."""
+        v = validity(robot, obstacle_list, workspace=False)
+        rng = np.random.default_rng(seed)
+        x = states(rng, robot, 40, obstacle_list)
+        pts = body_points(robot, x, rng)
+        deep = np.zeros(len(x), dtype=bool)
+        for o in obstacle_list:
+            sd = o.signed_distance(pts.reshape(-1, 2)).reshape(len(x), -1)
+            deep |= (sd < -1e-9).any(axis=1)
+        assert not (v.valid_mask(x) & deep).any()
 
 
 # -- segments_intersect properties --------------------------------------------
@@ -382,6 +496,21 @@ class TestSegmentsIntersect:
         for a in ((p, q), (q, p)):
             for b in ((p, r), (r, p)):
                 assert segments_intersect(*a, *b)[0, 0]
+
+    @settings(max_examples=500, deadline=None)
+    @given(p=point, angle=st.floats(0.0, 2 * math.pi),
+           s=st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4))
+    def test_collinear_disjoint_never_intersect(self, p, angle, s):
+        """Two pieces of one line, more than 1e-9 apart, in every
+        orientation and argument order."""
+        s = sorted(s)
+        assume(s[2] - s[1] > 1e-9)
+        u = np.array([math.cos(angle), math.sin(angle)])
+        q0, q1, q2, q3 = ((np.array(p) + si * u)[None, :] for si in s)
+        for a in ((q0, q1), (q1, q0)):
+            for b in ((q2, q3), (q3, q2)):
+                assert not segments_intersect(*a, *b)[0, 0]
+                assert not segments_intersect(*b, *a)[0, 0]
 
     @settings(max_examples=500, deadline=None)
     @given(a0=point, a1=point, b0=point, b1=point,

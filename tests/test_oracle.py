@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -94,8 +95,11 @@ class TestGraph:
     def test_motion_substeps(self, monkeypatch):
         # a wall thinner than a cell, between two columns of free centres
         space, v = world([Box([0.49, 0.0], [0.51, 1.0])])
-        one, four = (GridOracle(space, v, 0.1, motion_substeps=n)
-                     for n in (1, 4))
+        # steps of 0.1 and 0.025 of the diameter sqrt(2) split a diagonal
+        # of h * sqrt(2) = 0.1 * sqrt(2) into 1 and 4 substeps
+        one, four = (GridOracle(space, replace(v, check_resolution=c), 0.1)
+                     for c in (0.1, 0.025))
+        assert (one._substeps, four._substeps) == (1, 4)
         checked = []
         original = LevelValidity.valid_mask
 
