@@ -13,6 +13,6 @@ from .scenario import Scenario, ScenarioError, load_scenario, \
     shipped_scenarios
 from .sparse_graph import AddOutcome, SparseRoadmap
 from .spaces import (CircleSpace, ProductSpace, RealVectorSpace, StateSpace,
-                     point_to_edge_distance, points_to_edge_distance)
+                     points_to_edge_distance)
 from .validity import (ChainRobot, DiscRobot, LevelValidity, PointRobot,
                        PolygonRobot)

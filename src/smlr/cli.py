@@ -29,11 +29,27 @@ def _default_out() -> Path:
     return Path(os.environ.get("SMLR_OUT_DIR", "out"))
 
 
+def _check_field(flag: str, name: str, value):
+    """ValueError naming flag and field if PlannerConfig rejects value."""
+    try:
+        PlannerConfig(**{name: value})
+    except ValueError as e:
+        raise ValueError(f"{flag}: {e}") from None
+
+
 def _parse_seeds(spec: str) -> list[int]:
-    if ".." in spec:
-        a, b = spec.split("..", 1)
-        return list(range(int(a), int(b) + 1))
-    return [int(s) for s in spec.split(",")]
+    """The seeds of a range 'a..b' or a comma list.  A malformed spec, an
+    empty range or a seed PlannerConfig rejects raises ValueError."""
+    try:
+        a, sep, b = spec.partition("..")
+        seeds = (list(range(int(a), int(b) + 1)) if sep
+                 else [int(s) for s in spec.split(",")])
+    except ValueError:
+        raise ValueError(f"bad seed spec '{spec}'") from None
+    if not seeds:
+        raise ValueError(f"--seeds: '{spec}' selects no seed")
+    _check_field("--seeds", "seed", min(seeds))
+    return seeds
 
 
 # planner settings a command may override: flag, PlannerConfig field, type,
@@ -53,13 +69,9 @@ def _config_overrides(args) -> dict:
     over = {}
     for flag, name, _, _ in PARAM_ARGS:
         value = getattr(args, name)
-        if value is None:
-            continue
-        try:
-            PlannerConfig(**{name: value})
-        except ValueError as e:
-            raise ValueError(f"{flag}: {e}") from None
-        over[name] = value
+        if value is not None:
+            _check_field(flag, name, value)
+            over[name] = value
     return over
 
 
@@ -71,6 +83,7 @@ def _add_param_args(p):
 def cmd_plan(args) -> int:
     try:
         overrides = _config_overrides(args)
+        _check_field("--seed", "seed", args.seed)
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_BAD_INPUT
@@ -124,8 +137,10 @@ def cmd_bench(args) -> int:
         return EXIT_BAD_INPUT
     try:
         seeds = _parse_seeds(args.seeds)
-    except ValueError:
-        print(f"error: bad seed spec '{args.seeds}'", file=sys.stderr)
+        if args.workers < 1:
+            raise ValueError("--workers: workers must be >= 1")
+    except ValueError as e:
+        print(f"error: {e}", file=sys.stderr)
         return EXIT_BAD_INPUT
     planners = args.planners.split(",")
     for p in planners:

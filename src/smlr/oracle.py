@@ -46,10 +46,9 @@ class GridOracle:
         self.centers = np.stack([m.ravel() for m in mesh], axis=-1)
         self.n_cells = len(self.centers)
         self.free = validity.valid_mask(self.centers)
-        step_metric = validity.check_resolution * space.max_extent()
         # neighbor centers are at most h*sqrt(dim) apart
-        self._substeps = max(1, int(math.ceil(
-            self.h * math.sqrt(space.dim) / step_metric)))
+        self._substeps = int(validity.motion_steps(
+            self.h * math.sqrt(space.dim)))
         self._graph = None
         self._labels = None
 
@@ -76,18 +75,16 @@ class GridOracle:
                 offs.append(np.array([dx, dy]))
         return offs
 
-    def _edge_valid_mask(self, a_centers, diff):
-        """Vectorized motion check from cell centers a_centers along their
-        differences diff to the paired centers."""
-        ok = np.ones(len(a_centers), dtype=bool)
-        svals = np.linspace(0.0, 1.0, self._substeps + 1)[1:-1]
-        for s in svals:
+    def _edge_valid_mask(self, a, b):
+        """Motion check of the edges a[i] -> b[i] at their interior
+        substep states, one substep at a time over the edges still valid."""
+        ok = np.ones(len(a), dtype=bool)
+        for s in np.linspace(0.0, 1.0, self._substeps + 1)[1:-1]:
             idx = np.nonzero(ok)[0]
             if not len(idx):
                 break
-            mid = a_centers[idx] + s * diff[idx]
-            circ = self.space.circular
-            mid[:, circ] = np.mod(mid[:, circ], 2.0 * math.pi)
+            mid = self.space.interpolate_many(a[idx], b[idx],
+                                              np.full(len(idx), s))
             ok[idx] &= self.validity.valid_mask(mid)
         return ok
 
@@ -118,14 +115,14 @@ class GridOracle:
             src, dst = src[keep], dst[keep]
             if not len(src):
                 continue
-            a = self.centers[src]
-            d = self.space._diff(a, self.centers[dst])
             # one substep has no interior state to check
             if self._substeps > 1:
-                motion_ok = self._edge_valid_mask(a, d)
-                src, dst, d = src[motion_ok], dst[motion_ok], d[motion_ok]
+                motion_ok = self._edge_valid_mask(self.centers[src],
+                                                  self.centers[dst])
+                src, dst = src[motion_ok], dst[motion_ok]
                 if not len(src):
                     continue
+            d = self.space._diff(self.centers[src], self.centers[dst])
             w = np.sqrt((d * d) @ self.space.weights)
             rows.append(src)
             cols.append(dst)

@@ -57,6 +57,8 @@ class PlannerConfig:
             raise ValueError("stretch_t must exceed 1")
         if not self.time_limit > 0:   # also rejects nan
             raise ValueError("time_limit must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass
@@ -154,8 +156,8 @@ def section_test(level: LevelState, bundle, base_path, start, goal):
 
     Returns the fully validated lifted path or None.  Simplified variant:
     a single linear fiber interpolation is attempted, no local repair.  The
-    lifted vertices and every segment's motion states are checked in one
-    valid_mask call.
+    lifted vertices and states 1..n of every segment's motion are checked
+    in one valid_mask call; a segment's state 0 is its first vertex.
     """
     if bundle is None or base_path is None:
         return None
@@ -163,9 +165,9 @@ def section_test(level: LevelState, bundle, base_path, start, goal):
     goal_fiber = bundle.fiber_of(goal)
     lifted = lift_section(bundle, base_path, start_fiber, goal_fiber)
     v = level.validity
-    states = [np.stack(lifted)] + [v.motion_states(a, b)
-                                   for a, b in zip(lifted[:-1], lifted[1:])]
-    if not v.valid_mask(np.concatenate(states)).all():
+    a, b = np.stack(lifted[:-1]), np.stack(lifted[1:])
+    pts, _ = v.motion_points(a, b, v.space.distances(a, b))
+    if not v.valid_mask(np.concatenate([a, b[-1:], pts])).all():
         return None
     return lifted
 

@@ -200,8 +200,6 @@ def load_scenario(path) -> Scenario:
         if workspace is not None and not lvl.get("ignore_workspace", False):
             pos_dim = len(getattr(robot, "position_indices",
                                   getattr(robot, "base_indices", (0, 1))))
-            if isinstance(robot, PolygonRobot):
-                pos_dim = 2
             if pos_dim == len(workspace):
                 ws_lo, ws_hi = workspace[:, 0], workspace[:, 1]
         try:

@@ -8,6 +8,7 @@ length ``space.dim``; circular coordinates are kept normalized to [0, 2*pi).
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -37,6 +38,12 @@ class StateSpace:
         self.weights = np.asarray(weights, dtype=float)
         self.circular = np.asarray(circular, dtype=bool)
         self.dim = len(self.lo)
+        # the circular coordinates (None without any), as a slice when they
+        # are contiguous: a view, far cheaper than a mask on short arrays
+        idx = np.flatnonzero(self.circular)
+        self._wrap = idx if len(idx) else None
+        if len(idx) and idx[-1] - idx[0] == len(idx) - 1:
+            self._wrap = slice(int(idx[0]), int(idx[-1]) + 1)
         if np.any(self.lo >= self.hi):
             raise ValueError("lower bound must be strictly below upper bound")
         if np.any(self.weights <= 0):
@@ -44,11 +51,12 @@ class StateSpace:
 
     # -- state handling ----------------------------------------------------
 
-    def _check(self, x) -> np.ndarray:
+    def _check(self, x, rows: bool = False) -> np.ndarray:
+        """x as one state (dim,); with rows, also as states (n, dim)."""
         x = np.asarray(x, dtype=float)
-        if x.shape != (self.dim,):
-            raise ValueError(
-                f"state has shape {x.shape}, expected ({self.dim},)")
+        if x.shape[-1:] != (self.dim,) or x.ndim > 1 + rows:
+            raise ValueError(f"state has shape {x.shape}, expected "
+                             f"({self.dim},){' or (n, dim)' if rows else ''}")
         return x
 
     def normalize(self, x) -> np.ndarray:
@@ -66,16 +74,16 @@ class StateSpace:
     def _diff(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Per-coordinate difference b - a, shortest-arc on circles."""
         d = b - a
-        if np.any(self.circular):
-            c = self.circular
+        c = self._wrap
+        if c is not None:
             d[..., c] = np.mod(d[..., c] + math.pi, TWO_PI) - math.pi
         return d
 
     def _absdiff(self, a, b) -> np.ndarray:
         """Per-coordinate |b - a| with circular wrap; exactly symmetric."""
         d = np.abs(b - a)
-        if np.any(self.circular):
-            c = self.circular
+        c = self._wrap
+        if c is not None:
             dc = np.mod(d[..., c], TWO_PI)
             d[..., c] = np.minimum(dc, TWO_PI - dc)
         return d
@@ -86,14 +94,15 @@ class StateSpace:
         d = self._absdiff(a, b)
         return float(math.sqrt(np.dot(self.weights, d * d)))
 
-    def distances(self, q, pts: np.ndarray) -> list[float]:
-        """distance(q, p) for each row p of pts, bit for bit.
+    def distances(self, a, b) -> list[float]:
+        """distance(a[i], b[i]) for each row pair, bit for bit; a and b are
+        each one state or rows of states.
 
         distance_many's matrix product can round differently in the last
         bit; use this where a result must equal the scalar distance.
         """
-        q = self._check(q)
-        d = self._absdiff(q, np.asarray(pts, dtype=float))
+        d = self._absdiff(self._check(a, rows=True),
+                          self._check(b, rows=True))
         d *= d
         return [math.sqrt(np.dot(self.weights, row)) for row in d]
 
@@ -116,25 +125,17 @@ class StateSpace:
         return x
 
     def interpolate_many(self, a, b, svals: np.ndarray) -> np.ndarray:
-        """Interpolated states for each s in svals; shape (len(svals), dim)."""
-        a = self._check(a)
-        b = self._check(b)
+        """State i lies on the segment from a to b at svals[i]; a and b are
+        each one state or one row per s -> (len(svals), dim).  Elementwise
+        the arithmetic of interpolate."""
+        a = self._check(a, rows=True)
+        b = self._check(b, rows=True)
         svals = np.asarray(svals, dtype=float)
-        x = a[None, :] + svals[:, None] * self._diff(a, b)[None, :]
-        x[:, self.circular] = np.mod(x[:, self.circular], TWO_PI)
-        return x
-
-    def interpolate_rows(self, a, bs: np.ndarray, rows: np.ndarray,
-                         svals: np.ndarray) -> np.ndarray:
-        """State i lies on the segment from a to bs[rows[i]] at svals[i];
-        the arithmetic of interpolate_many, shape (len(svals), dim)."""
-        a = self._check(a)
-        bs = np.asarray(bs, dtype=float)
-        if bs.ndim != 2 or bs.shape[1] != self.dim:
-            raise ValueError(
-                f"targets have shape {bs.shape}, expected (k, {self.dim})")
-        x = a[None, :] + svals[:, None] * self._diff(a, bs)[rows]
-        x[:, self.circular] = np.mod(x[:, self.circular], TWO_PI)
+        x = svals[:, None] * self._diff(a, b)
+        x += a
+        c = self._wrap
+        if c is not None:
+            x[:, c] = np.mod(x[:, c], TWO_PI)
         return x
 
     # -- sampling ----------------------------------------------------------
@@ -223,50 +224,22 @@ class CoordinateSubspace(StateSpace):
                         parent.weights[indices], parent.circular[indices])
 
 
-def point_to_edge_distance(space: StateSpace, q, u, v) -> float:
-    """Exact metric distance from q to the image of the segment u--v.
-
-    The interpolated segment is linear in unwrapped coordinates (shortest-arc
-    increments on circles), so the distance is a weighted point-to-segment
-    distance minimized over the 2*pi shifts of q's circular coordinates.
-    """
-    q = space._check(q)
-    u = space._check(u)
-    v = space._check(v)
-    dseg = space._diff(u, v)
-    w = np.sqrt(space.weights)
-    a = u * w
-    d = dseg * w
-    qw = q * w
-    circ_idx = np.nonzero(space.circular)[0]
-
-    def seg_dist(point):
-        dd = float(np.dot(d, d))
-        if dd == 0.0:
-            return float(np.linalg.norm(point - a))
-        s = float(np.dot(point - a, d)) / dd
-        s = min(1.0, max(0.0, s))
-        return float(np.linalg.norm(point - (a + s * d)))
-
-    if len(circ_idx) == 0:
-        return seg_dist(qw)
-    best = math.inf
-    for combo in _shift_combos(len(circ_idx)):
-        point = qw.copy()
-        point[circ_idx] += combo * w[circ_idx]
-        best = min(best, seg_dist(point))
-    return best
-
-
 def _shift_combos(n_circ: int) -> np.ndarray:
-    shifts = np.array([-TWO_PI, 0.0, TWO_PI])
-    grids = np.meshgrid(*[shifts] * n_circ, indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=-1)
+    """Every combination of -2*pi, 0 and 2*pi shifts -> (3**n_circ, n_circ)."""
+    shifts = itertools.product((-TWO_PI, 0.0, TWO_PI), repeat=n_circ)
+    return np.array(list(shifts)).reshape(3 ** n_circ, n_circ)
 
 
 def points_to_edge_distance(space: StateSpace, pts: np.ndarray,
                             u, v) -> np.ndarray:
-    """Vectorized :func:`point_to_edge_distance` for many query points."""
+    """Exact metric distance from each row of pts to the image of the
+    segment u--v.
+
+    The interpolated segment is linear in unwrapped coordinates (shortest-arc
+    increments on circles), so the distance is a weighted point-to-segment
+    distance minimized over the 2*pi shifts of the points' circular
+    coordinates.
+    """
     pts = np.asarray(pts, dtype=float)
     u = space._check(u)
     v = space._check(v)
@@ -275,14 +248,11 @@ def points_to_edge_distance(space: StateSpace, pts: np.ndarray,
     d = space._diff(u, v) * w
     dd = float(np.dot(d, d))
     circ_idx = np.nonzero(space.circular)[0]
-    combos = (_shift_combos(len(circ_idx)) if len(circ_idx)
-              else np.zeros((1, 0)))
     best = np.full(len(pts), np.inf)
     qw = pts * w
-    for combo in combos:
+    for combo in _shift_combos(len(circ_idx)):
         p = qw.copy()
-        if len(circ_idx):
-            p[:, circ_idx] += combo * w[circ_idx]
+        p[:, circ_idx] += combo * w[circ_idx]
         if dd == 0.0:
             dist = np.linalg.norm(p - a, axis=1)
         else:

@@ -313,8 +313,7 @@ class SparseRoadmap:
                     self._succeed()
                     return AddOutcome.ADDED_QUALITY
 
-        self.total_samples += 1
-        self.consecutive_failures += 1
+        self.record_failure()
         return AddOutcome.REJECTED
 
     # -- restriction-sampling support ----------------------------------------

@@ -9,7 +9,7 @@ validated in a single numpy pass.
 
 from __future__ import annotations
 
-import math
+import functools
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -282,6 +282,15 @@ class ChainRobot(RobotModel):
 
 # -- level validity ----------------------------------------------------------
 
+@functools.lru_cache(maxsize=1024)
+def _fractions(n: int) -> np.ndarray:
+    """np.linspace(0, 1, n + 1), read-only: the interpolation parameters
+    of a motion of n steps."""
+    s = np.linspace(0.0, 1.0, n + 1)
+    s.setflags(write=False)
+    return s
+
+
 class Visibility(NamedTuple):
     """LevelValidity.visibility(a, bs): whether a is valid, whether each
     motion a -> bs[i] is valid, and each motion's exact length."""
@@ -330,19 +339,36 @@ class LevelValidity:
     def is_valid(self, x) -> bool:
         return bool(self.valid_mask(np.asarray(x, dtype=float)[None, :])[0])
 
-    def _steps(self, length: float) -> int:
-        """Discretization steps of a straight motion of the given length."""
+    def motion_steps(self, lengths):
+        """Discretization steps n = max(1, ceil(d / step)) of straight
+        motions of length d: an int array shaped like lengths."""
         step = self.check_resolution * self._extent
-        return max(1, int(math.ceil(length / step)))
+        return np.maximum(1, np.ceil(np.asarray(lengths) / step)).astype(int)
+
+    def motion_points(self, a, bs, dists, first: int = 1):
+        """States first..n of each motion a[i] -> bs[i] (a is one state or
+        one per row of bs) of length dists[i], concatenated, and the index
+        of each motion's first state -> (points, starts).  Motion i has
+        n = motion_steps(dists[i]) steps; state k lies at s = k * (1 / n),
+        exactly 1.0 at k = n: np.linspace(0, 1, n + 1)[k].  State 0 is the
+        start itself, by default left to the caller."""
+        n = self.motion_steps(dists)
+        svals = np.concatenate([_fractions(k)[first:] for k in n.tolist()])
+        count = n + (1 - first)
+        a = np.asarray(a, dtype=float)
+        if a.ndim == 2:
+            a = np.repeat(a, count, axis=0)
+        pts = self.space.interpolate_many(
+            a, np.repeat(np.asarray(bs, dtype=float), count, axis=0), svals)
+        return pts, np.cumsum(count) - count
 
     def motion_states(self, a, b) -> np.ndarray:
-        """The states motion_valid(a, b) checks, a and b included:
-        s = np.linspace(0, 1, n + 1) for the motion's n steps."""
+        """The states motion_valid(a, b) checks: states 0..n of the motion,
+        as motion_points discretizes it."""
         a = np.asarray(a, dtype=float)
         b = np.asarray(b, dtype=float)
-        svals = np.linspace(0.0, 1.0,
-                            self._steps(self.space.distance(a, b)) + 1)
-        return self.space.interpolate_many(a, b, svals)
+        return self.motion_points(a, b[None, :], [self.space.distance(a, b)],
+                                  first=0)[0]
 
     def motion_valid(self, a, b) -> bool:
         # not visibility(a, [b]): its batch set-up costs more than this on
@@ -353,11 +379,9 @@ class LevelValidity:
         """is_valid(a), motion_valid(a, b) for every row b of bs and the
         exact distance(a, b), from one valid_mask call.
 
-        The batch is a itself, then states 1..n of each motion, discretized
-        as motion_valid does: s = k * (1 / n) with the last value 1.0, the
-        values np.linspace(0, 1, n + 1) returns.  Each motion's state 0
-        equals a byte for byte when a is normalized, so it is checked once
-        for all of them.
+        The batch is a itself, then motion_points' states 1..n of each
+        motion.  Each motion's state 0 equals a byte for byte when a is
+        normalized, so it is checked once for all of them.
 
         p_valid is the caller's estimate that a is valid.  When the motion
         states an invalid a would waste, (1 - p_valid) * S of S, outweigh
@@ -370,16 +394,11 @@ class LevelValidity:
             return Visibility(bool(self.valid_mask(a[None, :])[0]), [], [])
         dists = self.space.distances(a, bs)
         blocked = Visibility(False, [False] * len(bs), dists)
-        n = np.array([self._steps(d) for d in dists])
-        ends = np.cumsum(n)
-        alone = (1.0 - p_valid) * ends[-1] > p_valid * CALL_STATES
+        total = self.motion_steps(dists).sum()
+        alone = (1.0 - p_valid) * total > p_valid * CALL_STATES
         if alone and not self.valid_mask(a[None, :])[0]:
             return blocked
-        starts = ends - n
-        rows = np.repeat(np.arange(len(bs)), n)
-        svals = (np.arange(1, ends[-1] + 1) - starts[rows]) * (1.0 / n)[rows]
-        svals[ends - 1] = 1.0
-        pts = self.space.interpolate_rows(a, bs, rows, svals)
+        pts, starts = self.motion_points(a, bs, dists)
         if alone:
             mask = self.valid_mask(pts)
         else:

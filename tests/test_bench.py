@@ -269,6 +269,29 @@ class TestCli:
             assert captured.err.startswith(f"error: {flag}: {field} ")
             assert not out_dir.exists()
 
+    @pytest.mark.parametrize("cmd, message", [
+        (["plan", "--seed", "-1"], "--seed: seed must be >= 0"),
+        (["bench", "--seeds", "5..1"], "--seeds: '5..1' selects no seed"),
+        (["bench", "--seeds=-2..1"], "--seeds: seed must be >= 0"),
+        (["bench", "--seeds", "1,-3"], "--seeds: seed must be >= 0"),
+        (["bench", "--seeds", "1", "--workers", "0"],
+         "--workers: workers must be >= 1"),
+    ], ids=["plan_negative_seed", "bench_empty_range", "bench_negative_range",
+            "bench_negative_in_list", "bench_zero_workers"])
+    def test_bad_run_settings_rejected_before_solving(
+            self, free_path, tmp_path, monkeypatch, capsys, cmd, message):
+        def no_solve(self, start, goal):
+            raise AssertionError("solved despite a bad setting")
+        monkeypatch.setattr(SmlrPlanner, "solve", no_solve)
+        out_dir = tmp_path / "o"
+        where = "--scenario" if cmd[0] == "plan" else "--scenarios"
+        assert main(cmd + [where, str(free_path), "--out", str(out_dir)]) \
+            == EXIT_BAD_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+        assert not out_dir.exists()
+
     def test_bench_bad_planner(self, walled_path, tmp_path):
         assert main(["bench", "--scenarios", str(walled_path),
                      "--planners", "rrt",

@@ -703,19 +703,33 @@ class TestBatchedSpaceHelpers:
             got = space.distances(q, pts)
             assert all(isinstance(d, float) for d in got)
             assert got == [space.distance(q, p) for p in pts]
+            # row pairs, and one state on the right
+            assert space.distances(pts[:-1], pts[1:]) == \
+                [space.distance(a, b) for a, b in zip(pts[:-1], pts[1:])]
+            assert space.distances(pts, q) == \
+                [space.distance(p, q) for p in pts]
 
-    def test_interpolate_rows_matches_interpolate_many(self):
+    def test_interpolate_many_broadcasts_rows(self):
         space = ProductSpace([RealVectorSpace([[0, 1]]), CircleSpace()])
         a = np.array([0.2, 6.1])
         bs = np.array([[0.9, 0.1], [0.3, 3.0]])
         s = np.linspace(0.0, 1.0, 7)
-        rows = np.array([0] * 7 + [1] * 7)
-        got = space.interpolate_rows(a, bs, rows, np.concatenate([s, s]))
         want = np.concatenate([space.interpolate_many(a, b, s) for b in bs])
-        assert got.tobytes() == want.tobytes()
+        svals = np.concatenate([s, s])
+        rows = np.repeat(bs, 7, axis=0)
+        assert space.interpolate_many(a, rows, svals).tobytes() == \
+            want.tobytes()
+        starts = np.repeat(np.stack([a, a]), 7, axis=0)
+        assert space.interpolate_many(starts, rows, svals).tobytes() == \
+            want.tobytes()
+        reverse = np.concatenate([space.interpolate_many(b, a, s)
+                                  for b in bs])
+        assert space.interpolate_many(rows, a, svals).tobytes() == \
+            reverse.tobytes()
 
-    def test_interpolate_rows_rejects_wrong_target_shape(self):
+    def test_interpolate_many_rejects_wrong_state_shape(self):
         space = RealVectorSpace([[0, 1], [0, 1]])
-        with pytest.raises(ValueError, match="targets have shape"):
-            space.interpolate_rows(np.zeros(2), np.zeros(3), np.zeros(1, int),
-                                   np.zeros(1))
+        for a, b in ((np.zeros(2), np.zeros(3)), (np.zeros((1, 3)),
+                                                  np.zeros(2))):
+            with pytest.raises(ValueError, match="state has shape"):
+                space.interpolate_many(a, b, np.zeros(1))

@@ -19,7 +19,7 @@ from smlr.planner import (GOAL_ID, START_ID, LevelState, PlannerConfig,
                           simplify_path, smlr_solve, smooth_parameter)
 from smlr.scenario import load_scenario, shipped_scenario_dir
 from smlr.spaces import (CircleSpace, ProductSpace, RealVectorSpace,
-                         point_to_edge_distance)
+                         points_to_edge_distance)
 from smlr.validity import LevelValidity, PointRobot
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -111,9 +111,10 @@ class TestConfigValidation:
         {"stretch_t": 1.0},
         {"time_limit": 0.0},
         {"time_limit": float("nan")},
+        {"seed": -1},
     ])
     def test_rejects_bad_values(self, kwargs):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
             PlannerConfig(**kwargs)
 
 
@@ -155,8 +156,8 @@ class TestRestrictionSampling:
         rng = np.random.default_rng(2)
         x = restriction_sample(top, base, seq.bundles[0], cfg, rng)
         b = seq.bundles[0].project(x)
-        d = point_to_edge_distance(base.space, b, np.array([1.0]),
-                                   np.array([2.0]))
+        d = points_to_edge_distance(base.space, b[None], np.array([1.0]),
+                                    np.array([2.0]))[0]
         assert d <= 1e-9
         assert top.sample_count == 1
 
@@ -171,7 +172,7 @@ class TestRestrictionSampling:
         for _ in range(2000):
             x = restriction_sample(top, base, seq.bundles[0], cfg, rng)
             b = seq.bundles[0].project(x)
-            d = point_to_edge_distance(base.space, b, u, v)
+            d = points_to_edge_distance(base.space, b[None], u, v)[0]
             assert d <= base.delta + 1e-9
 
     def test_perturbed_fraction_grows_with_t(self):
@@ -188,8 +189,9 @@ class TestRestrictionSampling:
                 top.sample_count = t0  # hold t fixed
                 x = restriction_sample(top, base, seq.bundles[0], cfg, rng)
                 b = seq.bundles[0].project(x)
-                if point_to_edge_distance(base.space, b, np.array([1.0]),
-                                          np.array([2.0])) > 1e-9:
+                if points_to_edge_distance(base.space, b[None],
+                                           np.array([1.0]),
+                                           np.array([2.0]))[0] > 1e-9:
                     off += 1
             return off / n
 

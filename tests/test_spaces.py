@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smlr.spaces import (CircleSpace, ProductSpace, RealVectorSpace,
-                         point_to_edge_distance, points_to_edge_distance)
+                         points_to_edge_distance)
+from smlr.validity import LevelValidity, PointRobot
 
 TWO_PI = 2.0 * math.pi
 
@@ -172,10 +175,9 @@ class TestInvariants:
 class TestEdgeDistance:
     def test_point_segment_plane(self):
         r2 = RealVectorSpace([[0, 1], [0, 1]])
-        assert point_to_edge_distance(r2, [0.5, 0.4], [0, 0], [1, 0]) == \
-            pytest.approx(0.4)
-        assert point_to_edge_distance(r2, [2.0, 0.0], [0, 0], [1, 0]) == \
-            pytest.approx(1.0)
+        assert points_to_edge_distance(r2, [[0.5, 0.4], [2.0, 0.0]],
+                                       [0, 0], [1, 0]) == \
+            pytest.approx([0.4, 1.0])
 
     def test_matches_dense_minimization(self):
         rng = np.random.default_rng(12)
@@ -187,7 +189,7 @@ class TestEdgeDistance:
             q = space.sample_uniform(rng)
             dense = min(space.distance(q, space.interpolate(u, v, s))
                         for s in np.linspace(0, 1, 2001))
-            exact = point_to_edge_distance(space, q, u, v)
+            exact = points_to_edge_distance(space, q[None], u, v)[0]
             assert exact <= dense + 1e-12
             assert exact >= dense - 1e-3
 
@@ -199,4 +201,119 @@ class TestEdgeDistance:
         vec = points_to_edge_distance(space, pts, u, v)
         for i in range(len(pts)):
             assert vec[i] == pytest.approx(
-                point_to_edge_distance(space, pts[i], u, v))
+                points_to_edge_distance(space, pts[i][None], u, v)[0])
+
+
+# -- properties on weighted products of real and circle factors --------------
+
+@st.composite
+def weighted_products(draw):
+    """A real interval, a circle, or a weighted product of 2-3 of them."""
+    children = []
+    for kind in draw(st.lists(st.sampled_from(["real", "circle"]),
+                              min_size=1, max_size=3)):
+        if kind == "circle":
+            children.append(CircleSpace())
+        else:
+            lo = draw(st.floats(-5, 4))
+            children.append(RealVectorSpace([[lo,
+                                              lo + draw(st.floats(0.1, 5))]]))
+    if len(children) == 1:
+        return children[0]
+    weights = draw(st.lists(st.floats(0.1, 10), min_size=len(children),
+                            max_size=len(children)))
+    return ProductSpace(children, weights)
+
+
+def draw_state(draw, space, wrap=True):
+    """A state in the bounds; with wrap, circle coordinates may lie
+    anywhere in [-20, 20], not only in [0, 2*pi)."""
+    return np.array([
+        draw(st.floats(-20, 20)) if c and wrap else draw(st.floats(lo, hi))
+        for lo, hi, c in zip(space.lo, space.hi, space.circular)])
+
+
+@st.composite
+def spaces_with_states(draw, k):
+    space = draw(weighted_products())
+    return space, [draw_state(draw, space) for _ in range(k)]
+
+
+class TestMetricProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(spaces_with_states(3))
+    def test_metric_axioms(self, case):
+        space, (a, b, c) = case
+        d = space.distance
+        assert d(a, b) == d(b, a)
+        assert d(a, a) == 0.0
+        assert d(a, c) <= d(a, b) + d(b, c) + 1e-12
+        assert max(d(a, b), d(b, c), d(a, c)) <= space.max_extent()
+
+    @settings(max_examples=100, deadline=None)
+    @given(spaces_with_states(7))
+    def test_row_pair_distances_equal_distance(self, case):
+        space, states = case
+        q, rows = states[0], np.stack(states[1:])
+        a, b = rows[:3], rows[3:]
+        assert space.distances(a, b) == \
+            [space.distance(x, y) for x, y in zip(a, b)]
+        assert space.distances(q, rows) == [space.distance(q, y) for y in rows]
+        assert space.distances(rows, q) == [space.distance(x, q) for x in rows]
+
+
+@st.composite
+def motion_batches(draw):
+    """A validity with some check resolution on a weighted product, and
+    1-4 motions from one start or from one start per motion."""
+    space = draw(weighted_products())
+    k = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        a = draw_state(draw, space)
+    else:
+        a = np.stack([draw_state(draw, space) for _ in range(k)])
+    bs = np.stack([draw_state(draw, space, wrap=False) for _ in range(k)])
+    v = LevelValidity(space=space, robot=PointRobot((0,)),
+                      check_resolution=draw(st.floats(0.01, 1)))
+    return v, a, bs
+
+
+def reference_motion(v, a, b):
+    """States 0..n of the motion a -> b from np.linspace and the scalar
+    interpolate, n = max(1, ceil(distance / step))."""
+    step = v.check_resolution * v.space.max_extent()
+    n = max(1, math.ceil(v.space.distance(a, b) / step))
+    return np.stack([v.space.interpolate(a, b, s)
+                     for s in np.linspace(0.0, 1.0, n + 1)])
+
+
+class TestMotionDiscretization:
+    @settings(max_examples=150, deadline=None)
+    @given(motion_batches())
+    def test_equals_linspace_and_scalar_interpolate(self, batch):
+        v, a, bs = batch
+        want = [reference_motion(v, x, b)
+                for x, b in zip(np.broadcast_to(a, bs.shape), bs)]
+        for x, b, states in zip(np.broadcast_to(a, bs.shape), bs, want):
+            assert v.motion_states(x, b).tobytes() == states.tobytes()
+        pts, starts = v.motion_points(a, bs, v.space.distances(a, bs))
+        assert pts.tobytes() == \
+            np.concatenate([states[1:] for states in want]).tobytes()
+        assert starts.tolist() == \
+            np.cumsum([0] + [len(s) - 1 for s in want[:-1]]).tolist()
+
+    def test_signed_zero_start_and_last_step(self):
+        # 49 * (1 / 49) rounds below 1.0, so the last state needs s = 1.0;
+        # interpolate(a, b, 0) turns a start of -0.0 into +0.0
+        v = LevelValidity(space=RealVectorSpace([[-1, 1]]),
+                          robot=PointRobot((0,)), check_resolution=0.005)
+        a, b = np.array([-0.0]), np.array([0.485])
+        assert v.motion_steps(v.space.distance(a, b)) == 49
+        assert 49 * (1.0 / 49) != 1.0
+        want = reference_motion(v, a, b)
+        assert v.motion_states(a, b).tobytes() == want.tobytes()
+        for start in (a, a[None, :]):
+            pts, starts = v.motion_points(start, b[None, :], [0.485])
+            assert pts.tobytes() == want[1:].tobytes()
+            assert starts.tolist() == [0]
+

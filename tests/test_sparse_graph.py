@@ -243,11 +243,12 @@ class TestEdgeSampling:
         rm.add_edge(0, 1)
         rm.add_edge(1, 2)
         rng = np.random.default_rng(1)
-        from smlr.spaces import point_to_edge_distance
+        from smlr.spaces import points_to_edge_distance
         for _ in range(200):
             p = rm.sample_edge_point(rng)
-            d = min(point_to_edge_distance(rm.space, p, rm.guard_state(u),
-                                           rm.guard_state(v))
+            d = min(points_to_edge_distance(rm.space, p[None],
+                                            rm.guard_state(u),
+                                            rm.guard_state(v))[0]
                     for u, v, _ in rm.edges)
             assert d <= 1e-9
 
