@@ -304,12 +304,13 @@ class SmlrPlanner:
             while True:
                 verdict = ptc(levels[cur], cfg, time.perf_counter() - t0)
                 if verdict is Status.FEASIBLE:
-                    sol = levels[cur].roadmap.solution_query(START_ID, GOAL_ID)
+                    rm = levels[cur].roadmap
+                    ids, _ = rm.shortest_graph_path(START_ID, GOAL_ID)
                     v = levels[cur].validity
                     checker = replace(
                         v, check_resolution=v.check_resolution / 2.0)
                     base_solutions[cur] = simplify_path(
-                        sol[0], levels[cur].space, checker)
+                        rm.guard_coords()[ids], levels[cur].space, checker)
                     break
                 if verdict is Status.INFEASIBLE:
                     return finish(

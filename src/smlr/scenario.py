@@ -38,11 +38,19 @@ class Scenario:
     goal: np.ndarray
     config: PlannerConfig
     ground_truth: str
-    workspace: np.ndarray | None
-    path: str = ""
+
+
+# scenario file key -> (PlannerConfig field, whether it takes whole numbers)
+_PLANNER_KEYS = {"M": ("max_failures", True),
+                 "delta_fraction": ("delta_fraction", False),
+                 "eta": ("eta", True),
+                 "stretch_t": ("stretch_t", False),
+                 "time_limit": ("time_limit", False)}
 
 
 def _require(mapping, key, where):
+    if not isinstance(mapping, dict):
+        raise ScenarioError(f"{where} must be a mapping")
     if key not in mapping:
         raise ScenarioError(f"missing field '{key}' in {where}")
     return mapping[key]
@@ -123,14 +131,33 @@ def _build_robot(spec, space: StateSpace, where):
     raise ScenarioError(f"{where}: unknown robot type '{kind}'")
 
 
+def _obstacle_list(specs, where) -> list:
+    if not isinstance(specs, list):
+        raise ScenarioError(f"{where}: 'obstacles' must be a list")
+    return [_build_obstacle(o, f"{where}.obstacles[{i}]")
+            for i, o in enumerate(specs)]
+
+
 def _planner_config(spec) -> PlannerConfig:
+    """PlannerConfig from the keys the file sets; the rest keep the
+    dataclass defaults."""
+    fields = {}
+    for key, (field, whole) in _PLANNER_KEYS.items():
+        if key not in spec:
+            continue
+        value = spec[key]
+        try:
+            number = float(value)
+        except (TypeError, ValueError):
+            number = None
+        if isinstance(value, bool) or number is None or \
+                (whole and not number.is_integer()):
+            kind = "a whole number" if whole else "a number"
+            raise ScenarioError(
+                f"planner: {key} must be {kind}, got {value!r}")
+        fields[field] = int(number) if whole else number
     try:
-        return PlannerConfig(
-            max_failures=int(spec.get("M", 1000)),
-            delta_fraction=float(spec.get("delta_fraction", 0.25)),
-            eta=int(spec.get("eta", 1000)),
-            stretch_t=float(spec.get("stretch_t", 3.0)),
-            time_limit=float(spec.get("time_limit", 60.0)))
+        return PlannerConfig(**fields)
     except ValueError as e:
         raise ScenarioError(f"planner: {e}") from None
 
@@ -143,7 +170,7 @@ def _check_resolution(spec) -> float:
         res = float(raw)
     except (TypeError, ValueError):
         raise ScenarioError(message) from None
-    if not 0 < res <= 1:
+    if isinstance(raw, bool) or not 0 < res <= 1:
         raise ScenarioError(message)
     return res
 
@@ -173,11 +200,11 @@ def load_scenario(path) -> Scenario:
         if workspace.ndim != 2 or workspace.shape[1] != 2:
             raise ScenarioError(f"{name}: workspace must be [lo, hi] rows")
 
-    shared_obstacles = [
-        _build_obstacle(o, f"{name}.obstacles[{i}]")
-        for i, o in enumerate(doc.get("obstacles", []))]
+    shared_obstacles = _obstacle_list(doc.get("obstacles", []), name)
 
     planner_spec = doc.get("planner") or {}
+    if not isinstance(planner_spec, dict):
+        raise ScenarioError(f"{name}: 'planner' must be a mapping")
     cfg = _planner_config(planner_spec)
     check_res = _check_resolution(planner_spec)
 
@@ -194,8 +221,7 @@ def load_scenario(path) -> Scenario:
                              f"{where}.robot")
         obstacles = shared_obstacles
         if "obstacles" in lvl:
-            obstacles = [_build_obstacle(o, f"{where}.obstacles[{i}]")
-                         for i, o in enumerate(lvl["obstacles"])]
+            obstacles = _obstacle_list(lvl["obstacles"], where)
         ws_lo = ws_hi = None
         if workspace is not None and not lvl.get("ignore_workspace", False):
             pos_dim = len(getattr(robot, "position_indices",
@@ -240,8 +266,7 @@ def load_scenario(path) -> Scenario:
             raise ScenarioError(f"{name}: {label} within bounds violated")
 
     return Scenario(name=name, seq=seq, start=start, goal=goal, config=cfg,
-                    ground_truth=ground_truth, workspace=workspace,
-                    path=str(path))
+                    ground_truth=ground_truth)
 
 
 def shipped_scenario_dir() -> Path:

@@ -69,20 +69,17 @@ class SparseRoadmap:
         self.validity = validity
         self.delta = delta
         self.stretch_t = stretch_t
-        self._coords: list[np.ndarray] = []
-        self._coord_arr = np.empty((0, space.dim))
-        self._coord_arr_dirty = False
-        self.adjacency: list[list[tuple[int, float]]] = []
-        self.edge_set: set[tuple[int, int]] = set()
-        self.edges: list[tuple[int, int, float]] = []
+        self._coords = np.empty((0, space.dim))   # row i is guard i
+        self.adjacency: list[dict[int, float]] = []   # neighbour -> length
+        self.edges: list[tuple[int, int, float]] = []  # insertion order
         self._edge_cum: np.ndarray | None = None
         self.components = UnionFind()
         self.consecutive_failures = 0
         self.total_additions = 0
         self.total_samples = 0
-        self._motion_cache: dict[tuple[int, int], bool] = {}
-        self._checked = 0   # samples visible_guard_distances checked
-        self._invalid = 0   # of them invalid
+        # (min, max) guard pairs whose motion failed; a valid one is an edge
+        self._blocked: set[tuple[int, int]] = set()
+        self._invalid = 0   # samples visible_guard_distances found invalid
 
     # -- basic accessors ----------------------------------------------------
 
@@ -98,11 +95,7 @@ class SparseRoadmap:
         return self._coords[i]
 
     def guard_coords(self) -> np.ndarray:
-        if self._coord_arr_dirty:
-            self._coord_arr = np.stack(self._coords) if self._coords else \
-                np.empty((0, self.space.dim))
-            self._coord_arr_dirty = False
-        return self._coord_arr
+        return self._coords
 
     def same_component(self, u: int, v: int) -> bool:
         return self.components.find(u) == self.components.find(v)
@@ -111,61 +104,51 @@ class SparseRoadmap:
 
     def add_guard(self, q: np.ndarray) -> int:
         gid = self.components.add()
-        self._coords.append(np.asarray(q, dtype=float).copy())
-        self._coord_arr_dirty = True
-        self.adjacency.append([])
+        self._coords = np.concatenate(
+            [self._coords, np.asarray(q, dtype=float)[None]])
+        self.adjacency.append({})
         return gid
 
     def add_edge(self, u: int, v: int):
-        key = (min(u, v), max(u, v))
-        if key in self.edge_set:
+        if v in self.adjacency[u]:
             return
         length = self.space.distance(self._coords[u], self._coords[v])
-        self.edge_set.add(key)
-        self.edges.append((key[0], key[1], length))
-        self.adjacency[u].append((v, length))
-        self.adjacency[v].append((u, length))
+        self.edges.append((min(u, v), max(u, v), length))
+        self.adjacency[u][v] = length
+        self.adjacency[v][u] = length
         self.components.union(u, v)
         self._edge_cum = None
 
     def has_edge(self, u: int, v: int) -> bool:
-        return (min(u, v), max(u, v)) in self.edge_set
+        return v in self.adjacency[u]
 
     # -- queries ------------------------------------------------------------
 
-    def _guard_motion_valid(self, u: int, v: int) -> bool:
-        key = (min(u, v), max(u, v))
-        cached = self._motion_cache.get(key)
-        if cached is None:
-            cached = self.validity.motion_valid(self._coords[u],
-                                                self._coords[v])
-            self._motion_cache[key] = cached
-        return cached
-
-    def visible_guard_distances(self, q) -> list[tuple[int, float]] | None:
-        """(id, distance) of the guards within delta of q with a valid
+    def visible_guard_distances(self, q) -> dict[int, float] | None:
+        """{id: distance} of the guards within delta of q with a valid
         straight-line motion, ordered by increasing distance (ties by
         smaller id); None when q itself is invalid.  q and all the motions
         are checked in one valid_mask call, unless the share of invalid
-        states seen so far makes checking q first cheaper (see
-        LevelValidity.visibility)."""
+        samples seen so far makes checking q first cheaper (see
+        LevelValidity.visibility); the planner calls this once per recorded
+        sample, so total_samples counts the samples seen."""
         q = np.asarray(q, dtype=float)
-        coords = self.guard_coords()
+        coords = self._coords
         dists = self.space.distance_many(q, coords)
         near = np.nonzero(dists <= self.delta)[0]
         order = near[np.lexsort((near, dists[near]))]
-        p_valid = (self._checked - self._invalid + 1) / (self._checked + 2)
+        seen = self.total_samples
+        p_valid = (seen - self._invalid + 1) / (seen + 2)
         vis = self.validity.visibility(q, coords[order], p_valid)
-        self._checked += 1
         self._invalid += not vis.state
         if not vis.state:
             return None
-        return [(int(g), d) for g, ok, d in
-                zip(order, vis.motions, vis.distances) if ok]
+        return {int(g): d for g, ok, d in
+                zip(order, vis.motions, vis.distances) if ok}
 
     def visible_guards(self, q) -> list[int]:
         """Ids of visible_guard_distances(q); [] when q is invalid."""
-        return [g for g, _ in self.visible_guard_distances(q) or []]
+        return list(self.visible_guard_distances(q) or ())
 
     def _search(self, u: int, v: int, bound: float = math.inf):
         """Dijkstra from u until v is settled, over paths of cost at most
@@ -183,7 +166,7 @@ class SparseRoadmap:
             done.add(node)
             if node == v:
                 return dist, prev
-            for nbr, length in sorted(self.adjacency[node]):
+            for nbr, length in sorted(self.adjacency[node].items()):
                 cand = cost + length
                 if cand <= bound and cand < dist.get(nbr, math.inf) - 1e-15:
                     dist[nbr] = cand
@@ -217,14 +200,6 @@ class SparseRoadmap:
         return not self.same_component(u, v) or \
             self._search(u, v, bound) is None
 
-    def solution_query(self, start_id: int, goal_id: int):
-        """Shortest roadmap path as a list of states, or None."""
-        res = self.shortest_graph_path(start_id, goal_id)
-        if res is None:
-            return None
-        ids, cost = res
-        return [self._coords[i] for i in ids], cost
-
     def coverage_estimate(self) -> float:
         """Probabilistic free-space coverage 1 - 1/M from the consecutive
         failure counter."""
@@ -242,10 +217,6 @@ class SparseRoadmap:
         self.consecutive_failures = 0
         self.total_additions += 1
 
-    def _have_common_neighbor(self, u: int, w: int) -> bool:
-        nbrs = {g for g, _ in self.adjacency[u]}
-        return any(g in nbrs for g, _ in self.adjacency[w])
-
     def add_conditional(self, q, visible=None) -> AddOutcome:
         """Apply the four admission tests in order; q must be a valid state.
 
@@ -254,8 +225,8 @@ class SparseRoadmap:
         """
         q = np.asarray(q, dtype=float)
         if visible is None:
-            visible = self.visible_guard_distances(q) or []
-        vis = [g for g, _ in visible]
+            visible = self.visible_guard_distances(q) or {}
+        vis = list(visible)
 
         # (1) coverage
         if not vis:
@@ -284,11 +255,15 @@ class SparseRoadmap:
                 if self.space.distance(self._coords[u], self._coords[w]) \
                         > 2.0 * self.delta:
                     continue
-                if self._guard_motion_valid(u, w):
-                    self.add_edge(u, w)
-                    self._succeed()
-                    return AddOutcome.ADDED_INTERFACE_EDGE
-                if self._have_common_neighbor(u, w):
+                pair = (min(u, w), max(u, w))
+                if pair not in self._blocked:
+                    if self.validity.motion_valid(self._coords[u],
+                                                  self._coords[w]):
+                        self.add_edge(u, w)
+                        self._succeed()
+                        return AddOutcome.ADDED_INTERFACE_EDGE
+                    self._blocked.add(pair)
+                if not self.adjacency[u].keys().isdisjoint(self.adjacency[w]):
                     # a witness vertex already bridges this blocked pair;
                     # adding another would grow the graph without bound
                     continue
@@ -299,13 +274,12 @@ class SparseRoadmap:
                 return AddOutcome.ADDED_INTERFACE_VERTEX
 
         # (4) quality / shortcut
-        dq = dict(visible)
         for i in range(len(vis)):
             for j in range(i + 1, len(vis)):
                 u, w = vis[i], vis[j]
                 if self.has_edge(u, w):
                     continue
-                through = dq[u] + dq[w]
+                through = visible[u] + visible[w]
                 if self.path_cost_exceeds(u, w, self.stretch_t * through):
                     gid = self.add_guard(q)
                     self.add_edge(gid, u)

@@ -87,14 +87,9 @@ def export_svg(space: StateSpace, out_path, roadmap=None, obstacles=(),
 
     def seam_segments(a, b):
         """Split an edge at the torus seam into drawable sub-segments."""
-        a = np.asarray(a, float)
-        d = space._diff(a, np.asarray(b, float))
-        steps = 24
         segs = []
         run = []
-        for i in range(steps + 1):
-            p = a + d * (i / steps)
-            p[wrap] = np.mod(p[wrap], TWO_PI)
+        for p in space.interpolate_many(a, b, np.linspace(0, 1, 25)):
             if run and np.any(np.abs(p - run[-1]) > span / 2):
                 segs.append(run)
                 run = []

@@ -3,6 +3,7 @@ import pytest
 
 from smlr.bundles import check_admissibility
 from smlr.oracle import GridOracle
+from smlr.planner import PlannerConfig
 from smlr.scenario import (ScenarioError, load_scenario, shipped_scenario_dir,
                            shipped_scenarios)
 
@@ -153,9 +154,39 @@ goal: [0.9, 0.9, 0.0]""")
         with pytest.raises(ScenarioError, match="weight"):
             load_scenario(write(tmp_path, text))
 
-    @pytest.mark.parametrize("value", ["0", "abc", "2.0"])
+    @pytest.mark.parametrize("value", ["0", "abc", "2.0", "true"])
     def test_bad_check_resolution_named(self, tmp_path, value):
         text = MINIMAL + f"planner: {{check_resolution: {value}}}\n"
         with pytest.raises(ScenarioError,
                            match=r"planner: check_resolution must be in"):
             load_scenario(write(tmp_path, text))
+
+    @pytest.mark.parametrize("planner, match", [
+        ("{M: null}", "planner: M must be a whole number, got None"),
+        ("{M: 2.7}", "planner: M must be a whole number, got 2.7"),
+        ("{M: true}", "planner: M must be a whole number, got True"),
+        ("{delta_fraction: null}", "planner: delta_fraction must be a number"),
+        ("{eta: [1]}", r"planner: eta must be a whole number, got \[1\]"),
+        ("{time_limit: null}", "planner: time_limit must be a number"),
+        ("{time_limit: abc}", "planner: time_limit must be a number"),
+        ("[1]", "'planner' must be a mapping"),
+        ("5", "'planner' must be a mapping"),
+    ])
+    def test_bad_planner_named(self, tmp_path, planner, match):
+        text = MINIMAL + f"planner: {planner}\n"
+        with pytest.raises(ScenarioError, match=match):
+            load_scenario(write(tmp_path, text))
+
+    @pytest.mark.parametrize("obstacles, match", [
+        ("3", "minimal: 'obstacles' must be a list"),
+        ("[3]", r"minimal.obstacles\[0\] must be a mapping"),
+    ])
+    def test_bad_obstacles_named(self, tmp_path, obstacles, match):
+        text = MINIMAL.replace("levels:", f"obstacles: {obstacles}\nlevels:")
+        with pytest.raises(ScenarioError, match=match):
+            load_scenario(write(tmp_path, text))
+
+    def test_unset_planner_keys_keep_config_defaults(self, tmp_path):
+        sc = load_scenario(write(tmp_path, MINIMAL +
+                                 "planner: {eta: 7.0, time_limit: '5'}\n"))
+        assert sc.config == PlannerConfig(eta=7, time_limit=5.0)

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smlr.geometry import Box
 from smlr.sparse_graph import AddOutcome, SparseRoadmap
@@ -156,15 +158,10 @@ class TestShortestPath:
         rm.add_guard(np.array([0.0, 0.0]))
         rm.add_guard(np.array([long_edge, 0.0]))
         rm.add_guard(np.array([long_edge / 2, 0.05]))
-        rm.adjacency = [[], [], []]
-        rm.edge_set = set()
-        rm.edges = []
         # force edge lengths 1, 1, long_edge via direct construction
-        rm.adjacency[0] = [(2, 1.0), (1, long_edge)]
-        rm.adjacency[1] = [(2, 1.0), (0, long_edge)]
-        rm.adjacency[2] = [(0, 1.0), (1, 1.0)]
+        rm.adjacency = [{2: 1.0, 1: long_edge}, {2: 1.0, 0: long_edge},
+                        {0: 1.0, 1: 1.0}]
         rm.edges = [(0, 1, long_edge), (0, 2, 1.0), (1, 2, 1.0)]
-        rm.edge_set = {(0, 1), (0, 2), (1, 2)}
         rm.components.union(0, 1)
         rm.components.union(1, 2)
         return rm
@@ -227,6 +224,47 @@ class TestComponentsConsistency:
             labels = brute_components(rm)
             for u, v in itertools.combinations(range(rm.num_guards), 2):
                 assert (labels[u] == labels[v]) == rm.same_component(u, v)
+
+
+class TestStores:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 120),
+           delta=st.sampled_from([0.12, 0.3]))
+    def test_each_fact_stored_once(self, seed, n, delta):
+        """After any sequence of samples, guards, edges, blocked pairs and
+        components agree with one another."""
+        rm = walled_world(delta)
+        rng = np.random.default_rng(seed)
+        added = []
+        for _ in range(n):
+            q = rm.space.sample_uniform(rng)
+            before = rm.num_guards
+            if rm.validity.is_valid(q):
+                rm.add_conditional(q)
+            else:
+                rm.record_failure()
+            added += [q] * (rm.num_guards - before)
+
+        coords = rm.guard_coords()
+        assert coords.shape == (len(added), 2)
+        for i, q in enumerate(added):
+            assert coords[i].tobytes() == rm.guard_state(i).tobytes() == \
+                q.tobytes()
+
+        lengths = {(u, v): length for u, v, length in rm.edges}
+        assert len(lengths) == len(rm.edges)
+        assert all(u < v for u, v in lengths)
+        assert sum(map(len, rm.adjacency)) == 2 * len(rm.edges)
+        for u, nbrs in enumerate(rm.adjacency):
+            for v, length in nbrs.items():
+                assert rm.adjacency[v][u] == length == \
+                    lengths[min(u, v), max(u, v)]
+        labels = brute_components(rm)
+        for u, v in itertools.combinations(range(rm.num_guards), 2):
+            assert rm.has_edge(u, v) == rm.has_edge(v, u) == \
+                ((u, v) in lengths)
+            assert (labels[u] == labels[v]) == rm.same_component(u, v)
+        assert rm._blocked.isdisjoint(lengths)
 
 
 class TestEdgeSampling:
