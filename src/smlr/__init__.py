@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 from .bundles import (AdmissibilityReport, FiberBundle, FiberBundleSequence,
                       Level, check_admissibility)
 from .geometry import Box, Disc, Polygon
-from .oracle import GridOracle
 from .planner import (PlannerConfig, PlannerResult, SmlrPlanner, Status,
                       compute_importance, flat_solve, smlr_solve,
                       smooth_parameter)

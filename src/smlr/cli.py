@@ -15,7 +15,6 @@ from pathlib import Path
 from . import __version__
 from .bench import (PLANNERS, make_planner, run_benchmark, solve_scenario,
                     write_results)
-from .oracle import GridOracle
 from .planner import PlannerConfig
 from .scenario import ScenarioError, load_scenario
 from .svg_export import UnsupportedDimensionError, export_svg, \
@@ -164,6 +163,8 @@ def cmd_bench(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    # SciPy's graph code loads only for this command
+    from .oracle import GridOracle
     try:
         scenario = load_scenario(args.scenario)
     except (ScenarioError, OSError) as e:

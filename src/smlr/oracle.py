@@ -3,6 +3,10 @@ and graph-coverage measurement on spaces of dimension <= 4.
 
 Occupancy is sampled at cell centers, so answers converge to the truth as the
 resolution h goes to zero; circular dimensions wrap periodically.
+
+This is the one module that needs SciPy, and `import smlr` does not import
+it.  SciPy loads at module level, not inside the methods, so a caller that
+imports `smlr.oracle` up front pays for it there and not in its first query.
 """
 
 from __future__ import annotations
@@ -26,8 +30,9 @@ class GridOracle:
 
     def __init__(self, space: StateSpace, validity: LevelValidity,
                  resolution: float):
-        if resolution <= 0:
-            raise ValueError("resolution must be positive")
+        if not (math.isfinite(resolution) and resolution > 0):
+            raise ValueError(
+                f"resolution must be finite and positive, got {resolution}")
         if space.dim > MAX_ORACLE_DIM:
             raise ValueError(
                 f"oracle limited to {MAX_ORACLE_DIM} dimensions")
@@ -57,7 +62,8 @@ class GridOracle:
     def cell_of(self, x) -> int:
         x = self.space.normalize(x)
         idx = np.floor((x - self.space.lo) / self.step).astype(int)
-        idx = np.minimum(idx, self.cells_per_dim - 1)
+        # contains() admits states up to 1e-9 outside [lo, hi]
+        idx = np.clip(idx, 0, self.cells_per_dim - 1)
         return int(np.ravel_multi_index(idx, self.cells_per_dim))
 
     def _neighbor_offsets(self):
@@ -162,6 +168,10 @@ class GridOracle:
         cg = self._endpoint_cell(goal, "goal")
         if cs == cg:
             return 0.0
+        # undirected Dijkstra reaches exactly the cells of cs's component
+        labels = self._component_labels()
+        if labels[cs] != labels[cg]:
+            return None
         dist = dijkstra(self.graph(), directed=False, indices=cs)
         cost = dist[cg]
         return None if math.isinf(cost) else float(cost)

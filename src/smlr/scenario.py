@@ -24,6 +24,10 @@ from .validity import (ChainRobot, DiscRobot, LevelValidity, PointRobot,
 
 FORMAT_VERSION = 1
 
+# libyaml's parser when this PyYAML build has it: the same safe constructor
+# and resolver as yaml.SafeLoader, parsed in C
+_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
 
 class ScenarioError(ValueError):
     """Raised on parse errors or invariant violations, with the offending
@@ -178,7 +182,7 @@ def _check_resolution(spec) -> float:
 def load_scenario(path) -> Scenario:
     path = Path(path)
     try:
-        doc = yaml.safe_load(path.read_text())
+        doc = yaml.load(path.read_text(), Loader=_LOADER)
     except yaml.YAMLError as e:
         raise ScenarioError(f"{path}: parse error: {e}") from None
     if not isinstance(doc, dict):

@@ -314,6 +314,16 @@ class TestCli:
         assert captured.out == ""
         assert captured.err == "error: oracle limited to 4 dimensions\n"
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-0.1"])
+    def test_oracle_rejects_bad_resolution(self, walled_path, capsys, value):
+        code = main(["oracle", "--scenario", str(walled_path),
+                     "--resolution", value])
+        assert code == EXIT_BAD_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "error: resolution must be finite and positive")
+
     def test_out_dir_env_default(self, walled_path, tmp_path, monkeypatch,
                                  capsys):
         monkeypatch.setenv("SMLR_OUT_DIR", str(tmp_path / "envout"))

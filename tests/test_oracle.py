@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import smlr.oracle as oracle_module
 from smlr.geometry import Box, Disc
 from smlr.oracle import GridOracle
 from smlr.sparse_graph import SparseRoadmap
@@ -59,6 +60,30 @@ class TestFeasibility:
             previous = feasible
 
 
+class TestResolution:
+    @pytest.mark.parametrize("h", [math.nan, math.inf, -math.inf, 0.0, -0.1])
+    def test_rejects_non_finite_or_non_positive(self, h):
+        space, v = world([])
+        with pytest.raises(ValueError, match="finite and positive"):
+            GridOracle(space, v, h)
+
+
+class TestCellOf:
+    @pytest.mark.parametrize("x, cell", [
+        ((-5e-10, 0.5), (0, 5)),
+        ((1 + 5e-10, 0.5), (9, 5)),
+        ((0.5, -5e-10), (5, 0)),
+        ((0.5, 1 + 5e-10), (5, 9)),
+    ])
+    def test_states_just_outside_bounds_clamp_to_edge_cells(self, x, cell):
+        space = RealVectorSpace.unit(2)
+        v = LevelValidity(space=space, robot=PointRobot(), obstacles=[])
+        o = GridOracle(space, v, 0.1)
+        assert space.contains(x)
+        assert o.cell_of(x) == np.ravel_multi_index(cell, o.cells_per_dim)
+        assert o.feasible(x, (0.5, 0.5))
+
+
 class TestShortestPath:
     def test_straight_corridor(self):
         space, v = world([])
@@ -66,10 +91,36 @@ class TestShortestPath:
         cost = o.shortest_path_cost([0.1, 0.5], [0.9, 0.5])
         assert cost == pytest.approx(0.8, rel=0.05)
 
-    def test_disconnected_none(self):
+    def test_disconnected_none(self, monkeypatch):
         space, v = world([Box([0.45, 0.0], [0.55, 1.0])])
         o = GridOracle(space, v, 0.03)
+
+        # answered from the component labels, without a search
+        def no_dijkstra(*args, **kwargs):
+            raise AssertionError("Dijkstra run across components")
+        monkeypatch.setattr(oracle_module, "dijkstra", no_dijkstra)
         assert o.shortest_path_cost([0.2, 0.5], [0.8, 0.5]) is None
+
+    def test_cost_equals_full_dijkstra(self):
+        # a full wall, a partial one and a closed ring: three components
+        space, v = world([Box([0.45, 0.0], [0.55, 1.0]),
+                          Box([0.2, 0.0], [0.3, 0.8]),
+                          Box([0.65, 0.1], [0.95, 0.16]),
+                          Box([0.65, 0.34], [0.95, 0.4]),
+                          Box([0.65, 0.1], [0.71, 0.4]),
+                          Box([0.89, 0.1], [0.95, 0.4])])
+        o = GridOracle(space, v, 0.05)
+        free = np.nonzero(o.free)[0]
+        assert len(set(o._component_labels()[free])) == 3
+        rng = np.random.default_rng(3)
+        answers = set()
+        for cs, cg in rng.choice(free, size=(60, 2)):
+            full = oracle_module.dijkstra(o.graph(), directed=False,
+                                          indices=cs)[cg]
+            cost = o.shortest_path_cost(o.centers[cs], o.centers[cg])
+            assert cost == (None if math.isinf(full) else full)
+            answers.add(cost is None)
+        assert answers == {True, False}
 
     def test_same_cell_zero(self):
         space, v = world([])

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+import yaml
 
+from smlr import scenario as scenario_module
 from smlr.bundles import check_admissibility
 from smlr.oracle import GridOracle
 from smlr.planner import PlannerConfig
@@ -38,6 +40,15 @@ class TestShippedCorpus:
             assert f"{stem}_feasible" in NAMES
             assert f"{stem}_infeasible" in NAMES
         assert "torus_free" in NAMES
+
+    @pytest.mark.parametrize("path", ALL, ids=NAMES)
+    def test_loader_parses_like_safe_loader(self, path):
+        text = path.read_text()
+        fast = yaml.load(text, Loader=scenario_module._LOADER)
+        safe = yaml.load(text, Loader=yaml.SafeLoader)
+        # repr also tells 1 from 1.0 and keeps key order
+        assert fast == safe
+        assert repr(fast) == repr(safe)
 
     @pytest.mark.parametrize("path", ALL, ids=NAMES)
     def test_loads_and_validates(self, path):
@@ -86,6 +97,13 @@ class TestDiagnostics:
             load_scenario(tmp_path / "nope.yaml")
 
     def test_bad_yaml(self, tmp_path):
+        with pytest.raises(ScenarioError, match="parse error"):
+            load_scenario(write(tmp_path, "levels: [::"))
+
+    def test_pure_python_loader_fallback(self, tmp_path, monkeypatch):
+        # the loader of a PyYAML built without libyaml
+        monkeypatch.setattr(scenario_module, "_LOADER", yaml.SafeLoader)
+        assert load_scenario(write(tmp_path, MINIMAL)).name == "minimal"
         with pytest.raises(ScenarioError, match="parse error"):
             load_scenario(write(tmp_path, "levels: [::"))
 
