@@ -15,7 +15,7 @@ import itertools
 import math
 
 import numpy as np
-from scipy.sparse import coo_matrix
+from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, dijkstra
 
 from .spaces import StateSpace, points_to_edge_distance
@@ -67,18 +67,13 @@ class GridOracle:
         return int(np.ravel_multi_index(idx, self.cells_per_dim))
 
     def _neighbor_offsets(self):
-        """Axis offsets (2n neighbors); diagonals added in 2D for tighter
-        shortest-path costs."""
+        """One offset per neighbour pair, the one whose first nonzero
+        component is positive: the n axis offsets, plus in 2D the two
+        diagonals for tighter shortest-path costs."""
         dim = self.space.dim
-        offs = []
-        for i in range(dim):
-            for sgn in (1, -1):
-                off = np.zeros(dim, dtype=int)
-                off[i] = sgn
-                offs.append(off)
+        offs = list(np.eye(dim, dtype=int))
         if dim == 2:
-            for dx, dy in itertools.product((-1, 1), repeat=2):
-                offs.append(np.array([dx, dy]))
+            offs += [np.array([1, -1]), np.array([1, 1])]
         return offs
 
     def _edge_valid_mask(self, a, b):
@@ -94,18 +89,53 @@ class GridOracle:
             ok[idx] &= self.validity.valid_mask(mid)
         return ok
 
+    def _center_distances(self, a, b):
+        """Weights of the edges a[i] -> b[i]: one matrix product over the
+        differences, which can differ from distance() in the last bit."""
+        d = self.space._diff(a, b)
+        return np.sqrt((d * d) @ self.space.weights)
+
+    def _edge_weights(self, src, dst):
+        """Weight of the pair src[i]-dst[i]: the smaller center distance over
+        the directions whose motion passes, inf where neither does.
+
+        dst -> src is checked only where src -> dst fails or, on circular
+        coordinates, where the two directions' distances differ in the last
+        bit; on real coordinates they are always equal.
+        """
+        a, b = self.centers[src], self.centers[dst]
+        w_ab = self._center_distances(a, b)
+        w_ba = (self._center_distances(b, a) if self.space.circular.any()
+                else w_ab)
+        # one substep has no interior state to check
+        if self._substeps <= 1:
+            return np.minimum(w_ab, w_ba)
+        w = np.where(self._edge_valid_mask(a, b), w_ab, np.inf)
+        back = np.flatnonzero(np.isinf(w) | (w_ab != w_ba))
+        back = back[self._edge_valid_mask(b[back], a[back])]
+        w[back] = np.minimum(w[back], w_ba[back])
+        return w
+
     def graph(self):
-        """Sparse adjacency over free cells, edge weight = center distance."""
+        """Sparse adjacency over free cells, edge weight = center distance.
+
+        Each neighbour pair is one entry, in the row of the cell whose
+        offset reaches the other; SciPy reads the graph undirected.  A pair
+        is an edge when its motion passes in either direction.
+        """
         if self._graph is not None:
             return self._graph
         shape = tuple(self.cells_per_dim)
         grid_idx = np.arange(self.n_cells).reshape(shape)
         circ = self.space.circular
-        rows, cols, data = [], [], []
-        free = self.free.reshape(shape)
-        for off in self._neighbor_offsets():
+        offsets = self._neighbor_offsets()
+        # column k: each cell's neighbour across offsets[k] and the edge
+        # weight, inf where there is no edge
+        nbr = np.empty((self.n_cells, len(offsets)), dtype=grid_idx.dtype)
+        wts = np.full(nbr.shape, np.inf)
+        for k, off in enumerate(offsets):
             shifted = grid_idx
-            valid = np.ones(shape, dtype=bool)
+            inside = self.free.reshape(shape).copy()
             for axis, o in enumerate(off):
                 if o == 0:
                     continue
@@ -113,34 +143,21 @@ class GridOracle:
                 if not circ[axis]:
                     sl = [slice(None)] * len(shape)
                     sl[axis] = slice(-o, None) if o > 0 else slice(None, -o)
-                    valid[tuple(sl)] = False
-            pair_ok = free & valid
-            src = grid_idx[pair_ok].ravel()
-            dst = shifted[pair_ok].ravel()
-            keep = self.free[dst]
-            src, dst = src[keep], dst[keep]
-            if not len(src):
-                continue
-            # one substep has no interior state to check
-            if self._substeps > 1:
-                motion_ok = self._edge_valid_mask(self.centers[src],
-                                                  self.centers[dst])
-                src, dst = src[motion_ok], dst[motion_ok]
-                if not len(src):
-                    continue
-            d = self.space._diff(self.centers[src], self.centers[dst])
-            w = np.sqrt((d * d) @ self.space.weights)
-            rows.append(src)
-            cols.append(dst)
-            data.append(w)
-        if rows:
-            rows = np.concatenate(rows)
-            cols = np.concatenate(cols)
-            data = np.concatenate(data)
-        else:
-            rows = cols = data = np.empty(0)
-        self._graph = coo_matrix((data, (rows, cols)),
-                                 shape=(self.n_cells, self.n_cells)).tocsr()
+                    inside[tuple(sl)] = False
+            nbr[:, k] = shifted.ravel()
+            src = np.flatnonzero(inside)
+            src = src[self.free[nbr[src, k]]]
+            wts[src, k] = self._edge_weights(src, nbr[src, k])
+        # on a circular axis of one or two cells, two offsets can reach the
+        # same neighbour: one entry per (row, col), the lighter one
+        for k, j in itertools.combinations(range(len(offsets)), 2):
+            same = np.flatnonzero(nbr[:, k] == nbr[:, j])
+            wts[same, k] = np.minimum(wts[same, k], wts[same, j])
+            wts[same, j] = np.inf
+        edge = np.isfinite(wts)
+        indptr = np.concatenate(([0], np.cumsum(edge.sum(axis=1))))
+        self._graph = csr_matrix((wts[edge], nbr[edge], indptr),
+                                 shape=(self.n_cells, self.n_cells))
         return self._graph
 
     def _component_labels(self):
