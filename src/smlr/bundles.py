@@ -57,13 +57,20 @@ class FiberBundle:
         b = np.asarray(b, dtype=float)
         if b.shape != (self.base_space.dim,):
             raise ValueError("base state dimension mismatch")
-        x = np.empty(self.bundle_space.dim)
-        x[self.base_indices] = b
+        return self.lift_many(b[None], f)[0]
+
+    def lift_many(self, bs, f=None) -> np.ndarray:
+        """lift(b, f) of each row b of bs at one fiber f -> (n, dim)."""
+        bs = np.asarray(bs, dtype=float)
+        if bs.ndim != 2 or bs.shape[1] != self.base_space.dim:
+            raise ValueError("base state dimension mismatch")
+        x = np.empty((len(bs), self.bundle_space.dim))
+        x[:, self.base_indices] = bs
         if self.fiber_dim:
             f = np.asarray(f, dtype=float)
             if f.shape != (self.fiber_dim,):
                 raise ValueError("fiber state dimension mismatch")
-            x[self.fiber_indices] = f
+            x[:, self.fiber_indices] = f
         return x
 
     def fiber_of(self, x) -> np.ndarray:

@@ -8,6 +8,7 @@ one-level sequence reduces to the flat sparse-roadmap baseline.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass, replace
@@ -20,6 +21,10 @@ from .sparse_graph import SparseRoadmap
 
 START_ID = 0
 GOAL_ID = 1
+
+# Fiber-detour candidates the section test tries after the zero fiber when
+# the straight lift fails.
+N_PATTERNS = 200
 
 
 class RevalidationError(RuntimeError):
@@ -151,25 +156,71 @@ def lift_section(bundle, base_path, start_fiber, goal_fiber):
     return lifted
 
 
-def section_test(level: LevelState, bundle, base_path, start, goal):
+class SectionPath(list):
+    """A path found by the section test, with the lift that found it:
+    "straight", or "fiber i" for the i-th fiber-detour candidate."""
+
+    def __init__(self, states, lift: str):
+        super().__init__(states)
+        self.lift = lift
+
+
+def fiber_detour(bundle, base_path, start, goal, fiber) -> np.ndarray:
+    """Lift that holds the fiber constant along the base path: start ->
+    lift(b0, fiber) -> ... -> lift(bn, fiber) -> goal, with consecutive
+    duplicate states dropped -> (m, dim)."""
+    path = np.concatenate([start[None], bundle.lift_many(base_path, fiber),
+                           goal[None]])
+    keep = np.ones(len(path), dtype=bool)
+    keep[1:] = np.any(path[1:] != path[:-1], axis=1)
+    return path[keep]
+
+
+def section_candidates(bundle, base_path, start, goal, seed: int,
+                       level_index: int):
+    """The section test's lifts in the order they are tried, as (label,
+    path): the straight lift, then fiber detours at the zero fiber (clipped
+    to the fiber bounds) and at N_PATTERNS fibers drawn from an rng seeded
+    with (seed, level_index), apart from the planner's stream.  Built
+    lazily: each fiber is drawn and lifted when its candidate is asked
+    for."""
+    yield "straight", lift_section(bundle, base_path, bundle.fiber_of(start),
+                                   bundle.fiber_of(goal))
+    fs = bundle.fiber_space
+    if fs is None:
+        return
+    base = np.stack(base_path)
+    f = np.clip(np.zeros(fs.dim), fs.lo, fs.hi)
+    yield "fiber 0", fiber_detour(bundle, base, start, goal, f)
+    rng = np.random.default_rng([seed, level_index])
+    for i in range(1, N_PATTERNS + 1):
+        f = fs.sample_uniform(rng)
+        yield f"fiber {i}", fiber_detour(bundle, base, start, goal, f)
+
+
+def section_test(level: LevelState, bundle, base_path, start, goal,
+                 seed: int = 0) -> SectionPath | None:
     """Try to solve a level instantly by lifting the base solution path.
 
-    Returns the fully validated lifted path or None.  Simplified variant:
-    a single linear fiber interpolation is attempted, no local repair.  The
-    lifted vertices and states 1..n of every segment's motion are checked
-    in one valid_mask call; a segment's state 0 is its first vertex.
+    Returns the first of section_candidates' lifts whose every segment
+    passes the level's motion check, or None.  The straight lift is
+    checked alone, then the fiber detours in batches of 2, 4, 8, ...
+    candidates, one valid_mask call per batch; the first passing candidate
+    in list order wins, as in a one-at-a-time loop.
     """
     if bundle is None or base_path is None:
         return None
-    start_fiber = bundle.fiber_of(start)
-    goal_fiber = bundle.fiber_of(goal)
-    lifted = lift_section(bundle, base_path, start_fiber, goal_fiber)
-    v = level.validity
-    a, b = np.stack(lifted[:-1]), np.stack(lifted[1:])
-    pts, _ = v.motion_points(a, b, v.space.distances(a, b))
-    if not v.valid_mask(np.concatenate([a, b[-1:], pts])).all():
-        return None
-    return lifted
+    candidates = section_candidates(bundle, base_path, start, goal, seed,
+                                    level.index)
+    size = 1
+    while batch := list(itertools.islice(candidates, size)):
+        ok = np.flatnonzero(level.validity.paths_valid(
+            [path for _, path in batch]))
+        if len(ok):
+            lift, path = batch[ok[0]]
+            return SectionPath(path, lift)
+        size *= 2
+    return None
 
 
 def ptc(level: LevelState, cfg: PlannerConfig,
@@ -291,15 +342,16 @@ class SmlrPlanner:
             lvl.roadmap.add_guard(g)
 
         base_solutions: list = [None] * K
+        lifts = []   # the section test's hits, for the result's reason
 
         for cur in range(K):
             bundle = seq.bundles[cur - 1] if cur >= 1 else None
-            base = levels[cur - 1] if cur >= 1 else None
             sec = section_test(levels[cur], bundle,
                                base_solutions[cur - 1] if cur >= 1 else None,
-                               starts[cur], goals[cur])
+                               starts[cur], goals[cur], cfg.seed)
             if sec is not None:
                 _insert_path(levels[cur], sec)
+                lifts.append(f"section lift on level {cur + 1}: {sec.lift}")
             active = levels[:cur + 1]
             while True:
                 verdict = ptc(levels[cur], cfg, time.perf_counter() - t0)
@@ -333,13 +385,13 @@ class SmlrPlanner:
 
         # the finest level solved last, so checker is its half-resolution one
         path = base_solutions[K - 1]
-        if not all(checker.motion_valid(a, b)
-                   for a, b in zip(path[:-1], path[1:])):
+        if not checker.path_valid(path):
             raise RevalidationError(
                 "solution failed re-validation at half resolution")
         cost = sum(seq.finest.space.distance(a, b)
                    for a, b in zip(path[:-1], path[1:]))
-        return finish(Status.FEASIBLE, path=path, cost=cost,
+        return finish(Status.FEASIBLE, reason="; ".join(lifts), path=path,
+                      cost=cost,
                       coverage=levels[-1].roadmap.coverage_estimate())
 
 

@@ -375,6 +375,26 @@ class LevelValidity:
         # the one-motion checks of path simplification and interfaces
         return bool(self.valid_mask(self.motion_states(a, b)).all())
 
+    def paths_valid(self, paths) -> np.ndarray:
+        """path_valid of each polyline of paths, from one valid_mask call
+        -> (len(paths),) bool.  A one-state path is its motion to itself,
+        so only that state is checked."""
+        paths = [np.asarray(p, dtype=float) for p in paths]
+        paths = [p if len(p) > 1 else np.concatenate([p, p]) for p in paths]
+        a = np.concatenate([p[:-1] for p in paths])
+        b = np.concatenate([p[1:] for p in paths])
+        pts, starts = self.motion_points(a, b, self.space.distances(a, b),
+                                         first=0)
+        motions = np.logical_and.reduceat(self.valid_mask(pts), starts)
+        firsts = np.cumsum([0] + [len(p) - 1 for p in paths[:-1]])
+        return np.logical_and.reduceat(motions, firsts)
+
+    def path_valid(self, path) -> bool:
+        """motion_valid(a, b) for every segment a -> b of the polyline path:
+        states 0..n of each segment, the same states, in one valid_mask
+        call."""
+        return bool(self.paths_valid([path])[0])
+
     def visibility(self, a, bs, p_valid: float = 1.0) -> Visibility:
         """is_valid(a), motion_valid(a, b) for every row b of bs and the
         exact distance(a, b), from one valid_mask call.

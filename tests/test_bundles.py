@@ -46,12 +46,25 @@ class TestProjectLift:
                 assert np.array_equal(bundle.project(x), b)
                 assert np.array_equal(bundle.fiber_of(x), f)
 
+    def test_lift_many_lifts_each_row(self):
+        rng = np.random.default_rng(2)
+        for bundle in (torus_over_circle(), r4_over_r2()):
+            bs = np.stack([bundle.base_space.sample_uniform(rng)
+                           for _ in range(5)])
+            f = bundle.fiber_space.sample_uniform(rng)
+            assert bundle.lift_many(bs, f).tobytes() == \
+                np.stack([bundle.lift(b, f) for b in bs]).tobytes()
+
     def test_dimension_mismatch(self):
         bundle = torus_over_circle()
         with pytest.raises(ValueError):
             bundle.project([0.5])
         with pytest.raises(ValueError):
             bundle.lift([0.5, 0.2], [1.0])
+        with pytest.raises(ValueError):
+            bundle.lift([0.5], [1.0, 2.0])
+        with pytest.raises(ValueError):
+            bundle.lift_many([0.5, 0.2], [1.0])
 
     def test_zero_dim_fiber(self):
         a = RealVectorSpace([[0, 1], [0, 1]])

@@ -13,10 +13,13 @@ from hypothesis import strategies as st
 
 from smlr.bundles import FiberBundle, FiberBundleSequence, Level
 from smlr.geometry import Box
-from smlr.planner import (GOAL_ID, START_ID, LevelState, PlannerConfig,
-                          SmlrPlanner, Status, compute_importance, flat_solve,
-                          lift_section, ptc, restriction_sample, section_test,
-                          simplify_path, smlr_solve, smooth_parameter)
+from smlr import planner
+from smlr.planner import (GOAL_ID, N_PATTERNS, START_ID, LevelState,
+                          PlannerConfig, SectionPath, SmlrPlanner, Status,
+                          compute_importance, flat_solve, lift_section, ptc,
+                          restriction_sample, section_candidates,
+                          section_test, simplify_path, smlr_solve,
+                          smooth_parameter)
 from smlr.scenario import load_scenario, shipped_scenario_dir
 from smlr.spaces import (CircleSpace, ProductSpace, RealVectorSpace,
                          points_to_edge_distance)
@@ -24,9 +27,9 @@ from smlr.validity import LevelValidity, PointRobot
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-# A free world whose validity rejects every motion checked finer than the
-# planning resolution 0.1, so the path the planner finds always fails the
-# final half-resolution check.
+# A free world whose validity rejects every state checked at a resolution
+# finer than the planning resolution 0.1, so the path the planner finds
+# always fails the final half-resolution check.
 FORCED_REVALIDATION_FAILURE = """
 import numpy as np
 from smlr.bundles import FiberBundleSequence, Level
@@ -35,8 +38,8 @@ from smlr.spaces import RealVectorSpace
 from smlr.validity import LevelValidity, PointRobot
 
 class FineBlind(LevelValidity):
-    def motion_valid(self, a, b):
-        return self.check_resolution >= 0.1 and super().motion_valid(a, b)
+    def valid_mask(self, coords):
+        return super().valid_mask(coords) & (self.check_resolution >= 0.1)
 
 space = RealVectorSpace([[0, 1], [0, 1]])
 seq = FiberBundleSequence(levels=[Level(space, FineBlind(
@@ -293,12 +296,10 @@ class TestSectionTest:
             calls.append(len(coords))
             return valid_mask(self, coords)
         monkeypatch.setattr(LevelValidity, "valid_mask", counting_valid_mask)
-        got = section_test(top, seq.bundles[0], base_path, start, goal)
+        got = top.validity.path_valid(
+            lift_section(seq.bundles[0], base_path, start[1:], goal[1:]))
         assert len(calls) == 1
-        if want is None:
-            assert got is None
-        else:
-            assert np.array_equal(np.stack(got), np.stack(want))
+        assert got == (want is not None)
 
     def test_lifts_free_base_path(self):
         seq = torus_over_circle_seq()
@@ -342,6 +343,134 @@ class TestSectionTest:
         top = LevelState(1, seq.levels[1].space, seq.levels[1].validity, cfg)
         assert section_test(top, seq.bundles[0], None,
                             np.array([0.5, 1.0]), np.array([2.5, 2.0])) is None
+
+
+def band_with_window(lo, width):
+    """Torus-over-circle level whose band theta1 in [1.2, 1.8] is blocked at
+    every fiber value except the open window (lo, lo + width)."""
+    return torus_over_circle_seq(bundle_obstacles=[
+        Box([1.2, 0.0], [1.8, lo]),
+        Box([1.2, lo + width], [1.8, 2 * math.pi])])
+
+
+def top_level(seq):
+    return LevelState(1, seq.levels[1].space, seq.levels[1].validity,
+                      PlannerConfig())
+
+
+BASE_PATH = [np.array([0.5]), np.array([1.5]), np.array([2.5])]
+START = np.array([0.5, 1.0])
+GOAL = np.array([2.5, 2.0])
+
+
+def one_at_a_time(level, bundle, base_path, start, goal, seed):
+    """section_test's choice as a plain loop: the first candidate in list
+    order that passes path_valid on its own."""
+    for lift, path in section_candidates(bundle, base_path, start, goal,
+                                         seed, level.index):
+        if level.validity.path_valid(path):
+            return lift, path
+    return None
+
+
+def straight_only(level, bundle, base_path, start, goal, seed=0):
+    """section_test with the straight lift and no fiber detours."""
+    if bundle is None or base_path is None:
+        return None
+    lifted = lift_section(bundle, base_path, bundle.fiber_of(start),
+                          bundle.fiber_of(goal))
+    return SectionPath(lifted, "straight") \
+        if level.validity.path_valid(lifted) else None
+
+
+class TestSectionPatterns:
+    def test_detour_around_thin_box(self):
+        # the straight lift passes (1.5, 1.5); the zero fiber goes round
+        seq = torus_over_circle_seq(
+            bundle_obstacles=[Box([1.45, 1.4], [1.55, 1.6])])
+        top = top_level(seq)
+        bundle = seq.bundles[0]
+        assert not top.validity.path_valid(
+            lift_section(bundle, BASE_PATH, START[1:], GOAL[1:]))
+        path = section_test(top, bundle, BASE_PATH, START, GOAL, seed=3)
+        assert path is not None and path.lift == "fiber 0"
+        assert path[0].tobytes() == START.tobytes()
+        assert path[-1].tobytes() == GOAL.tobytes()
+        assert top.validity.path_valid(path)
+        assert all(np.any(a != b) for a, b in zip(path[:-1], path[1:]))
+
+    def test_candidates_hold_the_fiber_along_the_base_path(self):
+        bundle = torus_over_circle_seq().bundles[0]
+        cands = list(section_candidates(bundle, BASE_PATH, START, GOAL, 5, 1))
+        assert [lift for lift, _ in cands] == \
+            ["straight"] + [f"fiber {i}" for i in range(N_PATTERNS + 1)]
+        zero = cands[1][1]
+        np.testing.assert_array_equal(
+            zero, [START, [0.5, 0.0], [1.5, 0.0], [2.5, 0.0], GOAL])
+        for _, path in cands[2:]:
+            assert len(path) == len(BASE_PATH) + 2
+            np.testing.assert_array_equal(path[1:-1, 0],
+                                          [b[0] for b in BASE_PATH])
+            assert len(set(path[1:-1, 1].tolist())) == 1
+
+    def test_blocked_band_misses_in_few_calls(self, monkeypatch):
+        seq = torus_over_circle_seq(
+            bundle_obstacles=[Box([1.2, 0.0], [1.8, 2 * math.pi])])
+        calls = []
+        valid_mask = LevelValidity.valid_mask
+
+        def counting_valid_mask(self, coords):
+            calls.append(len(coords))
+            return valid_mask(self, coords)
+        monkeypatch.setattr(LevelValidity, "valid_mask", counting_valid_mask)
+        assert section_test(top_level(seq), seq.bundles[0], BASE_PATH, START,
+                            GOAL, seed=1) is None
+        # batches of 1, 2, 4, ..., 64 candidates, then the last 75 of 202
+        assert len(calls) == 8
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_batched_choice_equals_one_at_a_time(self, seed):
+        rng = np.random.default_rng(seed)
+        width = rng.uniform(0.02, 3.0)
+        seq = band_with_window(rng.uniform(0.0, 2 * math.pi - width), width)
+        top = top_level(seq)
+        want = one_at_a_time(top, seq.bundles[0], BASE_PATH, START, GOAL,
+                             seed)
+        got = section_test(top, seq.bundles[0], BASE_PATH, START, GOAL,
+                           seed=seed)
+        if want is None:
+            assert got is None
+        else:
+            assert got.lift == want[0]
+            assert np.stack(got).tobytes() == np.stack(want[1]).tobytes()
+
+    def test_same_seed_and_level_same_path(self):
+        def solve(seed, level):
+            seq = band_with_window(4.0, 0.2)
+            top = LevelState(level, seq.levels[1].space,
+                             seq.levels[1].validity, PlannerConfig())
+            path = section_test(top, seq.bundles[0], BASE_PATH, START, GOAL,
+                                seed=seed)
+            return path.lift, np.stack(path).tobytes()
+        assert solve(11, 1) == solve(11, 1)
+        assert solve(11, 1) != solve(12, 1)
+        assert solve(11, 1) != solve(11, 2)
+
+    @pytest.mark.parametrize("name", ["torus_band_infeasible",
+                                      "chain4_infeasible"])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_miss_leaves_infeasible_runs_unchanged(self, name, seed,
+                                                   monkeypatch):
+        def run():
+            sc = load_scenario(shipped_scenario_dir() / f"{name}.yaml")
+            res = smlr_solve(sc.seq, sc.start, sc.goal,
+                             replace(sc.config, seed=seed))
+            return (res.status, res.reason, res.coverage_estimate,
+                    res.level_stats)
+        real = run()
+        monkeypatch.setattr(planner, "section_test", straight_only)
+        assert real[0] is Status.INFEASIBLE
+        assert run() == real
 
 
 class TestPtc:
@@ -550,6 +679,14 @@ class TestSolveMultilevel:
         # the path lives on the finest level and connects the query
         assert np.allclose(res.path[0], start)
         assert np.allclose(res.path[-1], goal)
+
+    def test_reason_names_the_section_lift(self):
+        start, goal = np.array([0.5, 1.0]), np.array([3.5, 2.0])
+        cfg = PlannerConfig(seed=4, time_limit=20)
+        res = smlr_solve(torus_over_circle_seq(), start, goal, cfg)
+        assert res.reason == "section lift on level 2: straight"
+        res = flat_solve(torus_over_circle_seq(), start, goal, cfg)
+        assert res.status is Status.FEASIBLE and res.reason == ""
 
     def test_base_infeasibility_short_circuits(self):
         # two full bands block the base circle; the bundle obstacles match

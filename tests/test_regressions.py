@@ -1,0 +1,52 @@
+"""Shipped queries that once ended in an error, pinned at their seeds."""
+
+import re
+from dataclasses import replace
+
+import pytest
+
+from smlr.cli import EXIT_OK, main
+from smlr.planner import RevalidationError, Status, smlr_solve
+from smlr.scenario import load_scenario, shipped_scenario_dir
+
+
+def solve(name, seed):
+    sc = load_scenario(shipped_scenario_dir() / f"{name}.yaml")
+    return sc, smlr_solve(sc.seq, sc.start, sc.goal,
+                          replace(sc.config, seed=seed))
+
+
+# Without section patterns the sampled path of these queries failed the
+# final half-resolution check; a fiber detour now solves the finest level.
+@pytest.mark.parametrize("name, seed", [("chain4_feasible", 44),
+                                        ("chain4_feasible", 45),
+                                        ("se2_bugtrap_feasible", 73)])
+def test_section_pattern_solves_former_revalidation_error(name, seed):
+    sc, res = solve(name, seed)
+    assert res.status is Status.FEASIBLE
+    assert re.fullmatch(r"section lift on level 2: fiber \d+", res.reason)
+    finest = sc.seq.finest
+    half = replace(finest.validity,
+                   check_resolution=finest.validity.check_resolution / 2)
+    assert all(half.motion_valid(a, b)
+               for a, b in zip(res.path[:-1], res.path[1:]))
+    assert res.path[0].tobytes() == finest.space.normalize(sc.start).tobytes()
+    assert res.path[-1].tobytes() == finest.space.normalize(sc.goal).tobytes()
+
+
+# One level, so no section test runs: simplify_path keeps a subdivision
+# motion it never checked, and that motion fails at half resolution.
+@pytest.mark.xfail(strict=True, raises=RevalidationError,
+                   reason="simplify_path keeps an unchecked motion")
+def test_single_level_simplified_path_revalidates():
+    _, res = solve("square_wall_feasible", 1039)
+    assert res.status is Status.FEASIBLE
+
+
+def test_plan_prints_the_section_lift(capsys):
+    path = shipped_scenario_dir() / "chain4_feasible.yaml"
+    assert main(["plan", "--scenario", str(path), "--seed", "44"]) == EXIT_OK
+    line = capsys.readouterr().out.splitlines()[0]
+    assert " status=feasible " in line
+    assert re.search(r" reason=section lift on level 2: fiber \d+$", line)
+

@@ -1,6 +1,9 @@
 import math
 
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smlr.geometry import Box, Disc, Polygon
 from smlr.spaces import CircleSpace, ProductSpace, RealVectorSpace
@@ -161,3 +164,76 @@ class TestAngleSpaceObstacles:
                           obstacles=[Box([2.0, 0.0], [2.5, 2 * math.pi])])
         assert not v.is_valid([2.2, 3.0])
         assert v.is_valid([1.0, 3.0])
+
+
+SE2_LSHAPE = PolygonRobot(vertices=[[-0.025, -0.025], [0.175, -0.025],
+                                    [0.175, 0.025], [0.025, 0.025],
+                                    [0.025, 0.125], [-0.025, 0.125]])
+PATH_SPACES = {
+    "r2": lambda: RealVectorSpace(UNIT),
+    "t2": lambda: ProductSpace([CircleSpace(), CircleSpace()]),
+    "se2": lambda: ProductSpace([RealVectorSpace(UNIT), CircleSpace()],
+                                weights=[1.0, 0.1]),
+}
+
+
+@st.composite
+def polyline_worlds(draw, kind):
+    """A level on R^2 (point robot), T^2 (point robot) or SE(2) (L-shaped
+    polygon robot) with up to four boxes, and a polyline of 1-6 states
+    inside the space's bounds, some of them repeated."""
+    space = PATH_SPACES[kind]()
+    scale = 2 * math.pi if kind == "t2" else 1.0
+    coord = st.floats(0.0, scale)
+    boxes = []
+    for _ in range(draw(st.integers(0, 4))):
+        x, y = draw(coord), draw(coord)
+        w, h = (draw(st.floats(0.02, 0.4)) * scale for _ in range(2))
+        boxes.append(Box([x, y], [x + w, y + h]))
+    robot = SE2_LSHAPE if kind == "se2" else PointRobot()
+    v = LevelValidity(space=space, robot=robot, obstacles=boxes,
+                      check_resolution=draw(st.floats(0.01, 0.3)))
+    state = st.lists(st.floats(0.0, 1.0, exclude_max=True),
+                     min_size=space.dim, max_size=space.dim).map(
+        lambda u: space.lo + np.array(u) * (space.hi - space.lo))
+    path = draw(st.lists(state, min_size=1, max_size=6))
+    if len(path) > 1 and draw(st.booleans()):
+        i = draw(st.integers(0, len(path) - 2))
+        path.insert(i + 1, path[i].copy())
+    return v, path
+
+
+class TestPathValid:
+    @pytest.mark.parametrize("kind", sorted(PATH_SPACES))
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_equals_motion_valid_per_segment(self, kind, data):
+        v, path = data.draw(polyline_worlds(kind))
+        want = all(v.motion_valid(a, b) for a, b in zip(path[:-1], path[1:]))
+        if len(path) == 1:
+            want = v.is_valid(path[0])
+        assert v.path_valid(path) == want
+
+    @pytest.mark.parametrize("kind", sorted(PATH_SPACES))
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_batch_equals_one_at_a_time(self, kind, data):
+        v, first = data.draw(polyline_worlds(kind))
+        paths = [first] + [data.draw(polyline_worlds(kind))[1]
+                           for _ in range(data.draw(st.integers(0, 4)))]
+        batch = v.paths_valid(paths)
+        assert batch.tolist() == [v.path_valid(p) for p in paths]
+
+    def test_one_valid_mask_call(self, monkeypatch):
+        v = point_world([Box([0.45, 0.0], [0.55, 0.4])])
+        calls = []
+        valid_mask = LevelValidity.valid_mask
+
+        def counting(self, coords):
+            calls.append(len(coords))
+            return valid_mask(self, coords)
+        monkeypatch.setattr(LevelValidity, "valid_mask", counting)
+        paths = [[[0.2, 0.8], [0.8, 0.8]], [[0.2, 0.2], [0.5, 0.2]],
+                 [[0.3, 0.3]]]
+        assert v.paths_valid(paths).tolist() == [True, False, True]
+        assert len(calls) == 1
