@@ -60,7 +60,8 @@ class FiberBundle:
         return self.lift_many(b[None], f)[0]
 
     def lift_many(self, bs, f=None) -> np.ndarray:
-        """lift(b, f) of each row b of bs at one fiber f -> (n, dim)."""
+        """lift(b, f) of each row b of bs -> (n, dim), at one fiber f
+        (fiber_dim,) or at one fiber per row (n, fiber_dim)."""
         bs = np.asarray(bs, dtype=float)
         if bs.ndim != 2 or bs.shape[1] != self.base_space.dim:
             raise ValueError("base state dimension mismatch")
@@ -68,7 +69,8 @@ class FiberBundle:
         x[:, self.base_indices] = bs
         if self.fiber_dim:
             f = np.asarray(f, dtype=float)
-            if f.shape != (self.fiber_dim,):
+            if f.shape not in ((self.fiber_dim,),
+                               (len(bs), self.fiber_dim)):
                 raise ValueError("fiber state dimension mismatch")
             x[:, self.fiber_indices] = f
         return x
@@ -148,8 +150,7 @@ def check_admissibility(seq: FiberBundleSequence, n_samples: int,
     for k, bundle in enumerate(seq.bundles):
         upper = seq.levels[k + 1]
         lower = seq.levels[k]
-        xs = np.stack([upper.space.sample_uniform(rng)
-                       for _ in range(n_samples)])
+        xs = upper.space.sample_uniform(rng, n_samples)
         checked += n_samples
         feasible = upper.validity.valid_mask(xs)
         if feasible.any():

@@ -38,7 +38,8 @@ def _check_field(flag: str, name: str, value):
 
 def _parse_seeds(spec: str) -> list[int]:
     """The seeds of a range 'a..b' or a comma list.  A malformed spec, an
-    empty range or a seed PlannerConfig rejects raises ValueError."""
+    empty range, a repeated seed or a seed PlannerConfig rejects raises
+    ValueError."""
     try:
         a, sep, b = spec.partition("..")
         seeds = (list(range(int(a), int(b) + 1)) if sep
@@ -47,6 +48,8 @@ def _parse_seeds(spec: str) -> list[int]:
         raise ValueError(f"bad seed spec '{spec}'") from None
     if not seeds:
         raise ValueError(f"--seeds: '{spec}' selects no seed")
+    if len(set(seeds)) < len(seeds):
+        raise ValueError(f"--seeds: '{spec}' repeats a seed")
     _check_field("--seeds", "seed", min(seeds))
     return seeds
 
@@ -129,23 +132,26 @@ def cmd_bench(args) -> int:
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    paths = sorted(Path(args.scenarios).glob("*.yaml")) \
-        if Path(args.scenarios).is_dir() else [Path(args.scenarios)]
-    if not paths:
-        print("error: no scenario files found", file=sys.stderr)
-        return EXIT_BAD_INPUT
+    scenarios = Path(args.scenarios)
+    paths = (sorted(scenarios.glob("*.yaml")) if scenarios.is_dir()
+             else [scenarios] if scenarios.is_file() else [])
+    planners = args.planners.split(",")
     try:
+        if not paths:
+            raise ValueError(f"--scenarios: no scenario file at "
+                             f"'{scenarios}'")
         seeds = _parse_seeds(args.seeds)
         if args.workers < 1:
             raise ValueError("--workers: workers must be >= 1")
+        for p in planners:
+            if p not in PLANNERS:
+                raise ValueError(f"unknown planner '{p}'")
+        if len(set(planners)) < len(planners):
+            raise ValueError(f"--planners: '{args.planners}' repeats a "
+                             f"planner")
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    planners = args.planners.split(",")
-    for p in planners:
-        if p not in PLANNERS:
-            print(f"error: unknown planner '{p}'", file=sys.stderr)
-            return EXIT_BAD_INPUT
     try:
         table = run_benchmark(paths, planners, seeds,
                               overrides=overrides,

@@ -8,7 +8,6 @@ one-level sequence reduces to the flat sparse-roadmap baseline.
 
 from __future__ import annotations
 
-import itertools
 import math
 import time
 from dataclasses import dataclass, replace
@@ -25,6 +24,9 @@ GOAL_ID = 1
 # Fiber-detour candidates the section test tries after the zero fiber when
 # the straight lift fails.
 N_PATTERNS = 200
+
+# Subdivide-and-elide rounds of simplify_path.
+SIMPLIFY_ROUNDS = 3
 
 
 class RevalidationError(RuntimeError):
@@ -136,90 +138,62 @@ def restriction_sample(level: LevelState, base: LevelState | None,
     return bundle.lift(x_base, x_fiber)
 
 
-def lift_section(bundle, base_path, start_fiber, goal_fiber):
+def lift_section(bundle, base_path, start_fiber, goal_fiber) -> np.ndarray:
     """Lift a base path pointwise, interpolating the fiber linearly
-    (shortest-arc on circles) along normalized path length."""
+    (shortest-arc on circles) along normalized path length -> (n, dim)."""
+    base = np.asarray(base_path, dtype=float)
     if bundle.fiber_dim == 0:
-        return [bundle.lift(b) for b in base_path]
-    fs = bundle.fiber_space
-    seg = [bundle.base_space.distance(a, b)
-           for a, b in zip(base_path[:-1], base_path[1:])]
-    total = sum(seg)
-    cum = 0.0
-    lifted = []
-    for i, b in enumerate(base_path):
-        if i > 0:
-            cum += seg[i - 1]
-        s = cum / total if total > 0 else (i / max(1, len(base_path) - 1))
-        lifted.append(bundle.lift(b, fs.interpolate(start_fiber, goal_fiber,
-                                                    min(1.0, s))))
-    return lifted
-
-
-class SectionPath(list):
-    """A path found by the section test, with the lift that found it:
-    "straight", or "fiber i" for the i-th fiber-detour candidate."""
-
-    def __init__(self, states, lift: str):
-        super().__init__(states)
-        self.lift = lift
-
-
-def fiber_detour(bundle, base_path, start, goal, fiber) -> np.ndarray:
-    """Lift that holds the fiber constant along the base path: start ->
-    lift(b0, fiber) -> ... -> lift(bn, fiber) -> goal, with consecutive
-    duplicate states dropped -> (m, dim)."""
-    path = np.concatenate([start[None], bundle.lift_many(base_path, fiber),
-                           goal[None]])
-    keep = np.ones(len(path), dtype=bool)
-    keep[1:] = np.any(path[1:] != path[:-1], axis=1)
-    return path[keep]
-
-
-def section_candidates(bundle, base_path, start, goal, seed: int,
-                       level_index: int):
-    """The section test's lifts in the order they are tried, as (label,
-    path): the straight lift, then fiber detours at the zero fiber (clipped
-    to the fiber bounds) and at N_PATTERNS fibers drawn from an rng seeded
-    with (seed, level_index), apart from the planner's stream.  Built
-    lazily: each fiber is drawn and lifted when its candidate is asked
-    for."""
-    yield "straight", lift_section(bundle, base_path, bundle.fiber_of(start),
-                                   bundle.fiber_of(goal))
-    fs = bundle.fiber_space
-    if fs is None:
-        return
-    base = np.stack(base_path)
-    f = np.clip(np.zeros(fs.dim), fs.lo, fs.hi)
-    yield "fiber 0", fiber_detour(bundle, base, start, goal, f)
-    rng = np.random.default_rng([seed, level_index])
-    for i in range(1, N_PATTERNS + 1):
-        f = fs.sample_uniform(rng)
-        yield f"fiber {i}", fiber_detour(bundle, base, start, goal, f)
+        return bundle.lift_many(base)
+    seg = bundle.base_space.distances(base[:-1], base[1:])
+    cum = np.cumsum([0.0] + seg)
+    total = cum[-1]
+    s = (cum / total if total > 0
+         else np.arange(len(base)) / max(1, len(base) - 1))
+    return bundle.lift_many(base, bundle.fiber_space.interpolate_many(
+        start_fiber, goal_fiber, np.minimum(1.0, s)))
 
 
 def section_test(level: LevelState, bundle, base_path, start, goal,
-                 seed: int = 0) -> SectionPath | None:
+                 seed: int = 0) -> tuple[str, np.ndarray] | None:
     """Try to solve a level instantly by lifting the base solution path.
 
-    Returns the first of section_candidates' lifts whose every segment
-    passes the level's motion check, or None.  The straight lift is
-    checked alone, then the fiber detours in batches of 2, 4, 8, ...
-    candidates, one valid_mask call per batch; the first passing candidate
-    in list order wins, as in a one-at-a-time loop.
+    Returns (lift, path) for the first lift whose every segment passes the
+    level's motion check, or None.  The straight lift is checked alone, then
+    the fiber detours start -> lift(b0, f) -> ... -> lift(bn, f) -> goal,
+    "fiber 0" at the zero fiber clipped to the fiber bounds and "fiber i" at
+    the i-th of N_PATTERNS fibers drawn from an rng seeded with (seed,
+    level.index), apart from the planner's stream.  The detours are one
+    array, checked in slices of 2, 4, 8, ... rows, one valid_mask call per
+    slice; the first passing row wins, as in a one-at-a-time loop, and
+    loses its consecutive duplicate states.
     """
     if bundle is None or base_path is None:
         return None
-    candidates = section_candidates(bundle, base_path, start, goal, seed,
-                                    level.index)
-    size = 1
-    while batch := list(itertools.islice(candidates, size)):
-        ok = np.flatnonzero(level.validity.paths_valid(
-            [path for _, path in batch]))
+    lifted = lift_section(bundle, base_path, bundle.fiber_of(start),
+                          bundle.fiber_of(goal))
+    if level.validity.path_valid(lifted):
+        return "straight", lifted
+    fs = bundle.fiber_space
+    if fs is None:
+        return None
+    rng = np.random.default_rng([seed, level.index])
+    fibers = np.concatenate([np.clip(np.zeros((1, fs.dim)), fs.lo, fs.hi),
+                             fs.sample_uniform(rng, N_PATTERNS)])
+    m, n = len(fibers), len(base_path)
+    detours = np.empty((m, n + 2, len(start)))
+    detours[:, 0] = start
+    detours[:, 1:-1] = bundle.lift_many(
+        np.tile(base_path, (m, 1)),
+        np.repeat(fibers, n, axis=0)).reshape(m, n, -1)
+    detours[:, -1] = goal
+    lo, size = 0, 2
+    while lo < m:
+        ok = np.flatnonzero(level.validity.paths_valid(detours[lo:lo + size]))
         if len(ok):
-            lift, path = batch[ok[0]]
-            return SectionPath(path, lift)
-        size *= 2
+            path = detours[lo + ok[0]]
+            moved = np.any(path[1:] != path[:-1], axis=1)
+            return f"fiber {lo + ok[0]}", path[np.r_[True, moved]]
+        lo, size = lo + size, size * 2
     return None
 
 
@@ -245,7 +219,7 @@ def _stats(levels: list[LevelState]) -> list[LevelStats]:
             for ls in levels]
 
 
-def simplify_path(path, space, checker, rounds: int = 3):
+def simplify_path(path, space, checker):
     """Deterministic one-shot shortcutting of an extracted solution.
 
     Alternates segment subdivision with greedy vertex elision (skip to the
@@ -257,7 +231,7 @@ def simplify_path(path, space, checker, rounds: int = 3):
     if len(path) <= 2:
         return list(path)
     pts = [np.asarray(p, dtype=float) for p in path]
-    for _ in range(rounds):
+    for _ in range(SIMPLIFY_ROUNDS):
         sub = []
         for a, b in zip(pts[:-1], pts[1:]):
             sub.append(a)
@@ -350,8 +324,9 @@ class SmlrPlanner:
                                base_solutions[cur - 1] if cur >= 1 else None,
                                starts[cur], goals[cur], cfg.seed)
             if sec is not None:
-                _insert_path(levels[cur], sec)
-                lifts.append(f"section lift on level {cur + 1}: {sec.lift}")
+                lift, path = sec
+                _insert_path(levels[cur], path)
+                lifts.append(f"section lift on level {cur + 1}: {lift}")
             active = levels[:cur + 1]
             while True:
                 verdict = ptc(levels[cur], cfg, time.perf_counter() - t0)

@@ -104,7 +104,8 @@ class StateSpace:
         d = self._absdiff(self._check(a, rows=True),
                           self._check(b, rows=True))
         d *= d
-        return [math.sqrt(np.dot(self.weights, row)) for row in d]
+        return [math.sqrt(np.dot(self.weights, row))
+                for row in d.reshape(-1, self.dim)]
 
     def distance_many(self, q, pts: np.ndarray) -> np.ndarray:
         """Distances from a single state q to each row of pts, vectorized."""
@@ -140,8 +141,11 @@ class StateSpace:
 
     # -- sampling ----------------------------------------------------------
 
-    def sample_uniform(self, rng: np.random.Generator) -> np.ndarray:
-        u = rng.random(self.dim)
+    def sample_uniform(self, rng: np.random.Generator,
+                       n: int | None = None) -> np.ndarray:
+        """One uniform state (dim,), or n of them (n, dim) from one draw:
+        the same values as n single draws, leaving rng where they would."""
+        u = rng.random(self.dim if n is None else (n, self.dim))
         return self.lo + u * (self.hi - self.lo)
 
     def sample_uniform_near(self, center, radius: float,

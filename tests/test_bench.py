@@ -230,6 +230,16 @@ class TestCli:
         assert main(["plan", "--scenario", str(tmp_path / "nope.yaml")]) \
             == EXIT_BAD_INPUT
 
+    def test_bench_missing_scenarios(self, tmp_path, capsys):
+        missing = tmp_path / "nope.yaml"
+        assert main(["bench", "--scenarios", str(missing), "--seeds", "1",
+                     "--out", str(tmp_path / "o")]) == EXIT_BAD_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == \
+            f"error: --scenarios: no scenario file at '{missing}'\n"
+        assert not (tmp_path / "o").exists()
+
     def test_bench_writes_outputs(self, walled_path, tmp_path, capsys):
         out_dir = tmp_path / "bench"
         code = main(["bench", "--scenarios", str(walled_path),
@@ -276,8 +286,12 @@ class TestCli:
         (["bench", "--seeds", "1,-3"], "--seeds: seed must be >= 0"),
         (["bench", "--seeds", "1", "--workers", "0"],
          "--workers: workers must be >= 1"),
+        (["bench", "--seeds", "1,1"], "--seeds: '1,1' repeats a seed"),
+        (["bench", "--seeds", "1", "--planners", "smlr,smlr"],
+         "--planners: 'smlr,smlr' repeats a planner"),
     ], ids=["plan_negative_seed", "bench_empty_range", "bench_negative_range",
-            "bench_negative_in_list", "bench_zero_workers"])
+            "bench_negative_in_list", "bench_zero_workers",
+            "bench_repeated_seed", "bench_repeated_planner"])
     def test_bad_run_settings_rejected_before_solving(
             self, free_path, tmp_path, monkeypatch, capsys, cmd, message):
         def no_solve(self, start, goal):

@@ -49,11 +49,14 @@ class TestProjectLift:
     def test_lift_many_lifts_each_row(self):
         rng = np.random.default_rng(2)
         for bundle in (torus_over_circle(), r4_over_r2()):
-            bs = np.stack([bundle.base_space.sample_uniform(rng)
-                           for _ in range(5)])
+            bs = bundle.base_space.sample_uniform(rng, 5)
             f = bundle.fiber_space.sample_uniform(rng)
             assert bundle.lift_many(bs, f).tobytes() == \
                 np.stack([bundle.lift(b, f) for b in bs]).tobytes()
+            # one fiber per row
+            fs = bundle.fiber_space.sample_uniform(rng, 5)
+            assert bundle.lift_many(bs, fs).tobytes() == \
+                np.stack([bundle.lift(b, f) for b, f in zip(bs, fs)]).tobytes()
 
     def test_dimension_mismatch(self):
         bundle = torus_over_circle()
@@ -65,6 +68,9 @@ class TestProjectLift:
             bundle.lift([0.5], [1.0, 2.0])
         with pytest.raises(ValueError):
             bundle.lift_many([0.5, 0.2], [1.0])
+        for f in ([[1.0]] * 2, [[1.0]] * 4, [[[1.0]]] * 3, [1.0, 2.0]):
+            with pytest.raises(ValueError):
+                bundle.lift_many([[0.5]] * 3, f)
 
     def test_zero_dim_fiber(self):
         a = RealVectorSpace([[0, 1], [0, 1]])

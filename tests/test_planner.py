@@ -15,11 +15,10 @@ from smlr.bundles import FiberBundle, FiberBundleSequence, Level
 from smlr.geometry import Box
 from smlr import planner
 from smlr.planner import (GOAL_ID, N_PATTERNS, START_ID, LevelState,
-                          PlannerConfig, SectionPath, SmlrPlanner, Status,
+                          PlannerConfig, SmlrPlanner, Status,
                           compute_importance, flat_solve, lift_section, ptc,
-                          restriction_sample, section_candidates,
-                          section_test, simplify_path, smlr_solve,
-                          smooth_parameter)
+                          restriction_sample, section_test, simplify_path,
+                          smlr_solve, smooth_parameter)
 from smlr.scenario import load_scenario, shipped_scenario_dir
 from smlr.spaces import (CircleSpace, ProductSpace, RealVectorSpace,
                          points_to_edge_distance)
@@ -246,6 +245,70 @@ class TestSamplesAreNormalized:
         assert x.tobytes() == top.space.normalize(x).tobytes()
 
 
+def lift_section_per_vertex(bundle, base_path, start_fiber, goal_fiber):
+    """lift_section as a per-vertex loop with a running sum of segment
+    lengths: the reference it must equal byte for byte."""
+    if bundle.fiber_dim == 0:
+        return [bundle.lift(b) for b in base_path]
+    fs = bundle.fiber_space
+    seg = [bundle.base_space.distance(a, b)
+           for a, b in zip(base_path[:-1], base_path[1:])]
+    total = sum(seg)
+    cum = 0.0
+    lifted = []
+    for i, b in enumerate(base_path):
+        if i > 0:
+            cum += seg[i - 1]
+        s = cum / total if total > 0 else (i / max(1, len(base_path) - 1))
+        lifted.append(bundle.lift(b, fs.interpolate(start_fiber, goal_fiber,
+                                                    min(1.0, s))))
+    return lifted
+
+
+def _r2() -> RealVectorSpace:
+    return RealVectorSpace([[-1, 2], [0, 3]])
+
+
+BUNDLES = {
+    "torus_over_circle": lambda: torus_over_circle_seq().bundles[0],
+    "r2xr2_over_r2": lambda: FiberBundle(
+        bundle_space=ProductSpace([_r2(), _r2()], [1.0, 0.4]),
+        base_space=_r2(), base_indices=[0, 1]),
+    "r2_over_r2": lambda: FiberBundle(bundle_space=_r2(), base_space=_r2(),
+                                      base_indices=[0, 1]),
+}
+
+
+@st.composite
+def base_paths(draw):
+    """A bundle, a base path of 1-6 vertices (a vertex may repeat the one
+    before it, and all of them may coincide) and start and goal fibers."""
+    bundle = BUNDLES[draw(st.sampled_from(sorted(BUNDLES)))]()
+
+    def state(space):
+        return np.array([draw(st.floats(lo, hi, exclude_max=True))
+                         for lo, hi in zip(space.lo, space.hi)])
+    path = [state(bundle.base_space)]
+    for _ in range(draw(st.integers(0, 5))):
+        path.append(path[-1].copy() if draw(st.booleans())
+                    else state(bundle.base_space))
+    if draw(st.booleans()):
+        path = [path[0].copy() for _ in path]
+    fs = bundle.fiber_space
+    fibers = (state(fs), state(fs)) if fs else (None, None)
+    return bundle, path, fibers
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=base_paths())
+def test_lift_section_equals_per_vertex_loop(case):
+    bundle, path, (f0, f1) = case
+    got = lift_section(bundle, path, f0, f1)
+    assert got.shape == (len(path), bundle.bundle_space.dim)
+    assert got.tobytes() == \
+        np.stack(lift_section_per_vertex(bundle, path, f0, f1)).tobytes()
+
+
 def per_state_section_test(level, bundle, base_path, start, goal):
     """section_test as it checked its lift before the batched check: each
     lifted vertex, then each segment's motion."""
@@ -308,10 +371,11 @@ class TestSectionTest:
         base_path = [np.array([0.5]), np.array([1.5]), np.array([2.5])]
         start = np.array([0.5, 1.0])
         goal = np.array([2.5, 2.0])
-        lifted = section_test(top, seq.bundles[0], base_path, start, goal)
-        assert lifted is not None
-        assert np.allclose(lifted[0], start)
-        assert np.allclose(lifted[-1], goal)
+        lift, path = section_test(top, seq.bundles[0], base_path, start,
+                                  goal)
+        assert lift == "straight"
+        assert np.allclose(path[0], start)
+        assert np.allclose(path[-1], goal)
 
     def test_rejects_blocked_lift(self):
         # band obstacle covering all fiber values over theta1 in [1.2, 1.8]
@@ -332,10 +396,10 @@ class TestSectionTest:
         bundle = FiberBundle(bundle_space=lvl.space, base_space=space,
                              base_indices=[0, 1])
         base_path = [np.array([0.1, 0.1]), np.array([0.9, 0.9])]
-        lifted = section_test(top, bundle, base_path,
-                              np.array([0.1, 0.1]), np.array([0.9, 0.9]))
-        assert lifted is not None
-        assert all(np.allclose(a, b) for a, b in zip(lifted, base_path))
+        lift, path = section_test(top, bundle, base_path,
+                                  np.array([0.1, 0.1]), np.array([0.9, 0.9]))
+        assert lift == "straight"
+        assert all(np.allclose(a, b) for a, b in zip(path, base_path))
 
     def test_none_without_base_solution(self):
         seq = torus_over_circle_seq()
@@ -363,11 +427,30 @@ START = np.array([0.5, 1.0])
 GOAL = np.array([2.5, 2.0])
 
 
+def candidate_list(bundle, base_path, start, goal, seed, level_index):
+    """section_test's lifts in the order it tries them, as (label, path),
+    built one at a time: the straight lift, then the fiber detours start ->
+    lift(b0, f) -> ... -> lift(bn, f) -> goal at the zero fiber and at
+    N_PATTERNS single draws, each with consecutive duplicates dropped."""
+    fs = bundle.fiber_space
+    rng = np.random.default_rng([seed, level_index])
+    fibers = [np.clip(np.zeros(fs.dim), fs.lo, fs.hi)] + \
+        [fs.sample_uniform(rng) for _ in range(N_PATTERNS)]
+    cands = [("straight", np.stack(lift_section_per_vertex(
+        bundle, base_path, bundle.fiber_of(start), bundle.fiber_of(goal))))]
+    for i, f in enumerate(fibers):
+        path = [start] + [bundle.lift(b, f) for b in base_path] + [goal]
+        path = [x for j, x in enumerate(path)
+                if j == 0 or np.any(x != path[j - 1])]
+        cands.append((f"fiber {i}", np.stack(path)))
+    return cands
+
+
 def one_at_a_time(level, bundle, base_path, start, goal, seed):
     """section_test's choice as a plain loop: the first candidate in list
     order that passes path_valid on its own."""
-    for lift, path in section_candidates(bundle, base_path, start, goal,
-                                         seed, level.index):
+    for lift, path in candidate_list(bundle, base_path, start, goal, seed,
+                                     level.index):
         if level.validity.path_valid(path):
             return lift, path
     return None
@@ -379,8 +462,8 @@ def straight_only(level, bundle, base_path, start, goal, seed=0):
         return None
     lifted = lift_section(bundle, base_path, bundle.fiber_of(start),
                           bundle.fiber_of(goal))
-    return SectionPath(lifted, "straight") \
-        if level.validity.path_valid(lifted) else None
+    return ("straight", lifted) if level.validity.path_valid(lifted) \
+        else None
 
 
 class TestSectionPatterns:
@@ -392,26 +475,31 @@ class TestSectionPatterns:
         bundle = seq.bundles[0]
         assert not top.validity.path_valid(
             lift_section(bundle, BASE_PATH, START[1:], GOAL[1:]))
-        path = section_test(top, bundle, BASE_PATH, START, GOAL, seed=3)
-        assert path is not None and path.lift == "fiber 0"
+        lift, path = section_test(top, bundle, BASE_PATH, START, GOAL, seed=3)
+        assert lift == "fiber 0"
+        np.testing.assert_array_equal(
+            path, [START, [0.5, 0.0], [1.5, 0.0], [2.5, 0.0], GOAL])
         assert path[0].tobytes() == START.tobytes()
         assert path[-1].tobytes() == GOAL.tobytes()
         assert top.validity.path_valid(path)
         assert all(np.any(a != b) for a, b in zip(path[:-1], path[1:]))
 
     def test_candidates_hold_the_fiber_along_the_base_path(self):
-        bundle = torus_over_circle_seq().bundles[0]
-        cands = list(section_candidates(bundle, BASE_PATH, START, GOAL, 5, 1))
-        assert [lift for lift, _ in cands] == \
-            ["straight"] + [f"fiber {i}" for i in range(N_PATTERNS + 1)]
-        zero = cands[1][1]
-        np.testing.assert_array_equal(
-            zero, [START, [0.5, 0.0], [1.5, 0.0], [2.5, 0.0], GOAL])
-        for _, path in cands[2:]:
-            assert len(path) == len(BASE_PATH) + 2
+        # a narrow window the zero fiber misses: a drawn fiber i passes
+        seq = band_with_window(4.0, 0.3)
+        fs = seq.bundles[0].fiber_space
+        for seed in range(4):
+            lift, path = section_test(top_level(seq), seq.bundles[0],
+                                      BASE_PATH, START, GOAL, seed=seed)
+            i = int(lift.removeprefix("fiber "))
+            assert 1 <= i <= N_PATTERNS
+            drawn = fs.sample_uniform(np.random.default_rng([seed, 1]),
+                                      N_PATTERNS)[i - 1]
+            assert path[0].tobytes() == START.tobytes()
+            assert path[-1].tobytes() == GOAL.tobytes()
             np.testing.assert_array_equal(path[1:-1, 0],
                                           [b[0] for b in BASE_PATH])
-            assert len(set(path[1:-1, 1].tolist())) == 1
+            assert path[1:-1, 1].tobytes() == np.repeat(drawn, 3).tobytes()
 
     def test_blocked_band_misses_in_few_calls(self, monkeypatch):
         seq = torus_over_circle_seq(
@@ -441,17 +529,17 @@ class TestSectionPatterns:
         if want is None:
             assert got is None
         else:
-            assert got.lift == want[0]
-            assert np.stack(got).tobytes() == np.stack(want[1]).tobytes()
+            assert got[0] == want[0]
+            assert got[1].tobytes() == want[1].tobytes()
 
     def test_same_seed_and_level_same_path(self):
         def solve(seed, level):
             seq = band_with_window(4.0, 0.2)
             top = LevelState(level, seq.levels[1].space,
                              seq.levels[1].validity, PlannerConfig())
-            path = section_test(top, seq.bundles[0], BASE_PATH, START, GOAL,
-                                seed=seed)
-            return path.lift, np.stack(path).tobytes()
+            lift, path = section_test(top, seq.bundles[0], BASE_PATH, START,
+                                      GOAL, seed=seed)
+            return lift, path.tobytes()
         assert solve(11, 1) == solve(11, 1)
         assert solve(11, 1) != solve(12, 1)
         assert solve(11, 1) != solve(11, 2)

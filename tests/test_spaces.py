@@ -108,6 +108,19 @@ class TestSampling:
         seq2 = [space.sample_uniform(rng2) for _ in range(50)]
         assert all((x == y).all() for x, y in zip(seq1, seq2))
 
+    @pytest.mark.parametrize("space", [
+        RealVectorSpace([[0, 2], [-1, 3], [0, 1]]), CircleSpace(), torus(),
+        ProductSpace([RealVectorSpace([[0, 1]] * 2), CircleSpace()],
+                     [1.0, 0.3])], ids=["box", "circle", "torus", "se2"])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_many_draws_equal_single_draws(self, space, seed):
+        many, single = np.random.default_rng(seed), np.random.default_rng(seed)
+        xs = space.sample_uniform(many, 7)
+        assert xs.shape == (7, space.dim)
+        singles = [space.sample_uniform(single) for _ in range(7)]
+        assert xs.tobytes() == np.stack(singles).tobytes()
+        assert many.bit_generator.state == single.bit_generator.state
+
 
 class TestSampleNear:
     def test_zero_radius_returns_center(self):
@@ -260,6 +273,7 @@ class TestMetricProperties:
             [space.distance(x, y) for x, y in zip(a, b)]
         assert space.distances(q, rows) == [space.distance(q, y) for y in rows]
         assert space.distances(rows, q) == [space.distance(x, q) for x in rows]
+        assert space.distances(q, rows[0]) == [space.distance(q, rows[0])]
 
 
 @st.composite
