@@ -149,16 +149,19 @@ def cmd_bench(args) -> int:
         if len(set(planners)) < len(planners):
             raise ValueError(f"--planners: '{args.planners}' repeats a "
                              f"planner")
-    except ValueError as e:
+        # results are keyed by scenario name, known only once loaded
+        named = {}
+        for path in paths:
+            name = load_scenario(path).name
+            if name in named:
+                raise ValueError(f"--scenarios: scenario name '{name}' in "
+                                 f"both {named[name]} and {path}")
+            named[name] = path
+    except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    try:
-        table = run_benchmark(paths, planners, seeds,
-                              overrides=overrides,
-                              workers=args.workers)
-    except ScenarioError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+    table = run_benchmark(paths, planners, seeds, overrides=overrides,
+                          workers=args.workers)
     out = Path(args.out) if args.out else _default_out()
     results, summary = write_results(table, out)
     for s in table.summaries():

@@ -1,8 +1,9 @@
 """Vectorized geometric predicates for workspace collision checking.
 
-All point arguments are numpy arrays of shape (m, d); predicates return
-per-row results so motion checks can evaluate a whole discretized segment in
-one call.  Obstacles are discs, axis-aligned boxes and simple (possibly
+Each predicate is one elementwise kernel that broadcasts over leading axes,
+so one call tests whole batches of points, segments and obstacles; the
+matrix forms (m points or segments against k) are broadcast calls of those
+kernels.  Obstacles are discs, axis-aligned boxes and simple (possibly
 non-convex) polygons; polygons are stored CCW.
 """
 
@@ -25,67 +26,56 @@ def polygon_area(vertices: np.ndarray) -> float:
     return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
 
 
-def polygons_contain(polygons, pts) -> np.ndarray:
-    """Even-odd containment of points (p, 2) in each of m polygons
-    (m, nv, 2) -> (m, p); a point on an edge may count either way."""
-    a = polygons
-    b = np.roll(polygons, -1, axis=1)
-    x = pts[None, :, None, 0]
-    y = pts[None, :, None, 1]
-    ax, ay = a[:, None, :, 0], a[:, None, :, 1]
-    bx, by = b[:, None, :, 0], b[:, None, :, 1]
+# -- elementwise kernels: coordinates on the last axis ------------------------
+
+
+def edge_crossings(p, a, b) -> np.ndarray:
+    """Whether the ray from p in +x crosses the edge a-b, counted the
+    even-odd way (half-open in y)."""
+    x, y = p[..., 0], p[..., 1]
+    ax, ay = a[..., 0], a[..., 1]
+    bx, by = b[..., 0], b[..., 1]
     cond = (ay > y) != (by > y)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # where cond holds, |y - ay| <= |by - ay| bounds xint; elsewhere it is
+    # unused and may be inf or nan
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         xint = ax + (y - ay) * (bx - ax) / (by - ay)
-    crossings = np.sum(cond & (x < xint), axis=2)
-    return (crossings % 2) == 1
+    return cond & (x < xint)
 
 
-def points_in_polygon(pts, vertices) -> np.ndarray:
-    """Even-odd rule containment test, boundary counts as inside."""
-    pts = _as_points(pts)
-    v = np.asarray(vertices, dtype=float)
-    inside = polygons_contain(v[None], pts)[0]
-    # boundary: distance to any edge ~ 0
-    on_edge = points_to_segments_dist(pts, v, np.roll(v, -1, axis=0)) \
-        .min(axis=1) <= 1e-12
-    return inside | on_edge
-
-
-def points_to_segments_dist(pts, seg_a, seg_b) -> np.ndarray:
-    """Distance matrix (m, k) from m points to k segments."""
-    pts = _as_points(pts)
-    a = np.asarray(seg_a, dtype=float)
-    b = np.asarray(seg_b, dtype=float)
-    d = b - a                                     # (k, 2)
-    dd = np.sum(d * d, axis=1)                    # (k,)
-    ap = pts[:, None, :] - a[None, :, :]          # (m, k, 2)
+def point_segment_dist(p, a, b) -> np.ndarray:
+    """Distance from p to the segment a-b."""
+    d = b - a
+    dd = np.sum(d * d, axis=-1)
+    ap = p - a
     with np.errstate(divide="ignore", invalid="ignore"):
-        t = np.sum(ap * d[None, :, :], axis=2) / dd[None, :]
-    t = np.where(dd[None, :] == 0.0, 0.0, t)
+        t = np.sum(ap * d, axis=-1) / dd
+    t = np.where(dd == 0.0, 0.0, t)
     t = np.clip(t, 0.0, 1.0)
-    closest = a[None, :, :] + t[:, :, None] * d[None, :, :]
-    return np.linalg.norm(pts[:, None, :] - closest, axis=2)
+    closest = a + t[..., None] * d
+    return np.linalg.norm(p - closest, axis=-1)
 
 
-def segments_intersect(a0, a1, b0, b1) -> np.ndarray:
-    """Pairwise proper-or-touching intersection of segment batches.
+def _cross(o, p, q):
+    return ((p[..., 0] - o[..., 0]) * (q[..., 1] - o[..., 1])
+            - (p[..., 1] - o[..., 1]) * (q[..., 0] - o[..., 0]))
 
-    a0, a1: (m, 2); b0, b1: (k, 2); returns (m, k) booleans.
-    """
-    a0 = np.asarray(a0, float)[:, None, :]
-    a1 = np.asarray(a1, float)[:, None, :]
-    b0 = np.asarray(b0, float)[None, :, :]
-    b1 = np.asarray(b1, float)[None, :, :]
 
-    def cross(o, p, q):
-        return ((p[..., 0] - o[..., 0]) * (q[..., 1] - o[..., 1])
-                - (p[..., 1] - o[..., 1]) * (q[..., 0] - o[..., 0]))
+def _on_segment(o, p, q, c):
+    return (np.abs(c) <= 1e-12) & \
+        (q[..., 0] >= np.minimum(o[..., 0], p[..., 0]) - 1e-12) & \
+        (q[..., 0] <= np.maximum(o[..., 0], p[..., 0]) + 1e-12) & \
+        (q[..., 1] >= np.minimum(o[..., 1], p[..., 1]) - 1e-12) & \
+        (q[..., 1] <= np.maximum(o[..., 1], p[..., 1]) + 1e-12)
 
-    d1 = cross(b0, b1, a0)
-    d2 = cross(b0, b1, a1)
-    d3 = cross(a0, a1, b0)
-    d4 = cross(a0, a1, b1)
+
+def segment_crossing(a0, a1, b0, b1) -> np.ndarray:
+    """Whether segment a0-a1 meets segment b0-b1, properly or touching
+    within 1e-12."""
+    d1 = _cross(b0, b1, a0)
+    d2 = _cross(b0, b1, a1)
+    d3 = _cross(a0, a1, b0)
+    d4 = _cross(a0, a1, b1)
     # a crossing also needs the boxes to meet: when all four points are
     # collinear, rounding gives the cross products arbitrary signs
     a_lo, a_hi = np.minimum(a0, a1), np.maximum(a0, a1)
@@ -94,28 +84,78 @@ def segments_intersect(a0, a1, b0, b1) -> np.ndarray:
         (b_lo[..., 0] <= a_hi[..., 0]) & \
         (a_lo[..., 1] <= b_hi[..., 1]) & (b_lo[..., 1] <= a_hi[..., 1])
     proper = ((d1 > 0) != (d2 > 0)) & ((d3 > 0) != (d4 > 0)) & boxes_meet
-
-    def on_seg(o, p, q, c):
-        return (np.abs(c) <= 1e-12) & \
-            (q[..., 0] >= np.minimum(o[..., 0], p[..., 0]) - 1e-12) & \
-            (q[..., 0] <= np.maximum(o[..., 0], p[..., 0]) + 1e-12) & \
-            (q[..., 1] >= np.minimum(o[..., 1], p[..., 1]) - 1e-12) & \
-            (q[..., 1] <= np.maximum(o[..., 1], p[..., 1]) + 1e-12)
-
-    touch = (on_seg(b0, b1, a0, d1) | on_seg(b0, b1, a1, d2)
-             | on_seg(a0, a1, b0, d3) | on_seg(a0, a1, b1, d4))
+    touch = (_on_segment(b0, b1, a0, d1) | _on_segment(b0, b1, a1, d2)
+             | _on_segment(a0, a1, b0, d3) | _on_segment(a0, a1, b1, d4))
     return proper | touch
+
+
+def segment_segment_dist(a0, a1, b0, b1) -> np.ndarray:
+    """Distance between segments a0-a1 and b0-b1, 0 where they meet."""
+    d = np.minimum(
+        np.minimum(point_segment_dist(a0, b0, b1),
+                   point_segment_dist(a1, b0, b1)),
+        np.minimum(point_segment_dist(b0, a0, a1),
+                   point_segment_dist(b1, a0, a1)))
+    return np.where(segment_crossing(a0, a1, b0, b1), 0.0, d)
+
+
+def box_signed_distance(p, lo, hi) -> np.ndarray:
+    """Signed distance from p to the box [lo, hi], in any dimension."""
+    outside = np.maximum(np.maximum(lo - p, p - hi), 0.0)
+    dist_out = np.linalg.norm(outside, axis=-1)
+    inside_margin = np.minimum(p - lo, hi - p).min(axis=-1)
+    return np.where(dist_out > 0, dist_out, -inside_margin)
+
+
+def disc_signed_distance(p, center, radius) -> np.ndarray:
+    """Signed distance from p to the disc (ball) of the given radius."""
+    return np.linalg.norm(p - center, axis=-1) - radius
+
+
+def polygon_signed_distance(dist, odd) -> np.ndarray:
+    """Signed distance to a polygon from a point's distance to its boundary
+    and the parity of its ray crossings: negative inside, and a point
+    within 1e-12 of the boundary counts as inside."""
+    return np.where(odd | (dist <= 1e-12), -dist, dist)
+
+
+# -- matrix forms ------------------------------------------------------------
+
+
+def polygons_contain(polygons, pts) -> np.ndarray:
+    """Even-odd containment of points (p, 2) in each of m polygons
+    (m, nv, 2) -> (m, p); a point on an edge may count either way."""
+    a = polygons[:, None]
+    b = np.roll(polygons, -1, axis=1)[:, None]
+    crossings = np.sum(edge_crossings(pts[None, :, None, :], a, b), axis=2)
+    return (crossings % 2) == 1
+
+
+def points_to_segments_dist(pts, seg_a, seg_b) -> np.ndarray:
+    """Distance matrix (m, k) from m points to k segments."""
+    pts = _as_points(pts)
+    a = np.asarray(seg_a, dtype=float)
+    b = np.asarray(seg_b, dtype=float)
+    return point_segment_dist(pts[:, None, :], a[None], b[None])
+
+
+def segments_intersect(a0, a1, b0, b1) -> np.ndarray:
+    """Pairwise proper-or-touching intersection of segment batches.
+
+    a0, a1: (m, 2); b0, b1: (k, 2); returns (m, k) booleans.
+    """
+    return segment_crossing(np.asarray(a0, float)[:, None, :],
+                            np.asarray(a1, float)[:, None, :],
+                            np.asarray(b0, float)[None, :, :],
+                            np.asarray(b1, float)[None, :, :])
 
 
 def segments_to_segments_dist(a0, a1, b0, b1) -> np.ndarray:
     """Distance matrix (m, k) between segment batches (0 on intersection)."""
-    inter = segments_intersect(a0, a1, b0, b1)
-    d = np.minimum(
-        np.minimum(points_to_segments_dist(a0, b0, b1),
-                   points_to_segments_dist(a1, b0, b1)),
-        np.minimum(points_to_segments_dist(b0, a0, a1).T,
-                   points_to_segments_dist(b1, a0, a1).T))
-    return np.where(inter, 0.0, d)
+    return segment_segment_dist(np.asarray(a0, float)[:, None, :],
+                                np.asarray(a1, float)[:, None, :],
+                                np.asarray(b0, float)[None, :, :],
+                                np.asarray(b1, float)[None, :, :])
 
 
 class Obstacle:
@@ -142,8 +182,8 @@ class Disc(Obstacle):
         self.radius = float(radius)
 
     def signed_distance(self, pts) -> np.ndarray:
-        pts = _as_points(pts)
-        return np.linalg.norm(pts - self.center, axis=1) - self.radius
+        return disc_signed_distance(_as_points(pts), self.center,
+                                    self.radius)
 
     def bounding_box(self):
         return self.center - self.radius, self.center + self.radius
@@ -159,11 +199,7 @@ class Box(Obstacle):
             raise ValueError("box lo must be strictly below hi componentwise")
 
     def signed_distance(self, pts) -> np.ndarray:
-        pts = _as_points(pts)
-        outside = np.maximum(np.maximum(self.lo - pts, pts - self.hi), 0.0)
-        dist_out = np.linalg.norm(outside, axis=1)
-        inside_margin = np.minimum(pts - self.lo, self.hi - pts).min(axis=1)
-        return np.where(dist_out > 0, dist_out, -inside_margin)
+        return box_signed_distance(_as_points(pts), self.lo, self.hi)
 
     def bounding_box(self):
         return self.lo, self.hi
@@ -192,11 +228,9 @@ class Polygon(Obstacle):
 
     def signed_distance(self, pts) -> np.ndarray:
         pts = _as_points(pts)
-        a = self.vertices
-        b = np.roll(a, -1, axis=0)
+        a, b = self.boundary_segments()
         d = points_to_segments_dist(pts, a, b).min(axis=1)
-        inside = points_in_polygon(pts, a)
-        return np.where(inside, -d, d)
+        return polygon_signed_distance(d, polygons_contain(a[None], pts)[0])
 
     def bounding_box(self):
         return self.vertices.min(axis=0), self.vertices.max(axis=0)

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, dijkstra
 
-from .spaces import StateSpace, points_to_edge_distance
+from .spaces import StateSpace, points_to_edge_distance, wrap_angle
 from .validity import LevelValidity
 
 MAX_ORACLE_DIM = 4
@@ -89,27 +89,44 @@ class GridOracle:
             ok[idx] &= self.validity.valid_mask(mid)
         return ok
 
-    def _center_distances(self, a, b):
-        """Weights of the edges a[i] -> b[i]: one matrix product over the
-        differences, which can differ from distance() in the last bit."""
-        d = self.space._diff(a, b)
-        return np.sqrt((d * d) @ self.space.weights)
+    def _center_differences(self, cells, off):
+        """Centre differences b - a, wrapped as StateSpace._diff wraps
+        them, from each cell a of cells to its neighbour b across off, and
+        from b to a -> two (len(cells), dim) arrays.  Each axis's
+        differences come from a table over its cells_per_dim[i] centres,
+        gathered per cell; an axis off does not move reads 0."""
+        fwd = np.zeros((len(cells), self.space.dim))
+        rev = np.zeros_like(fwd)
+        n = self.cells_per_dim
+        for i in np.flatnonzero(off):
+            c = self._centers_1d[i]
+            nxt = np.roll(c, -off[i])
+            f, r = nxt - c, c - nxt
+            if self.space.circular[i]:
+                f, r = wrap_angle(f), wrap_angle(r)
+            t = cells // int(np.prod(n[i + 1:])) % n[i]
+            fwd[:, i], rev[:, i] = f[t], r[t]
+        return fwd, rev
 
-    def _edge_weights(self, src, dst):
-        """Weight of the pair src[i]-dst[i]: the smaller center distance over
-        the directions whose motion passes, inf where neither does.
+    def _edge_weights(self, src, dst, off):
+        """Weight of the pair src[i]-dst[i], dst[i] the neighbour across
+        off: the smaller center distance over the directions whose motion
+        passes, inf where neither does.  A distance is one matrix product
+        over the differences, which can differ from distance() in the last
+        bit.
 
         dst -> src is checked only where src -> dst fails or, on circular
         coordinates, where the two directions' distances differ in the last
         bit; on real coordinates they are always equal.
         """
-        a, b = self.centers[src], self.centers[dst]
-        w_ab = self._center_distances(a, b)
-        w_ba = (self._center_distances(b, a) if self.space.circular.any()
-                else w_ab)
+        fwd, rev = self._center_differences(src, off)
+        w_ab = np.sqrt((fwd * fwd) @ self.space.weights)
+        w_ba = (np.sqrt((rev * rev) @ self.space.weights)
+                if self.space.circular.any() else w_ab)
         # one substep has no interior state to check
         if self._substeps <= 1:
             return np.minimum(w_ab, w_ba)
+        a, b = self.centers[src], self.centers[dst]
         w = np.where(self._edge_valid_mask(a, b), w_ab, np.inf)
         back = np.flatnonzero(np.isinf(w) | (w_ab != w_ba))
         back = back[self._edge_valid_mask(b[back], a[back])]
@@ -147,7 +164,7 @@ class GridOracle:
             nbr[:, k] = shifted.ravel()
             src = np.flatnonzero(inside)
             src = src[self.free[nbr[src, k]]]
-            wts[src, k] = self._edge_weights(src, nbr[src, k])
+            wts[src, k] = self._edge_weights(src, nbr[src, k], off)
         # on a circular axis of one or two cells, two offsets can reach the
         # same neighbour: one entry per (row, col), the lighter one
         for k, j in itertools.combinations(range(len(offsets)), 2):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -333,9 +333,7 @@ class SmlrPlanner:
                 if verdict is Status.FEASIBLE:
                     rm = levels[cur].roadmap
                     ids, _ = rm.shortest_graph_path(START_ID, GOAL_ID)
-                    v = levels[cur].validity
-                    checker = replace(
-                        v, check_resolution=v.check_resolution / 2.0)
+                    checker = levels[cur].validity.half_resolution
                     base_solutions[cur] = simplify_path(
                         rm.guard_coords()[ids], levels[cur].space, checker)
                     break

@@ -16,6 +16,11 @@ import numpy as np
 TWO_PI = 2.0 * math.pi
 
 
+def wrap_angle(d):
+    """Angle differences d as the shortest arc, in [-pi, pi)."""
+    return np.mod(d + math.pi, TWO_PI) - math.pi
+
+
 class StateSpace:
     """Base class; concrete spaces fill in the flat per-coordinate arrays.
 
@@ -76,7 +81,7 @@ class StateSpace:
         d = b - a
         c = self._wrap
         if c is not None:
-            d[..., c] = np.mod(d[..., c] + math.pi, TWO_PI) - math.pi
+            d[..., c] = wrap_angle(d[..., c])
         return d
 
     def _absdiff(self, a, b) -> np.ndarray:

@@ -10,13 +10,15 @@ validated in a single numpy pass.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import (Box, Disc, points_to_segments_dist, polygons_contain,
-                       segments_intersect, segments_to_segments_dist)
+from .geometry import (Box, Disc, Polygon, box_signed_distance,
+                       disc_signed_distance, edge_crossings,
+                       point_segment_dist, polygon_signed_distance,
+                       segment_crossing, segment_segment_dist)
 from .spaces import StateSpace
 
 # States tested per collision pass: bounds the (states x obstacle edges)
@@ -33,32 +35,43 @@ CHUNK_STATES = 1024
 CALL_STATES = 32
 
 # Widening of each obstacle's bounding box in the broad phase, far above the
-# 1e-12 touch tolerance of segments_intersect and points_in_polygon and the
-# rounding of the exact tests, so a pose they find touching is a candidate.
+# 1e-12 touch tolerance of the segment and containment kernels and the
+# rounding of the exact tests, so a pair they find touching is a candidate.
 BOX_MARGIN = 1e-9
+
+
+def _take(x, rows):
+    """x[rows] in column-major order, whatever the order of x.  The
+    elementwise kernels and their reductions over the short trailing axes
+    (points, coordinates) run 1.5 to 5 times faster on it."""
+    return np.take(x.T, rows, axis=-1).T
 
 
 class CollisionWorld:
     """An obstacle list compiled into stacked arrays for one-pass tests.
 
-    Boxes are stacked into (nb, d) lo/hi arrays, discs into centres and
-    radii, and every obstacle's boundary segments (2-D boxes and polygons)
-    into one (ns, 2) pair.  Other obstacles (polygons) keep their own signed
-    distance field and are tested in a short loop.  Each test uses the same
-    float operations as the obstacle's own predicate, so results are
-    bit-identical to testing the obstacles one by one.
+    The obstacles are numbered boxes first, then discs, then polygons, each
+    kind in list order.  Boxes are stacked into (nb, d) lo/hi arrays and
+    discs into centres and radii.  Every obstacle's boundary segments (2-D
+    boxes and polygons) form one (ns, 2) pair; row j of seg_table lists
+    obstacle j's seg_count[j] segments, padded with -1.
 
-    When every obstacle is planar, their bounding boxes widened by
-    BOX_MARGIN are stacked too (aabb_lo, aabb_hi), and the polygon and chain
-    robots run their exact test only on the poses whose box meets one
-    (broad_phase).
+    near_points tests points against every obstacle at once (point and disc
+    robots).  The polygon and chain robots test (pose, obstacle) pairs
+    instead: broad_phase pairs each pose with the obstacles whose bounding
+    box, widened by BOX_MARGIN, meets the pose's box, and the exact tests
+    run on those pairs only.  Each test uses the same float operations as
+    the obstacle's own predicate, so results are bit-identical to testing
+    the obstacles one by one.
     """
 
     def __init__(self, obstacles):
+        for o in obstacles:
+            if not isinstance(o, (Box, Disc, Polygon)):
+                raise TypeError(f"unsupported obstacle {type(o).__name__}")
         boxes = [o for o in obstacles if isinstance(o, Box)]
         discs = [o for o in obstacles if isinstance(o, Disc)]
-        self.others = [o for o in obstacles
-                       if not isinstance(o, (Box, Disc))]
+        self.polygons = [o for o in obstacles if isinstance(o, Polygon)]
         for kind, dims in (("box", {len(b.lo) for b in boxes}),
                            ("disc", {len(d.center) for d in discs})):
             if len(dims) > 1:
@@ -72,47 +85,99 @@ class CollisionWorld:
         if discs:
             self.disc_centers = np.stack([d.center for d in discs])
             self.disc_radii = np.array([d.radius for d in discs])
-        segs = [s for s in (o.boundary_segments() for o in obstacles)
-                if s is not None]
-        self.has_segments = bool(segs)
-        if segs:
-            self.seg_a = np.concatenate([a for a, _ in segs])
-            self.seg_b = np.concatenate([b for _, b in segs])
+        ordered = boxes + discs + self.polygons
+        # the numbers of the first disc and the first polygon
+        self.first_disc = len(boxes)
+        self._kind_starts = np.array([len(boxes), len(boxes) + len(discs)])
+        segs = [o.boundary_segments() for o in ordered]
+        self.seg_count = np.array([0 if s is None else len(s[0])
+                                   for s in segs], dtype=int)
+        self.has_segments = bool(self.seg_count.sum())
+        if self.has_segments:
+            self.seg_a = np.concatenate([s[0] for s in segs if s is not None])
+            self.seg_b = np.concatenate([s[1] for s in segs if s is not None])
+        cols = np.arange(self.seg_count.max(initial=0))
+        first = np.cumsum(self.seg_count) - self.seg_count
+        self.seg_table = np.where(cols < self.seg_count[:, None],
+                                  first[:, None] + cols, -1)
         self.empty = not obstacles
-        bounds = [o.bounding_box() for o in obstacles]
-        self.has_aabbs = not self.empty and all(
-            b is not None and len(b[0]) == 2 for b in bounds)
+        bounds = [o.bounding_box() for o in ordered]
+        self.has_aabbs = not self.empty and all(len(lo) == 2
+                                                for lo, _ in bounds)
         if self.has_aabbs:
             self.aabb_lo = np.stack([lo for lo, _ in bounds]) - BOX_MARGIN
             self.aabb_hi = np.stack([hi for _, hi in bounds]) + BOX_MARGIN
 
     def broad_phase(self, lo, hi):
-        """Rows whose planar box [lo[i], hi[i]] meets some obstacle's
-        widened box, the only rows that can collide -> (m,) bool; every
-        row when the world has no boxes."""
+        """(pose, obstacle) index pairs whose boxes meet: pose i's planar
+        box [lo[i], hi[i]] and the obstacle's bounding box widened by
+        BOX_MARGIN.  Only these pairs can collide.  Every pair when the
+        world has no planar boxes.  The pairs are sorted by obstacle, so
+        each kind's pairs are one run (kind_slices) -> (pose, obstacle)
+        int arrays."""
         if not self.has_aabbs:
-            return np.ones(len(lo), dtype=bool)
-        meets = (lo[:, None, :] <= self.aabb_hi) & \
-            (hi[:, None, :] >= self.aabb_lo)
-        return meets.all(axis=2).any(axis=1)
+            obs, pose = np.nonzero(np.ones((len(self.seg_table), len(lo)),
+                                           dtype=bool))
+            return pose, obs
+        meets = (self.aabb_lo[:, None] <= hi) & (self.aabb_hi[:, None] >= lo)
+        obs, pose = np.nonzero(meets[..., 0] & meets[..., 1])
+        return pose, obs
 
-    def near_points(self, pts, margin: float, discs: bool = True):
-        """Rows of pts whose signed distance to some obstacle is <= margin
-        (discs skipped when discs is False) -> (m,) bool."""
+    def kind_slices(self, obs):
+        """The runs of the pairs whose obstacles obs (sorted) are boxes,
+        discs and polygons -> three slices."""
+        d, p = np.searchsorted(obs, self._kind_starts).tolist()
+        return slice(0, d), slice(d, p), slice(p, len(obs))
+
+    def segment_rows(self, obs):
+        """One row per boundary segment of each pair's obstacle obs[i],
+        grouped by pair in segment order: each row's pair and segment
+        -> (pair, seg) int arrays."""
+        table = self.seg_table[obs]
+        pair, col = np.nonzero(table >= 0)
+        return pair, table[pair, col]
+
+    def points_near(self, pts, obs, margin: float, discs: bool = True):
+        """Pairs i where some point of pts[i] (n, k, 2) has signed distance
+        <= margin to obstacle obs[i] (disc pairs skipped when discs is
+        False) -> (n,) bool."""
+        hit = np.zeros(len(obs), dtype=bool)
+        box, disc, poly = self.kind_slices(obs)
+        if box.stop:
+            j = obs[box]
+            sd = box_signed_distance(pts[box], _take(self.box_lo, j)[:, None],
+                                     _take(self.box_hi, j)[:, None])
+            hit[box] = (sd <= margin).any(axis=1)
+        if discs and disc.stop > disc.start:
+            j = obs[disc] - self.first_disc
+            sd = disc_signed_distance(pts[disc],
+                                      _take(self.disc_centers, j)[:, None],
+                                      self.disc_radii[j, None])
+            hit[disc] = (sd <= margin).any(axis=1)
+        if poly.stop > poly.start:
+            count = self.seg_count[obs[poly]]
+            pair, seg = self.segment_rows(obs[poly])
+            p = _take(pts[poly], pair)
+            a = _take(self.seg_a, seg)[:, None]
+            b = _take(self.seg_b, seg)[:, None]
+            first = np.cumsum(count) - count
+            d = np.minimum.reduceat(point_segment_dist(p, a, b), first)
+            odd = np.logical_xor.reduceat(edge_crossings(p, a, b), first)
+            hit[poly] = (polygon_signed_distance(d, odd) <= margin).any(axis=1)
+        return hit
+
+    def near_points(self, pts, margin: float):
+        """Rows of pts (m, d) whose signed distance to some obstacle is
+        <= margin, every obstacle tested -> (m,) bool."""
         hit = np.zeros(len(pts), dtype=bool)
         p = pts[:, None, :]
         if self.has_boxes:
-            lo, hi = self.box_lo, self.box_hi
-            outside = np.maximum(np.maximum(lo - p, p - hi), 0.0)
-            dist_out = np.linalg.norm(outside, axis=2)
-            inside_margin = np.minimum(p - lo, hi - p).min(axis=2)
-            sd = np.where(dist_out > 0, dist_out, -inside_margin)
+            sd = box_signed_distance(p, self.box_lo, self.box_hi)
             hit |= (sd <= margin).any(axis=1)
-        if discs and self.has_discs:
-            sd = np.linalg.norm(p - self.disc_centers, axis=2) \
-                - self.disc_radii
+        if self.has_discs:
+            sd = disc_signed_distance(p, self.disc_centers, self.disc_radii)
             hit |= (sd <= margin).any(axis=1)
-        for o in self.others:
+        for o in self.polygons:
             hit |= o.signed_distance(pts) <= margin
         return hit
 
@@ -120,12 +185,13 @@ class CollisionWorld:
 # -- robot models ------------------------------------------------------------
 
 def _posed_vertices(local_vertices, xy, theta):
-    """Rigid transform of local vertices for m poses -> (m, nv, 2)."""
+    """Rigid transform of local vertices for m poses -> (m, nv, 2),
+    column-major."""
     c, s = np.cos(theta), np.sin(theta)
-    vx, vy = local_vertices[:, 0], local_vertices[:, 1]
-    px = c[:, None] * vx[None, :] - s[:, None] * vy[None, :] + xy[:, 0:1]
-    py = s[:, None] * vx[None, :] + c[:, None] * vy[None, :] + xy[:, 1:2]
-    return np.stack([px, py], axis=-1)
+    vx, vy = local_vertices[:, 0, None], local_vertices[:, 1, None]
+    px = c * vx - s * vy + xy[:, 0]
+    py = s * vx + c * vy + xy[:, 1]
+    return np.stack([px, py]).T
 
 
 def _in_workspace(body_lo, body_hi, lo, hi, r):
@@ -137,14 +203,20 @@ def _in_workspace(body_lo, body_hi, lo, hi, r):
 
 
 def _valid_body(body, r, world, lo, hi, collides):
-    """Validity of posed bodies (m, k, 2) whose points are widened by r:
-    the workspace test and the broad phase share each pose's box, and the
-    exact collides(body[rows], world) runs only on the rows both pass."""
+    """Validity of posed bodies (m, k, 2) whose points are widened by r.
+    The workspace test and the broad phase share each pose's box: the poses
+    inside the workspace are paired with the obstacles their box meets, and
+    the exact collides(body[pose], world, obs) runs on those pairs only."""
     body_lo, body_hi = body.min(axis=1), body.max(axis=1)
     ok = _in_workspace(body_lo, body_hi, lo, hi, r)
-    rows = np.flatnonzero(ok & world.broad_phase(body_lo - r, body_hi + r))
-    if len(rows):
-        ok[rows] = ~collides(body[rows], world)
+    rows = np.flatnonzero(ok)
+    if not len(rows):
+        return ok
+    pose, obs = world.broad_phase(_take(body_lo, rows) - r,
+                                  _take(body_hi, rows) + r)
+    if len(pose):
+        pose = rows[pose]
+        ok[pose[collides(_take(body, pose), world, obs)]] = False
     return ok
 
 
@@ -210,21 +282,29 @@ class PolygonRobot(RobotModel):
                            self._collides)
 
     @staticmethod
-    def _collides(verts, world):
-        m, nv, _ = verts.shape
-        flat = verts.reshape(m * nv, 2)
-        rb = np.roll(verts, -1, axis=1).reshape(m * nv, 2)
-        hit = world.near_points(flat, 0.0).reshape(m, nv).any(axis=1)
-        if world.has_discs:
-            c = world.disc_centers
-            hit |= polygons_contain(verts, c).any(axis=1)
-            d = points_to_segments_dist(c, flat, rb)
-            d = d.reshape(-1, m, nv).min(axis=2)
-            hit |= (d <= world.disc_radii[:, None]).any(axis=0)
+    def _collides(a, world, obs):
+        """Whether the posed polygon a[i] (n, nv, 2) overlaps obstacle
+        obs[i]: a vertex inside the obstacle, a disc's centre inside the
+        polygon or within its radius of an edge, an obstacle corner inside
+        the polygon, or an edge crossing an obstacle edge -> (n,) bool."""
+        b = np.roll(a, -1, axis=1)
+        hit = world.points_near(a, obs, 0.0)
+        _, disc, _ = world.kind_slices(obs)
+        if disc.stop > disc.start:
+            j = obs[disc] - world.first_disc
+            c = _take(world.disc_centers, j)[:, None]
+            ea, eb = a[disc], b[disc]
+            inside = np.logical_xor.reduce(edge_crossings(c, ea, eb), axis=1)
+            d = point_segment_dist(c, ea, eb).min(axis=1)
+            hit[disc] |= inside | (d <= world.disc_radii[j])
         if world.has_segments:
-            hit |= polygons_contain(verts, world.seg_a).any(axis=1)
-            hit |= segments_intersect(flat, rb, world.seg_a, world.seg_b) \
-                .reshape(m, -1).any(axis=1)
+            pair, seg = world.segment_rows(obs)
+            p = _take(world.seg_a, seg)[:, None]
+            q = _take(world.seg_b, seg)[:, None]
+            ea, eb = _take(a, pair), _take(b, pair)
+            inside = np.logical_xor.reduce(edge_crossings(p, ea, eb), axis=1)
+            hit[pair[inside | segment_crossing(ea, eb, p, q).any(axis=1)]] \
+                = True
         return hit
 
 
@@ -247,36 +327,38 @@ class ChainRobot(RobotModel):
             raise ValueError("link geometry must be positive")
 
     def joints(self, coords):
-        """Joint positions including the base -> (m, L+1, 2)."""
-        base = coords[:, list(self.base_indices)]
-        angles = np.cumsum(coords[:, list(self.angle_indices)], axis=1)
-        lengths = np.asarray(self.link_lengths, dtype=float)
-        steps = lengths[None, :, None] * np.stack(
-            [np.cos(angles), np.sin(angles)], axis=-1)
-        pts = np.concatenate([base[:, None, :],
-                              base[:, None, :] + np.cumsum(steps, axis=1)],
-                             axis=1)
-        return pts
+        """Joint positions including the base -> (m, L+1, 2),
+        column-major."""
+        base = coords[:, list(self.base_indices)].T[:, None, :]
+        angles = np.cumsum(coords[:, list(self.angle_indices)].T, axis=0)
+        lengths = np.asarray(self.link_lengths, dtype=float)[:, None]
+        steps = lengths * np.stack([np.cos(angles), np.sin(angles)])
+        return np.concatenate([base, base + np.cumsum(steps, axis=1)],
+                              axis=1).T
 
     def valid(self, coords, world, lo, hi):
         return _valid_body(self.joints(coords), self.link_radius, world, lo,
                            hi, self._collides)
 
-    def _collides(self, joints, world):
-        a, b = joints[:, :-1, :], joints[:, 1:, :]
-        m, L, _ = a.shape
-        fa, fb = a.reshape(m * L, 2), b.reshape(m * L, 2)
+    def _collides(self, j, world, obs):
+        """Whether the chain posed as j[i] (n, L+1, 2) overlaps obstacle
+        obs[i]: a joint within link_radius of a box or polygon, or a link
+        within link_radius of a disc or of an obstacle edge -> (n,) bool."""
+        a, b = j[:, :-1], j[:, 1:]
         r = self.link_radius
-        hit = (world.near_points(fa, r, discs=False)
-               | world.near_points(fb, r, discs=False)) \
-            .reshape(m, L).any(axis=1)
-        if world.has_discs:
-            d = points_to_segments_dist(world.disc_centers, fa, fb)
-            d = d.reshape(-1, m, L).min(axis=2)
-            hit |= (d <= (world.disc_radii + r)[:, None]).any(axis=0)
+        hit = world.points_near(j, obs, r, discs=False)
+        _, disc, _ = world.kind_slices(obs)
+        if disc.stop > disc.start:
+            k = obs[disc] - world.first_disc
+            d = point_segment_dist(_take(world.disc_centers, k)[:, None],
+                                   a[disc], b[disc])
+            hit[disc] |= d.min(axis=1) <= world.disc_radii[k] + r
         if world.has_segments:
-            d = segments_to_segments_dist(fa, fb, world.seg_a, world.seg_b)
-            hit |= (d.reshape(m, -1) <= r).any(axis=1)
+            pair, seg = world.segment_rows(obs)
+            d = segment_segment_dist(_take(a, pair), _take(b, pair),
+                                     _take(world.seg_a, seg)[:, None],
+                                     _take(world.seg_b, seg)[:, None])
+            hit[pair[(d <= r).any(axis=1)]] = True
         return hit
 
 
@@ -307,7 +389,7 @@ class LevelValidity:
     check_resolution is the motion discretization step as a fraction of the
     space's max extent.  The obstacles are compiled into a CollisionWorld at
     construction, so the object is frozen: derive a variant with
-    dataclasses.replace.
+    dataclasses.replace, as half_resolution does once per object.
     """
 
     space: StateSpace
@@ -322,6 +404,12 @@ class LevelValidity:
             raise ValueError("check_resolution must be in (0, 1]")
         object.__setattr__(self, "_extent", self.space.max_extent())
         object.__setattr__(self, "_world", CollisionWorld(self.obstacles))
+
+    @functools.cached_property
+    def half_resolution(self) -> LevelValidity:
+        """This validity at half the check resolution, derived once: the
+        planner's final check of a solution."""
+        return replace(self, check_resolution=self.check_resolution / 2.0)
 
     def valid_mask(self, coords: np.ndarray) -> np.ndarray:
         coords = np.asarray(coords, dtype=float)

@@ -240,6 +240,30 @@ class TestCli:
             f"error: --scenarios: no scenario file at '{missing}'\n"
         assert not (tmp_path / "o").exists()
 
+    def test_bench_duplicate_scenario_names(self, tmp_path, monkeypatch,
+                                            capsys):
+        """Two files with one scenario name fail after loading and before
+        any solve, not with a duplicate-row error at the end."""
+        def no_solve(self, start, goal):
+            raise AssertionError("solved despite a repeated scenario name")
+        monkeypatch.setattr(SmlrPlanner, "solve", no_solve)
+        text = (shipped_scenario_dir() / "square_wall_feasible.yaml") \
+            .read_text()
+        runs = tmp_path / "runs"
+        runs.mkdir()
+        for name in ("a.yaml", "b.yaml"):
+            (runs / name).write_text(text)
+        out_dir = tmp_path / "o"
+        assert main(["bench", "--scenarios", str(runs), "--seeds", "1",
+                     "--planners", "flat", "--out", str(out_dir)]) \
+            == EXIT_BAD_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: --scenarios: scenario name 'square_wall_feasible' in "
+            f"both {runs / 'a.yaml'} and {runs / 'b.yaml'}\n")
+        assert not out_dir.exists()
+
     def test_bench_writes_outputs(self, walled_path, tmp_path, capsys):
         out_dir = tmp_path / "bench"
         code = main(["bench", "--scenarios", str(walled_path),

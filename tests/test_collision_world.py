@@ -16,14 +16,18 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import smlr.validity as validity_module
-from smlr.geometry import (Box, Disc, Polygon, points_to_segments_dist,
-                           polygons_contain, segments_intersect,
+from smlr.geometry import (Box, Disc, Polygon, box_signed_distance,
+                           disc_signed_distance, edge_crossings,
+                           point_segment_dist, points_to_segments_dist,
+                           polygons_contain, segment_crossing,
+                           segment_segment_dist, segments_intersect,
                            segments_to_segments_dist)
 from smlr.scenario import load_scenario, shipped_scenario_dir
 from smlr.spaces import CircleSpace, ProductSpace, RealVectorSpace
 from smlr.sparse_graph import SparseRoadmap
-from smlr.validity import (BOX_MARGIN, CHUNK_STATES, ChainRobot, DiscRobot,
-                           LevelValidity, PointRobot, PolygonRobot)
+from smlr.validity import (BOX_MARGIN, CHUNK_STATES, ChainRobot,
+                           CollisionWorld, DiscRobot, LevelValidity,
+                           PointRobot, PolygonRobot)
 
 # -- per-obstacle reference ---------------------------------------------------
 
@@ -341,6 +345,23 @@ def poses_around(robot, obstacle, gap):
     return np.array(poses)
 
 
+def posed_body(robot, coords):
+    """Posed vertices or joints -> (m, k, 2)."""
+    return robot._verts(coords) if isinstance(robot, PolygonRobot) \
+        else robot.joints(coords)
+
+
+def meeting_pairs(robot, coords, obstacle_list):
+    """(m, n) whether pose i's box (widened by the link radius) meets
+    obstacle j's bounding box widened by BOX_MARGIN."""
+    body = posed_body(robot, coords)
+    pad = robot.link_radius if isinstance(robot, ChainRobot) else 0.0
+    lo, hi = body.min(axis=1) - pad, body.max(axis=1) + pad
+    olo = np.array([o.bounding_box()[0] for o in obstacle_list]) - BOX_MARGIN
+    ohi = np.array([o.bounding_box()[1] for o in obstacle_list]) + BOX_MARGIN
+    return ((lo[:, None] <= ohi) & (hi[:, None] >= olo)).all(axis=2)
+
+
 class TestBroadPhase:
     @pytest.mark.parametrize("robot", TOUCHING_ROBOTS,
                              ids=lambda r: type(r).__name__)
@@ -363,11 +384,11 @@ class TestBroadPhase:
                              ids=lambda r: type(r).__name__)
     def test_exact_test_runs_on_candidates_only(self, robot, monkeypatch):
         rows = []
-        for name in ("segments_intersect", "segments_to_segments_dist"):
+        for name in ("segment_crossing", "segment_segment_dist"):
             original = getattr(validity_module, name)
 
             def counted(a0, *rest, _original=original):
-                rows.append(len(a0))
+                rows.append(a0.shape[:2])
                 return _original(a0, *rest)
             monkeypatch.setattr(validity_module, name, counted)
         v = validity(robot, BOUNDARY_OBSTACLES, workspace=True)
@@ -376,22 +397,60 @@ class TestBroadPhase:
         far[:, 1] = 0.1
         assert v.valid_mask(far).all()
         assert rows == []
-        near = np.concatenate([far, poses_around(robot,
-                                                 BOUNDARY_OBSTACLES[0], 0.0)])
+        touching = poses_around(robot, BOUNDARY_OBSTACLES[0], 0.0)
+        near = np.concatenate([far, touching])
         np.testing.assert_array_equal(v.valid_mask(near),
                                       ref_valid_mask(v, near))
-        # one link or edge row per candidate pose's link or edge
+        # one row per boundary segment of each obstacle with segments (the
+        # box and the polygon) whose box meets a touching pose's box, each
+        # row holding that pose's links or edges
         per_pose = len(robot.vertices) if isinstance(robot, PolygonRobot) \
             else len(robot.link_lengths)
-        assert rows == [8 * per_pose]
+        meets = meeting_pairs(robot, touching, BOUNDARY_OBSTACLES)
+        segments = sum(meets[:, j].sum() * len(o.boundary_segments()[0])
+                       for j, o in enumerate(BOUNDARY_OBSTACLES)
+                       if o.boundary_segments() is not None)
+        assert rows == [(segments, per_pose)]
+
+    @pytest.mark.parametrize("robot", TOUCHING_ROBOTS,
+                             ids=lambda r: type(r).__name__)
+    def test_exact_test_sees_meeting_pairs_only(self, robot, monkeypatch):
+        """The exact test gets exactly the (pose, obstacle) pairs whose
+        boxes meet, among the poses inside the workspace: each posed body
+        once per obstacle its box meets."""
+        seen = []
+        original = CollisionWorld.points_near
+
+        def points_near(self, pts, obs, *rest, **kw):
+            seen.extend(zip((p.tobytes() for p in pts), obs.tolist()))
+            return original(self, pts, obs, *rest, **kw)
+        monkeypatch.setattr(CollisionWorld, "points_near", points_near)
+        v = validity(robot, BOUNDARY_OBSTACLES, workspace=True)
+        rng = np.random.default_rng(11)
+        x = np.concatenate(
+            [states(rng, robot, 300, BOUNDARY_OBSTACLES)]
+            + [poses_around(robot, o, gap) for o in BOUNDARY_OBSTACLES
+               for gap in (0.0, 1e-7)])
+        np.testing.assert_array_equal(v.valid_mask(x), ref_valid_mask(v, x))
+        inside = ref_in_workspace(robot, x, v.workspace_lo, v.workspace_hi)
+        meets = meeting_pairs(robot, x, BOUNDARY_OBSTACLES) & inside[:, None]
+        body = posed_body(robot, x)
+        want = [(body[i].tobytes(), int(j))
+                for i, j in zip(*np.nonzero(meets))]
+        assert sorted(seen) == sorted(want)
+        # the broad phase drops most pairs of the poses it keeps
+        kept = meets.any(axis=1)
+        assert 0 < len(want) < kept.sum() * len(BOUNDARY_OBSTACLES)
 
     def test_non_planar_world_has_no_boxes(self):
         v = LevelValidity(space=RealVectorSpace([[0, 1]] * 3),
                           robot=PointRobot(position_indices=(0, 1, 2)),
                           obstacles=[Box([0.1] * 3, [0.2] * 3)])
         assert not v._world.has_aabbs
-        assert v._world.broad_phase(np.zeros((4, 2)),
-                                    np.ones((4, 2))).tolist() == [True] * 4
+        # every (row, obstacle) pair is a candidate
+        pose, obs = v._world.broad_phase(np.zeros((4, 2)), np.ones((4, 2)))
+        assert pose.tolist() == [0, 1, 2, 3]
+        assert obs.tolist() == [0] * 4
 
 
 class TestOnePosedPass:
@@ -530,6 +589,118 @@ class TestSegmentsIntersect:
                     (a.min(axis=0) - b.max(axis=0)).max())
         assert apart > BOX_MARGIN
         assert not segments_intersect(a[:1], a[1:], b[:1], b[1:])[0, 0]
+
+
+# -- elementwise kernels against the matrix forms ---------------------------
+
+# a coarse lattice makes collinear, touching and shared-endpoint segments
+# and points on edges common; plain floats cover the general position
+lattice = st.integers(-4, 4).map(lambda v: v / 4)
+mixed = st.one_of(lattice, st.floats(-1.0, 1.0))
+lattice_point = st.tuples(mixed, mixed)
+
+
+def point_batch(n_max=5):
+    return st.lists(lattice_point, min_size=1, max_size=n_max).map(np.array)
+
+
+def lattice_segments(n_max=5):
+    return st.lists(st.tuples(lattice_point, lattice_point), min_size=1,
+                    max_size=n_max).map(
+        lambda segs: (np.array([a for a, _ in segs]),
+                      np.array([b for _, b in segs])))
+
+
+def row_pairs(draw, m, k):
+    """Random (i, j) index pairs, every pair at least once."""
+    i, j = np.divmod(np.arange(m * k), k)
+    extra = draw(st.lists(st.tuples(st.integers(0, m - 1),
+                                    st.integers(0, k - 1)), max_size=6))
+    i = np.concatenate([i, [a for a, _ in extra]]).astype(int)
+    j = np.concatenate([j, [b for _, b in extra]]).astype(int)
+    return i, j
+
+
+def gathered(x, rows, layout):
+    """x[rows], row-major or column-major."""
+    g = x[rows]
+    return np.asfortranarray(g) if layout == "F" else g
+
+
+layouts = st.sampled_from(["C", "F"])
+
+
+class TestKernelsEqualMatrixForms:
+    """Each elementwise kernel fed gathered row pairs, in either memory
+    order, gives the bytes of the matrix form at those pairs."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(a=lattice_segments(), b=lattice_segments(), data=st.data(),
+           layout=layouts)
+    def test_segment_crossing(self, a, b, data, layout):
+        i, j = row_pairs(data.draw, len(a[0]), len(b[0]))
+        got = segment_crossing(*(gathered(x, i, layout) for x in a),
+                               *(gathered(x, j, layout) for x in b))
+        assert got.tobytes() == segments_intersect(*a, *b)[i, j].tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(a=lattice_segments(), b=lattice_segments(), data=st.data(),
+           layout=layouts)
+    def test_segment_segment_dist(self, a, b, data, layout):
+        i, j = row_pairs(data.draw, len(a[0]), len(b[0]))
+        got = segment_segment_dist(*(gathered(x, i, layout) for x in a),
+                                   *(gathered(x, j, layout) for x in b))
+        want = segments_to_segments_dist(*a, *b)[i, j]
+        assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(p=point_batch(), seg=lattice_segments(), data=st.data(),
+           layout=layouts)
+    def test_point_segment_dist(self, p, seg, data, layout):
+        i, j = row_pairs(data.draw, len(p), len(seg[0]))
+        got = point_segment_dist(gathered(p, i, layout),
+                                 *(gathered(x, j, layout) for x in seg))
+        want = points_to_segments_dist(p, *seg)[i, j]
+        assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(p=point_batch(), data=st.data(), layout=layouts)
+    def test_edge_crossings_parity(self, p, data, layout):
+        """Per (polygon, point) pair, the parity of the crossings over the
+        polygon's gathered edges is polygons_contain."""
+        n = data.draw(st.integers(3, 6))
+        polys = np.array(data.draw(st.lists(
+            st.lists(lattice_point, min_size=n, max_size=n), min_size=1,
+            max_size=4)))
+        i, j = row_pairs(data.draw, len(polys), len(p))
+        a = gathered(polys, i, layout)
+        b = gathered(np.roll(polys, -1, axis=1), i, layout)
+        odd = np.logical_xor.reduce(
+            edge_crossings(gathered(p, j, layout)[:, None], a, b), axis=1)
+        assert odd.tobytes() == polygons_contain(polys, p)[i, j].tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(p=point_batch(), corners=lattice_segments(), data=st.data(),
+           layout=layouts)
+    def test_box_and_disc_signed_distance(self, p, corners, data, layout):
+        """Against Box.signed_distance and Disc.signed_distance, and the
+        broadcast form of near_points."""
+        lo = np.minimum(*corners)
+        hi = np.maximum(*corners) + 0.25
+        radii = hi[:, 0] - lo[:, 0]
+        i, j = row_pairs(data.draw, len(p), len(lo))
+        q = gathered(p, i, layout)
+        boxes = box_signed_distance(q, gathered(lo, j, layout),
+                                    gathered(hi, j, layout))
+        discs = disc_signed_distance(q, gathered(lo, j, layout), radii[j])
+        box_matrix = np.stack([Box(a, b).signed_distance(p)
+                               for a, b in zip(lo, hi)], axis=1)
+        disc_matrix = np.stack([Disc(c, r).signed_distance(p)
+                                for c, r in zip(lo, radii)], axis=1)
+        assert boxes.tobytes() == box_matrix[i, j].tobytes()
+        assert discs.tobytes() == disc_matrix[i, j].tobytes()
+        assert box_signed_distance(p[:, None], lo, hi).tobytes() == \
+            box_matrix.tobytes()
 
 
 # -- batched motion checks ---------------------------------------------------

@@ -22,7 +22,7 @@ from smlr.planner import (GOAL_ID, N_PATTERNS, START_ID, LevelState,
 from smlr.scenario import load_scenario, shipped_scenario_dir
 from smlr.spaces import (CircleSpace, ProductSpace, RealVectorSpace,
                          points_to_edge_distance)
-from smlr.validity import LevelValidity, PointRobot
+from smlr.validity import CollisionWorld, LevelValidity, PointRobot
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -753,6 +753,41 @@ class TestRevalidation:
         assert out.returncode == 0, out.stderr
         assert out.stdout.startswith(f"raised {debug} solution failed "
                                      "re-validation at half resolution")
+
+
+class TestHalfResolutionChecker:
+    def test_derived_once_per_validity(self):
+        v = r2_level([Box([0.4, 0.3], [0.6, 0.7])]).validity
+        half = v.half_resolution
+        assert half is v.half_resolution
+        assert half.check_resolution == v.check_resolution / 2.0
+        assert (half.robot, half.obstacles) == (v.robot, v.obstacles)
+        assert half._world is not v._world
+        with pytest.raises(FrozenInstanceError):
+            half.check_resolution = 0.5
+
+    def test_repeated_solves_compile_no_world(self, monkeypatch):
+        """The second solve on the same levels compiles no CollisionWorld
+        and returns the same path bytes and cost."""
+        sc = load_scenario(shipped_scenario_dir()
+                           / "se2_lshape_feasible.yaml")
+        cfg = replace(sc.config, seed=3)
+        compiled = []
+        original = CollisionWorld.__init__
+
+        def counted(self, obstacles):
+            compiled.append(len(obstacles))
+            original(self, obstacles)
+        monkeypatch.setattr(CollisionWorld, "__init__", counted)
+        first = SmlrPlanner(sc.seq, cfg).solve(sc.start, sc.goal)
+        assert first.status is Status.FEASIBLE
+        assert len(compiled) == sc.seq.depth
+        compiled.clear()
+        second = SmlrPlanner(sc.seq, cfg).solve(sc.start, sc.goal)
+        assert compiled == []
+        assert second.cost == first.cost
+        assert np.asarray(second.path).tobytes() == \
+            np.asarray(first.path).tobytes()
 
 
 class TestSolveMultilevel:
