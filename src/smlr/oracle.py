@@ -206,9 +206,17 @@ class GridOracle:
         labels = self._component_labels()
         if labels[cs] != labels[cg]:
             return None
-        dist = dijkstra(self.graph(), directed=False, indices=cs)
-        cost = dist[cg]
-        return None if math.isinf(cost) else float(cost)
+        # a search bounded by limit finds the same distances as a full one
+        # within it; start from the centre distance times sqrt(dim), which
+        # bounds an axis-aligned path in free space, and double until cg
+        limit = self.space.distance(self.centers[cs], self.centers[cg]) \
+            * math.sqrt(self.space.dim)
+        while True:
+            cost = dijkstra(self.graph(), directed=False, indices=cs,
+                            limit=limit)[cg]
+            if not math.isinf(cost):
+                return float(cost)
+            limit *= 2.0
 
     def coverage_fraction(self, roadmap, delta: float) -> float:
         """Fraction of free cell centers within delta of the roadmap's edge

@@ -227,30 +227,65 @@ def simplify_path(path, space, checker):
     increases cost because straight segments realize the metric.  Motions are
     checked with checker; the planner passes its half-resolution validity,
     the one the final path is re-validated with.
+
+    The path is one (n, dim) array.  Subdivision inserts the midpoint of
+    every segment longer than 1e-9, from one distances and one
+    interpolate_many call.  Elision from vertex i checks the candidates
+    j = n-1 ... i+2 in slices of 2, 4, 8, ... from the far end, one
+    motions_valid call per slice, and keeps the farthest that passes, or
+    i + 1 unchecked when none does.  Verdicts are kept for the call, keyed
+    by the endpoints' bytes (equal endpoints give equal states), so no
+    motion is checked twice.
     """
     if len(path) <= 2:
         return list(path)
-    pts = [np.asarray(p, dtype=float) for p in path]
+    pts = np.array(path, dtype=float)
+    seen: dict[tuple[bytes, bytes], bool] = {}
     for _ in range(SIMPLIFY_ROUNDS):
-        sub = []
-        for a, b in zip(pts[:-1], pts[1:]):
-            sub.append(a)
-            if space.distance(a, b) > 1e-9:
-                sub.append(space.interpolate(a, b, 0.5))
-        sub.append(pts[-1])
-        out = [sub[0]]
-        i = 0
-        while i < len(sub) - 1:
-            j = len(sub) - 1
-            while j > i + 1 and not checker.motion_valid(sub[i], sub[j]):
-                j -= 1
-            out.append(sub[j])
-            i = j
-        if len(out) == len(pts) and \
-                all(np.array_equal(a, b) for a, b in zip(out, pts)):
+        a, b = pts[:-1], pts[1:]
+        split = np.asarray(space.distances(a, b)) > 1e-9
+        mids = space.interpolate_many(a, b, np.full(len(a), 0.5))
+        # each vertex, then its segment's midpoint where the segment splits
+        take = np.column_stack([np.ones_like(split), split])
+        sub = np.concatenate([np.stack([a, mids], axis=1)[take], pts[-1:]])
+        out = sub[_elide(sub, checker, seen)]
+        if len(out) == len(pts) and np.array_equal(out, pts):
             break
         pts = out
-    return pts
+    return list(pts)
+
+
+def _elide(sub, checker, seen) -> list[int]:
+    """Indices of the vertices greedy elision keeps on the polyline sub,
+    reading and filling the verdict memo seen."""
+    keys = [row.tobytes() for row in sub]
+    keep, i, last = [0], 0, len(sub) - 1
+    while i < last:
+        cands = range(last, i + 1, -1)
+        # the motions farther than the farthest known pass, each once
+        ask = {}
+        for c in cands:
+            ok = seen.get((keys[i], keys[c]))
+            if ok:
+                break
+            if ok is None:
+                ask.setdefault((keys[i], keys[c]), c)
+        # slices of 2, 4, 8, ... as in section_test: a pass settles the step
+        # and spares the nearer candidates, whose batch would raise the
+        # peak memory for no time saved
+        motions, rows = list(ask), list(ask.values())
+        lo, size = 0, 2
+        while lo < len(rows):
+            verdicts = checker.motions_valid(sub[i],
+                                             sub[rows[lo:lo + size]]).tolist()
+            seen.update(zip(motions[lo:lo + size], verdicts))
+            if True in verdicts:
+                break
+            lo, size = lo + size, size * 2
+        j = next((c for c in cands if seen[keys[i], keys[c]]), i + 1)
+        keep.append(j)
+        i = j
+    return keep
 
 
 def _insert_path(level: LevelState, path):
@@ -301,15 +336,14 @@ class SmlrPlanner:
                 cost=cost, seconds=time.perf_counter() - t0, seed=cfg.seed,
                 coverage_estimate=coverage, reason=reason)
 
-        # start/goal must be feasible on every level
+        # start/goal must be feasible on every level, coarsest first
         for k in range(K):
-            v = levels[k].validity
-            if not v.is_valid(starts[k]):
-                return finish(Status.INFEASIBLE,
-                              reason=f"start invalid on level {k + 1}")
-            if not v.is_valid(goals[k]):
-                return finish(Status.INFEASIBLE,
-                              reason=f"goal invalid on level {k + 1}")
+            ok = levels[k].validity.valid_mask(np.stack([starts[k],
+                                                         goals[k]]))
+            for name, valid in zip(("start", "goal"), ok.tolist()):
+                if not valid:
+                    return finish(Status.INFEASIBLE,
+                                  reason=f"{name} invalid on level {k + 1}")
 
         for lvl, s, g in zip(levels, starts, goals):
             lvl.roadmap.add_guard(s)

@@ -458,10 +458,21 @@ class LevelValidity:
         return self.motion_points(a, b[None, :], [self.space.distance(a, b)],
                                   first=0)[0]
 
+    def motions_valid(self, a, bs) -> np.ndarray:
+        """motion_valid(a[i], bs[i]) for each row pair (a is one state or
+        one per row of bs): states 0..n of every motion, as motion_points
+        discretizes it, from one valid_mask call -> (len(bs),) bool."""
+        a = np.asarray(a, dtype=float)
+        bs = np.asarray(bs, dtype=float)
+        pts, starts = self.motion_points(a, bs, self.space.distances(a, bs),
+                                         first=0)
+        return np.logical_and.reduceat(self.valid_mask(pts), starts)
+
     def motion_valid(self, a, b) -> bool:
         # not visibility(a, [b]): its batch set-up costs more than this on
-        # the one-motion checks of path simplification and interfaces
-        return bool(self.valid_mask(self.motion_states(a, b)).all())
+        # the one-motion checks of interfaces
+        b = np.asarray(b, dtype=float)
+        return bool(self.motions_valid(a, b[None, :])[0])
 
     def paths_valid(self, paths) -> np.ndarray:
         """path_valid of each polyline of paths, from one valid_mask call
@@ -469,11 +480,8 @@ class LevelValidity:
         so only that state is checked."""
         paths = [np.asarray(p, dtype=float) for p in paths]
         paths = [p if len(p) > 1 else np.concatenate([p, p]) for p in paths]
-        a = np.concatenate([p[:-1] for p in paths])
-        b = np.concatenate([p[1:] for p in paths])
-        pts, starts = self.motion_points(a, b, self.space.distances(a, b),
-                                         first=0)
-        motions = np.logical_and.reduceat(self.valid_mask(pts), starts)
+        motions = self.motions_valid(np.concatenate([p[:-1] for p in paths]),
+                                     np.concatenate([p[1:] for p in paths]))
         firsts = np.cumsum([0] + [len(p) - 1 for p in paths[:-1]])
         return np.logical_and.reduceat(motions, firsts)
 

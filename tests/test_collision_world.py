@@ -741,8 +741,8 @@ def assert_same_as_one_by_one(v, q, bs, batches):
 
 
 class TestMotionsValid:
-    """LevelValidity.visibility, the fused state and motion check that
-    replaced motions_valid, against is_valid and motion_valid one by one."""
+    """LevelValidity.visibility, the fused state and motion check, against
+    is_valid and motion_valid one by one."""
 
     def test_circle_wrapped_torus(self, batches):
         v = scenario("torus_band_feasible").seq.finest.validity

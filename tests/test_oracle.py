@@ -127,6 +127,28 @@ class TestShortestPath:
             answers.add(cost is None)
         assert answers == {True, False}
 
+    def test_long_detour_doubles_the_limit(self, monkeypatch):
+        # the wall leaves a gap at the far end only: the path is about ten
+        # times the centre distance, so the bounded search doubles its
+        # limit several times
+        space, v = world([Box([0.45, 0.0], [0.55, 0.9])])
+        o = GridOracle(space, v, 0.02)
+        start, goal = [0.41, 0.05], [0.59, 0.05]
+        full = oracle_module.dijkstra(o.graph(), directed=False,
+                                      indices=o.cell_of(start))[
+            o.cell_of(goal)]
+        limits = []
+        bounded = oracle_module.dijkstra
+
+        def recording(*args, limit=np.inf, **kwargs):
+            limits.append(limit)
+            return bounded(*args, limit=limit, **kwargs)
+        monkeypatch.setattr(oracle_module, "dijkstra", recording)
+        cost = o.shortest_path_cost(start, goal)
+        assert np.float64(cost).tobytes() == full.tobytes()
+        assert len(limits) >= 3
+        assert limits[-2] < full <= limits[-1]
+
     def test_same_cell_zero(self):
         space, v = world([])
         o = GridOracle(space, v, 0.1)

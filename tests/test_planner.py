@@ -22,7 +22,8 @@ from smlr.planner import (GOAL_ID, N_PATTERNS, START_ID, LevelState,
 from smlr.scenario import load_scenario, shipped_scenario_dir
 from smlr.spaces import (CircleSpace, ProductSpace, RealVectorSpace,
                          points_to_edge_distance)
-from smlr.validity import CollisionWorld, LevelValidity, PointRobot
+from smlr.validity import (CollisionWorld, LevelValidity, PointRobot,
+                           PolygonRobot)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -609,7 +610,130 @@ class TestPtc:
         assert ptc(ls, cfg, 99.0) is Status.INFEASIBLE
 
 
+def simplify_path_one_at_a_time(path, space, checker, steps=None):
+    """simplify_path as a sequential loop, kept as the reference: distance
+    and interpolate per segment, and one motion_valid call per candidate
+    from the far end.  steps, a list, gets one entry per elision step."""
+    if len(path) <= 2:
+        return list(path)
+    pts = [np.asarray(p, dtype=float) for p in path]
+    for _ in range(planner.SIMPLIFY_ROUNDS):
+        sub = []
+        for a, b in zip(pts[:-1], pts[1:]):
+            sub.append(a)
+            if space.distance(a, b) > 1e-9:
+                sub.append(space.interpolate(a, b, 0.5))
+        sub.append(pts[-1])
+        out = [sub[0]]
+        i = 0
+        while i < len(sub) - 1:
+            j = len(sub) - 1
+            while j > i + 1 and not checker.motion_valid(sub[i], sub[j]):
+                j -= 1
+            out.append(sub[j])
+            if steps is not None:
+                steps.append(i)
+            i = j
+        if len(out) == len(pts) and \
+                all(np.array_equal(a, b) for a, b in zip(out, pts)):
+            break
+        pts = out
+    return pts
+
+
+SIMPLIFY_SPACES = {
+    "r2": lambda: RealVectorSpace([[0, 1], [0, 1]]),
+    "t2": lambda: ProductSpace([CircleSpace(), CircleSpace()]),
+    "se2": lambda: ProductSpace([RealVectorSpace([[0, 1], [0, 1]]),
+                                 CircleSpace()], weights=[1.0, 0.1]),
+}
+
+
+@st.composite
+def simplify_inputs(draw, kind):
+    """A level on R^2 or T^2 (point robot) or SE(2) (L-shaped polygon)
+    with up to four boxes and a random check resolution, and a polyline of
+    3-11 states.  Up to three copies of vertices are inserted anywhere,
+    unchanged (a zero-length segment when next to the original) or moved
+    below the 1e-9 subdivision threshold.  On T^2 coordinates near the
+    0 / 2*pi seam are common, so motions cross it."""
+    space = SIMPLIFY_SPACES[kind]()
+    scale = 2 * math.pi if kind == "t2" else 1.0
+    coord = st.floats(0.0, scale)
+    boxes = []
+    for _ in range(draw(st.integers(0, 4))):
+        x, y = draw(coord), draw(coord)
+        w, h = (draw(st.floats(0.02, 0.4)) * scale for _ in range(2))
+        boxes.append(Box([x, y], [x + w, y + h]))
+    robot = (PolygonRobot(vertices=[[-0.02, -0.02], [0.1, -0.02],
+                                    [0.1, 0.02], [0.02, 0.02],
+                                    [0.02, 0.08], [-0.02, 0.08]])
+             if kind == "se2" else PointRobot())
+    v = LevelValidity(space=space, robot=robot, obstacles=boxes,
+                      check_resolution=draw(st.floats(0.01, 0.3)))
+    unit = st.floats(0.0, 1.0, exclude_max=True)
+    if kind == "t2":
+        unit = unit | st.floats(0.0, 0.03) | \
+            st.floats(0.97, 1.0, exclude_max=True)
+    state = st.lists(unit, min_size=space.dim, max_size=space.dim).map(
+        lambda u: space.lo + np.array(u) * (space.hi - space.lo))
+    path = draw(st.lists(state, min_size=3, max_size=8))
+    for _ in range(draw(st.integers(0, 3))):
+        x = path[draw(st.integers(0, len(path) - 1))].copy()
+        x[0] += draw(st.sampled_from([0.0, 1e-12, 5e-10]))
+        path.insert(draw(st.integers(0, len(path))), x)
+    return v, np.array(path) if draw(st.booleans()) else path
+
+
 class TestSimplifyPath:
+    @pytest.mark.parametrize("kind", sorted(SIMPLIFY_SPACES))
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_equals_one_at_a_time(self, kind, data):
+        v, path = data.draw(simplify_inputs(kind))
+        got = simplify_path(path, v.space, v)
+        want = simplify_path_one_at_a_time(path, v.space, v)
+        assert [p.tobytes() for p in got] == [p.tobytes() for p in want]
+
+    @pytest.mark.parametrize("kind", sorted(SIMPLIFY_SPACES))
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_each_motion_checked_once_one_call_per_slice(self, kind, data):
+        # a step's calls share its start state; every call but its last
+        # finds no pass, and the k-th holds at most 2 ** k motions
+        v, path = data.draw(simplify_inputs(kind))
+        steps = []
+        simplify_path_one_at_a_time(path, v.space, v, steps)
+        calls, masks = [], []
+        motions_valid = LevelValidity.motions_valid
+        valid_mask = LevelValidity.valid_mask
+
+        def recording(self, a, bs):
+            ok = motions_valid(self, a, bs)
+            calls.append((np.asarray(a, dtype=float).tobytes(),
+                          [b.tobytes() for b in bs], ok.any()))
+            return ok
+
+        def counting(self, coords):
+            masks.append(len(coords))
+            return valid_mask(self, coords)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(LevelValidity, "motions_valid", recording)
+            mp.setattr(LevelValidity, "valid_mask", counting)
+            simplify_path(path, v.space, v)
+        assert len(masks) == len(calls)
+        motions = [(a, b) for a, bs, _ in calls for b in bs]
+        assert len(set(motions)) == len(motions)
+        groups = []
+        for k, (a, bs, _) in enumerate(calls):
+            if k and a == calls[k - 1][0] and not calls[k - 1][2]:
+                groups[-1].append(len(bs))
+            else:
+                groups.append([len(bs)])
+        assert len(groups) <= len(steps)
+        assert all(n <= 2 ** (k + 1) for g in groups
+                   for k, n in enumerate(g))
+
     def test_straightens_free_detour(self):
         lvl = r2_level([])
         path = [np.array([0.1, 0.1]), np.array([0.1, 0.9]),
@@ -676,6 +800,32 @@ class TestSolveFlatWorlds:
         res = smlr_solve(seq, np.array([0.1, 0.1]), np.array([0.9, 0.9]), cfg)
         assert res.status is Status.INFEASIBLE
         assert "start" in res.reason
+
+    @pytest.mark.parametrize("start, goal, reason, calls", [
+        ([2.2, 1.0], [2.3, 1.0], "start invalid on level 1", 1),
+        ([1.0, 4.2], [2.3, 1.0], "goal invalid on level 1", 1),
+        ([1.0, 4.2], [3.0, 1.0], "start invalid on level 2", 2),
+        ([1.0, 1.0], [3.0, 4.2], "goal invalid on level 2", 2),
+    ])
+    def test_endpoint_reasons_one_check_per_level(self, monkeypatch, start,
+                                                  goal, reason, calls):
+        # the base circle is blocked on [2, 2.5], the torus on y in
+        # [4, 4.5]: level 1 is reported first, and start before goal
+        seq = torus_over_circle_seq(
+            bundle_obstacles=[Box([0.0, 4.0], [2 * math.pi, 4.5])],
+            base_obstacles=[Box([2.0], [2.5])])
+        seen = []
+        valid_mask = LevelValidity.valid_mask
+
+        def counting(self, coords):
+            seen.append(len(coords))
+            return valid_mask(self, coords)
+        monkeypatch.setattr(LevelValidity, "valid_mask", counting)
+        res = smlr_solve(seq, np.array(start), np.array(goal),
+                         PlannerConfig(seed=0))
+        assert res.status is Status.INFEASIBLE
+        assert res.reason == reason
+        assert seen == [2] * calls
 
     def test_out_of_bounds_raises(self):
         seq = single_level_seq([])

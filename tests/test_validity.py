@@ -215,6 +215,19 @@ class TestPathValid:
         assert v.path_valid(path) == want
 
     @pytest.mark.parametrize("kind", sorted(PATH_SPACES))
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_motions_valid_equals_motion_states(self, kind, data):
+        # motions_valid, which motion_valid and paths_valid call, against
+        # the states of each motion checked on their own
+        v, path = data.draw(polyline_worlds(kind))
+        path = np.array(path)
+        for a, bs in ((path[0], path), (path, path[::-1])):
+            want = [bool(v.valid_mask(v.motion_states(x, b)).all())
+                    for x, b in zip(np.broadcast_to(a, bs.shape), bs)]
+            assert v.motions_valid(a, bs).tolist() == want
+
+    @pytest.mark.parametrize("kind", sorted(PATH_SPACES))
     @settings(max_examples=30, deadline=None)
     @given(data=st.data())
     def test_batch_equals_one_at_a_time(self, kind, data):
