@@ -1,5 +1,6 @@
 """Command line interface: plan a single scenario, run benchmark batches, or
-query the grid oracle.  Exit code 0 means the command ran; 2 means bad input.
+query the grid oracle.  Exit code 0 means the command ran; 2 means bad input,
+a ValueError (ScenarioError included) or OSError that main prints as 'error: '.
 
 The default output directory can be set with the SMLR_OUT_DIR environment
 variable (overridden by --out).
@@ -16,7 +17,7 @@ from . import __version__
 from .bench import (PLANNERS, make_planner, run_benchmark, solve_scenario,
                     write_results)
 from .planner import PlannerConfig
-from .scenario import ScenarioError, load_scenario
+from .scenario import load_scenario
 from .svg_export import UnsupportedDimensionError, export_svg, \
     write_graph_files
 
@@ -83,17 +84,9 @@ def _add_param_args(p):
 
 
 def cmd_plan(args) -> int:
-    try:
-        overrides = _config_overrides(args)
-        _check_field("--seed", "seed", args.seed)
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    try:
-        scenario = load_scenario(args.scenario)
-    except (ScenarioError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+    overrides = _config_overrides(args)
+    _check_field("--seed", "seed", args.seed)
+    scenario = load_scenario(args.scenario)
     solver = make_planner(scenario, args.planner, args.seed, overrides)
     result = solve_scenario(solver, scenario)
     reason = f" reason={result.reason}" if result.reason else ""
@@ -127,39 +120,29 @@ def cmd_plan(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    try:
-        overrides = _config_overrides(args)
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+    overrides = _config_overrides(args)
     scenarios = Path(args.scenarios)
     paths = (sorted(scenarios.glob("*.yaml")) if scenarios.is_dir()
              else [scenarios] if scenarios.is_file() else [])
+    if not paths:
+        raise ValueError(f"--scenarios: no scenario file at '{scenarios}'")
+    seeds = _parse_seeds(args.seeds)
+    if args.workers < 1:
+        raise ValueError("--workers: workers must be >= 1")
     planners = args.planners.split(",")
-    try:
-        if not paths:
-            raise ValueError(f"--scenarios: no scenario file at "
-                             f"'{scenarios}'")
-        seeds = _parse_seeds(args.seeds)
-        if args.workers < 1:
-            raise ValueError("--workers: workers must be >= 1")
-        for p in planners:
-            if p not in PLANNERS:
-                raise ValueError(f"unknown planner '{p}'")
-        if len(set(planners)) < len(planners):
-            raise ValueError(f"--planners: '{args.planners}' repeats a "
-                             f"planner")
-        # results are keyed by scenario name, known only once loaded
-        named = {}
-        for path in paths:
-            name = load_scenario(path).name
-            if name in named:
-                raise ValueError(f"--scenarios: scenario name '{name}' in "
-                                 f"both {named[name]} and {path}")
-            named[name] = path
-    except (ValueError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+    for p in planners:
+        if p not in PLANNERS:
+            raise ValueError(f"unknown planner '{p}'")
+    if len(set(planners)) < len(planners):
+        raise ValueError(f"--planners: '{args.planners}' repeats a planner")
+    # results are keyed by scenario name, known only once loaded
+    named = {}
+    for path in paths:
+        name = load_scenario(path).name
+        if name in named:
+            raise ValueError(f"--scenarios: scenario name '{name}' in both "
+                             f"{named[name]} and {path}")
+        named[name] = path
     table = run_benchmark(paths, planners, seeds, overrides=overrides,
                           workers=args.workers)
     out = Path(args.out) if args.out else _default_out()
@@ -174,19 +157,11 @@ def cmd_bench(args) -> int:
 def cmd_oracle(args) -> int:
     # SciPy's graph code loads only for this command
     from .oracle import GridOracle
-    try:
-        scenario = load_scenario(args.scenario)
-    except (ScenarioError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+    scenario = load_scenario(args.scenario)
     finest = scenario.seq.finest
-    try:
-        oracle = GridOracle(finest.space, finest.validity, args.resolution)
-        feasible = oracle.feasible(scenario.start, scenario.goal)
-        cost = oracle.shortest_path_cost(scenario.start, scenario.goal)
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+    oracle = GridOracle(finest.space, finest.validity, args.resolution)
+    feasible = oracle.feasible(scenario.start, scenario.goal)
+    cost = oracle.shortest_path_cost(scenario.start, scenario.goal)
     verdict = "feasible" if feasible else "infeasible"
     agrees = verdict == scenario.ground_truth
     print(f"{scenario.name}: oracle={verdict} declared="
@@ -232,7 +207,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, OSError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_BAD_INPUT
 
 
 if __name__ == "__main__":

@@ -9,6 +9,7 @@ in a different workspace (e.g. angle-space levels).
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -52,6 +53,18 @@ _PLANNER_KEYS = {"M": ("max_failures", True),
                  "time_limit": ("time_limit", False)}
 
 
+@contextmanager
+def _named(where, message=None):
+    """The loader's one conversion boundary: a TypeError or ValueError
+    inside becomes ScenarioError(message or 'where: <error>')."""
+    try:
+        yield
+    except ScenarioError:
+        raise
+    except (TypeError, ValueError) as e:
+        raise ScenarioError(message or f"{where}: {e}") from None
+
+
 def _require(mapping, key, where):
     if not isinstance(mapping, dict):
         raise ScenarioError(f"{where} must be a mapping")
@@ -60,14 +73,25 @@ def _require(mapping, key, where):
     return mapping[key]
 
 
+def _number(spec, key, where, default=None, kind="a number",
+            accept=lambda x: True) -> float:
+    """spec[key] as a float (default when absent; None: required).  A bool,
+    a non-number or one accept refuses fails as 'key must be kind'."""
+    raw = (_require(spec, key, where) if default is None
+           else spec.get(key, default))
+    message = f"{where}: {key} must be {kind}, got {raw!r}"
+    with _named(where, message):
+        number = float(raw)
+    if isinstance(raw, bool) or not accept(number):
+        raise ScenarioError(message)
+    return number
+
+
 def _build_factor(spec, where) -> StateSpace:
     kind = _require(spec, "type", where)
     if kind == "real":
-        bounds = _require(spec, "bounds", where)
-        try:
-            return RealVectorSpace(bounds)
-        except ValueError as e:
-            raise ScenarioError(f"{where}: {e}") from None
+        with _named(where):
+            return RealVectorSpace(_require(spec, "bounds", where))
     if kind == "circle":
         return CircleSpace()
     raise ScenarioError(f"{where}: unknown space type '{kind}'")
@@ -76,63 +100,65 @@ def _build_factor(spec, where) -> StateSpace:
 def _build_space(factors, where) -> StateSpace:
     if not isinstance(factors, list) or not factors:
         raise ScenarioError(f"{where}: 'space' must be a list of factors")
-    spaces = [_build_factor(f, f"{where}.space[{i}]")
-              for i, f in enumerate(factors)]
-    weights = [float(f.get("weight", 1.0)) for f in factors]
+    wheres = [f"{where}.space[{i}]" for i in range(len(factors))]
+    spaces = [_build_factor(f, at) for f, at in zip(factors, wheres)]
+    weights = [_number(f, "weight", at, 1.0) for f, at in zip(factors, wheres)]
     if len(spaces) == 1:
         if weights[0] != 1.0:
             raise ScenarioError(
                 f"{where}: a single-factor space cannot carry a weight")
         return spaces[0]
-    try:
+    with _named(where):
         return ProductSpace(spaces, weights)
-    except ValueError as e:
-        raise ScenarioError(f"{where}: {e}") from None
 
 
 def _build_obstacle(spec, where):
     kind = _require(spec, "type", where)
-    try:
+    with _named(where):
         if kind == "disc":
             return Disc(_require(spec, "center", where),
-                        float(_require(spec, "radius", where)))
+                        _number(spec, "radius", where))
         if kind == "box":
             return Box(_require(spec, "lo", where),
                        _require(spec, "hi", where))
         if kind == "polygon":
             return Polygon(_require(spec, "vertices", where))
-    except ValueError as e:
-        raise ScenarioError(f"{where}: {e}") from None
     raise ScenarioError(f"{where}: unknown obstacle type '{kind}'")
 
 
 def _build_robot(spec, space: StateSpace, where):
     kind = _require(spec, "type", where)
-    default_pos = (0,) if space.dim == 1 else (0, 1)
-    try:
+    with _named(where):
+        pos = spec.get("position_indices", (0,) if space.dim == 1 else (0, 1))
         if kind == "point":
-            return PointRobot(position_indices=tuple(
-                spec.get("position_indices", default_pos)))
-        if kind == "disc":
-            return DiscRobot(radius=float(_require(spec, "radius", where)),
-                             position_indices=tuple(
-                                 spec.get("position_indices", default_pos)))
-        if kind == "polygon":
-            return PolygonRobot(
+            robot = PointRobot(position_indices=tuple(pos))
+        elif kind == "disc":
+            robot = DiscRobot(radius=_number(spec, "radius", where),
+                              position_indices=tuple(pos))
+        elif kind == "polygon":
+            robot = PolygonRobot(
                 vertices=_require(spec, "vertices", where),
                 pose_indices=tuple(spec.get("pose_indices", (0, 1, 2))))
-        if kind == "chain":
+        elif kind == "chain":
             lengths = tuple(_require(spec, "link_lengths", where))
-            angles = tuple(spec.get(
-                "angle_indices", range(2, 2 + len(lengths))))
-            return ChainRobot(
+            robot = ChainRobot(
                 link_lengths=lengths,
-                link_radius=float(_require(spec, "link_radius", where)),
+                link_radius=_number(spec, "link_radius", where),
                 base_indices=tuple(spec.get("base_indices", (0, 1))),
-                angle_indices=angles)
-    except ValueError as e:
-        raise ScenarioError(f"{where}: {e}") from None
-    raise ScenarioError(f"{where}: unknown robot type '{kind}'")
+                angle_indices=tuple(spec.get(
+                    "angle_indices", range(2, 2 + len(lengths)))))
+        else:
+            raise ScenarioError(f"{where}: unknown robot type '{kind}'")
+    # an index outside the level's coordinates would fail every run
+    for key, idx in vars(robot).items():
+        if not key.endswith("_indices"):
+            continue
+        count = {"pose_indices": 3, "base_indices": 2}.get(key, len(idx))
+        if len(idx) != count or not all(
+                type(i) is int and 0 <= i < space.dim for i in idx):
+            raise ScenarioError(f"{where}: {key} must be {count} indices "
+                                f"in 0..{space.dim - 1}, got {list(idx)}")
+    return robot
 
 
 def _obstacle_list(specs, where) -> list:
@@ -147,36 +173,14 @@ def _planner_config(spec) -> PlannerConfig:
     dataclass defaults."""
     fields = {}
     for key, (field, whole) in _PLANNER_KEYS.items():
-        if key not in spec:
-            continue
-        value = spec[key]
-        try:
-            number = float(value)
-        except (TypeError, ValueError):
-            number = None
-        if isinstance(value, bool) or number is None or \
-                (whole and not number.is_integer()):
-            kind = "a whole number" if whole else "a number"
-            raise ScenarioError(
-                f"planner: {key} must be {kind}, got {value!r}")
-        fields[field] = int(number) if whole else number
-    try:
+        if key in spec and whole:
+            fields[field] = int(_number(spec, key, "planner",
+                                        kind="a whole number",
+                                        accept=float.is_integer))
+        elif key in spec:
+            fields[field] = _number(spec, key, "planner")
+    with _named("planner"):
         return PlannerConfig(**fields)
-    except ValueError as e:
-        raise ScenarioError(f"planner: {e}") from None
-
-
-def _check_resolution(spec) -> float:
-    """The motion-check step of every level's LevelValidity."""
-    raw = spec.get("check_resolution", 0.01)
-    message = f"planner: check_resolution must be in (0, 1], got {raw!r}"
-    try:
-        res = float(raw)
-    except (TypeError, ValueError):
-        raise ScenarioError(message) from None
-    if isinstance(raw, bool) or not 0 < res <= 1:
-        raise ScenarioError(message)
-    return res
 
 
 def load_scenario(path) -> Scenario:
@@ -200,7 +204,8 @@ def load_scenario(path) -> Scenario:
 
     workspace = doc.get("workspace")
     if workspace is not None:
-        workspace = np.asarray(workspace, dtype=float)
+        with _named(f"{name}.workspace"):
+            workspace = np.asarray(workspace, dtype=float)
         if workspace.ndim != 2 or workspace.shape[1] != 2:
             raise ScenarioError(f"{name}: workspace must be [lo, hi] rows")
 
@@ -210,7 +215,8 @@ def load_scenario(path) -> Scenario:
     if not isinstance(planner_spec, dict):
         raise ScenarioError(f"{name}: 'planner' must be a mapping")
     cfg = _planner_config(planner_spec)
-    check_res = _check_resolution(planner_spec)
+    check_res = _number(planner_spec, "check_resolution", "planner", 0.01,
+                        "in (0, 1]", lambda r: 0 < r <= 1)
 
     level_specs = _require(doc, "levels", name)
     if not isinstance(level_specs, list) or not level_specs:
@@ -223,54 +229,48 @@ def load_scenario(path) -> Scenario:
         space = _build_space(_require(lvl, "space", where), where)
         robot = _build_robot(_require(lvl, "robot", where), space,
                              f"{where}.robot")
-        obstacles = shared_obstacles
-        if "obstacles" in lvl:
-            obstacles = _obstacle_list(lvl["obstacles"], where)
+        obstacles = (_obstacle_list(lvl["obstacles"], where)
+                     if "obstacles" in lvl else shared_obstacles)
+        pos_dim = len(getattr(robot, "position_indices", (0, 1)))
         ws_lo = ws_hi = None
-        if workspace is not None and not lvl.get("ignore_workspace", False):
-            pos_dim = len(getattr(robot, "position_indices",
-                                  getattr(robot, "base_indices", (0, 1))))
-            if pos_dim == len(workspace):
-                ws_lo, ws_hi = workspace[:, 0], workspace[:, 1]
-        try:
+        if workspace is not None and not lvl.get("ignore_workspace", False) \
+                and pos_dim == len(workspace):
+            ws_lo, ws_hi = workspace[:, 0], workspace[:, 1]
+        with _named(where):
             validity = LevelValidity(space=space, robot=robot,
                                      obstacles=obstacles,
                                      workspace_lo=ws_lo, workspace_hi=ws_hi,
                                      check_resolution=check_res)
-        except ValueError as e:
-            raise ScenarioError(f"{where}: {e}") from None
+        for i, o in enumerate(obstacles):
+            if any(np.shape(v) != (pos_dim,) for v in o.bounding_box()):
+                raise ScenarioError(f"{where}: obstacles[{i}] is not "
+                                    f"{pos_dim}-D like the robot")
         levels.append(Level(space=space, validity=validity))
         if k > 0:
-            base_dim = levels[k - 1].space.dim
-            indices = lvl.get("base_indices", list(range(base_dim)))
-            try:
-                bundles.append(FiberBundle(bundle_space=space,
-                                           base_space=levels[k - 1].space,
-                                           base_indices=indices))
-            except ValueError as e:
-                raise ScenarioError(f"{where}.base_indices: {e}") from None
+            base = levels[k - 1].space
+            with _named(f"{where}.base_indices"):
+                bundles.append(FiberBundle(space, base, lvl.get(
+                    "base_indices", range(base.dim))))
 
-    try:
+    with _named(name):
         seq = FiberBundleSequence(levels=levels, bundles=bundles)
-    except ValueError as e:
-        raise ScenarioError(f"{name}: {e}") from None
 
     finest = seq.finest.space
-    start = np.asarray(_require(doc, "start", name), dtype=float)
-    goal = np.asarray(_require(doc, "goal", name), dtype=float)
-    for label, x in (("start", start), ("goal", goal)):
+    ends = []
+    for label in ("start", "goal"):
+        with _named(f"{name}.{label}"):
+            x = np.asarray(_require(doc, label, name), dtype=float)
         if x.shape != (finest.dim,):
             raise ScenarioError(
                 f"{name}: {label} has {x.shape[0] if x.ndim else 0} "
                 f"coordinates, finest level expects {finest.dim}")
-    start = finest.normalize(start)
-    goal = finest.normalize(goal)
-    for label, x in (("start", start), ("goal", goal)):
+        x = finest.normalize(x)
         if not finest.contains(x):
             raise ScenarioError(f"{name}: {label} within bounds violated")
+        ends.append(x)
 
-    return Scenario(name=name, seq=seq, start=start, goal=goal, config=cfg,
-                    ground_truth=ground_truth)
+    return Scenario(name=name, seq=seq, start=ends[0], goal=ends[1],
+                    config=cfg, ground_truth=ground_truth)
 
 
 def shipped_scenario_dir() -> Path:

@@ -212,12 +212,10 @@ class ProductSpace(StateSpace):
             raise ValueError("one weight per child required")
         if any(w <= 0 for w in weights):
             raise ValueError("child weights must be positive")
-        self.children = list(children)
-        self.child_weights = [float(w) for w in weights]
         lo = np.concatenate([c.lo for c in children])
         hi = np.concatenate([c.hi for c in children])
-        w = np.concatenate([wc * c.weights
-                            for wc, c in zip(self.child_weights, children)])
+        w = np.concatenate([float(wc) * c.weights
+                            for wc, c in zip(weights, children)])
         circ = np.concatenate([c.circular for c in children])
         self._init_flat(lo, hi, w, circ)
 
@@ -227,8 +225,6 @@ class CoordinateSubspace(StateSpace):
 
     def __init__(self, parent: StateSpace, indices):
         indices = np.asarray(indices, dtype=int)
-        self.parent = parent
-        self.indices = indices
         self._init_flat(parent.lo[indices], parent.hi[indices],
                         parent.weights[indices], parent.circular[indices])
 

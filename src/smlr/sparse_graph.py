@@ -218,14 +218,18 @@ class SparseRoadmap:
         self.total_additions += 1
 
     def add_conditional(self, q, visible=None) -> AddOutcome:
-        """Apply the four admission tests in order; q must be a valid state.
+        """Apply the four admission tests in order.
 
-        visible is visible_guard_distances(q) when the caller has it; an
-        invalid q sees no guard.
+        visible is visible_guard_distances(q) when the caller has it;
+        otherwise it is computed here, and an invalid q counts as a failure
+        and is rejected, as in the planner's own step.
         """
         q = np.asarray(q, dtype=float)
         if visible is None:
-            visible = self.visible_guard_distances(q) or {}
+            visible = self.visible_guard_distances(q)
+            if visible is None:
+                self.record_failure()
+                return AddOutcome.REJECTED
         vis = list(visible)
 
         # (1) coverage

@@ -1,9 +1,12 @@
+import copy
+
 import numpy as np
 import pytest
 import yaml
 
 from smlr import scenario as scenario_module
 from smlr.bundles import check_admissibility
+from smlr.cli import EXIT_BAD_INPUT, main
 from smlr.oracle import GridOracle
 from smlr.planner import PlannerConfig
 from smlr.scenario import (ScenarioError, load_scenario, shipped_scenario_dir,
@@ -208,3 +211,156 @@ goal: [0.9, 0.9, 0.0]""")
         sc = load_scenario(write(tmp_path, MINIMAL +
                                  "planner: {eta: 7.0, time_limit: '5'}\n"))
         assert sc.config == PlannerConfig(eta=7, time_limit=5.0)
+
+
+# a valid four-level scenario that sets every field the loader reads: each
+# robot kind with all its keys, every obstacle kind, weights, bundle
+# indices, a level's own obstacle list and every planner key
+BOUNDARY = {
+    "format_version": 1, "name": "boundary", "ground_truth": "feasible",
+    "workspace": [[0.0, 1.0], [0.0, 1.0]],
+    "obstacles": [
+        {"type": "box", "lo": [0.45, 0.0], "hi": [0.55, 0.3]},
+        {"type": "disc", "center": [0.5, 0.8], "radius": 0.05},
+        {"type": "polygon",
+         "vertices": [[0.1, 0.8], [0.2, 0.8], [0.15, 0.9]]}],
+    "levels": [
+        {"space": [{"type": "real", "bounds": [[0.0, 1.0], [0.0, 1.0]]}],
+         "robot": {"type": "point", "position_indices": [0, 1]}},
+        {"space": [{"type": "real", "bounds": [[0.0, 1.0], [0.0, 1.0]]}],
+         "robot": {"type": "disc", "radius": 0.02,
+                   "position_indices": [0, 1]},
+         "base_indices": [0, 1]},
+        {"space": [{"type": "real", "bounds": [[0.0, 1.0], [0.0, 1.0]],
+                    "weight": 1.0},
+                   {"type": "circle", "weight": 0.1}],
+         "robot": {"type": "polygon",
+                   "vertices": [[-0.02, -0.02], [0.02, -0.02], [0.0, 0.03]],
+                   "pose_indices": [0, 1, 2]},
+         "base_indices": [0, 1]},
+        {"space": [{"type": "real", "bounds": [[0.0, 1.0], [0.0, 1.0]]},
+                   {"type": "real", "bounds": [[-3.1, 3.1], [-3.1, 3.1]],
+                    "weight": 0.05}],
+         "robot": {"type": "chain", "link_lengths": [0.05, 0.05],
+                   "link_radius": 0.01, "base_indices": [0, 1],
+                   "angle_indices": [2, 3]},
+         "base_indices": [0, 1, 2],
+         "obstacles": [{"type": "box", "lo": [0.45, 0.0],
+                        "hi": [0.55, 0.3]}]}],
+    "planner": {"M": 50, "delta_fraction": 0.25, "eta": 100,
+                "stretch_t": 3.0, "time_limit": 5.0,
+                "check_resolution": 0.01},
+    "start": [0.2, 0.5, 0.0, 0.0],
+    "goal": [0.8, 0.5, 0.0, 0.0],
+}
+
+BOUNDARY_FIELDS = [
+    ("workspace",), ("obstacles",), ("obstacles", 0),
+    ("obstacles", 0, "type"), ("obstacles", 0, "lo"),
+    ("obstacles", 0, "hi"), ("obstacles", 1, "center"),
+    ("obstacles", 1, "radius"), ("obstacles", 2, "vertices"),
+    ("levels",), ("levels", 0), ("levels", 0, "space"),
+    ("levels", 0, "space", 0), ("levels", 0, "space", 0, "type"),
+    ("levels", 0, "space", 0, "bounds"), ("levels", 2, "space", 0, "weight"),
+    ("levels", 2, "space", 1, "weight"), ("levels", 0, "robot"),
+    ("levels", 0, "robot", "type"), ("levels", 0, "robot", "position_indices"),
+    ("levels", 1, "robot", "radius"),
+    ("levels", 1, "robot", "position_indices"),
+    ("levels", 2, "robot", "vertices"), ("levels", 2, "robot", "pose_indices"),
+    ("levels", 3, "robot", "link_lengths"),
+    ("levels", 3, "robot", "link_radius"),
+    ("levels", 3, "robot", "base_indices"),
+    ("levels", 3, "robot", "angle_indices"),
+    ("levels", 1, "base_indices"), ("levels", 3, "base_indices"),
+    ("levels", 3, "obstacles"), ("planner",), ("planner", "M"),
+    ("planner", "delta_fraction"), ("planner", "eta"),
+    ("planner", "stretch_t"), ("planner", "time_limit"),
+    ("planner", "check_resolution"), ("start",), ("goal",),
+]
+# a string, a list, a ragged list, null, a bool, a mapping and a number
+WRONG_VALUES = ["abc", [1], [[1], [1, 2]], None, True, {"a": 1}, 5]
+NUMBER_KEYS = {"radius", "link_radius", "weight", "M", "delta_fraction",
+               "eta", "stretch_t", "time_limit", "check_resolution"}
+
+
+def _boundary_cases():
+    for path in BOUNDARY_FIELDS:
+        for value in WRONG_VALUES:
+            if value == 5 and path[-1] in NUMBER_KEYS:
+                continue  # the right type
+            if path in (("workspace",), ("planner",)) and (
+                    value is None or value == {"a": 1}):
+                continue  # null means absent; a planner mapping is its type
+            yield path, value
+    # indices of the right type outside the level's coordinates
+    for robot, key, value in ((0, "position_indices", [0, 7]),
+                              (2, "pose_indices", [0, 1, 7]),
+                              (3, "base_indices", [0, -1]),
+                              (3, "angle_indices", [2, 7])):
+        yield ("levels", robot, "robot", key), value
+
+
+BOUNDARY_CASES = list(_boundary_cases())
+
+
+def _corrupt(path, value) -> dict:
+    doc = copy.deepcopy(BOUNDARY)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+class TestBoundary:
+    """Bad input fails at the scenario boundary with a named field."""
+
+    def test_base_document_loads(self, tmp_path):
+        sc = load_scenario(write(tmp_path, yaml.safe_dump(BOUNDARY)))
+        assert sc.seq.depth == 4
+
+    @pytest.mark.parametrize(
+        "path, value", BOUNDARY_CASES,
+        ids=[".".join(map(str, p)) + f"={v!r}" for p, v in BOUNDARY_CASES])
+    def test_wrong_field_fails_by_name(self, tmp_path, capsys, path, value):
+        f = write(tmp_path, yaml.safe_dump(_corrupt(path, value)))
+        with pytest.raises(ScenarioError) as info:
+            load_scenario(f)
+        assert type(info.value) is ScenarioError
+        assert str(info.value)
+        out = tmp_path / "o"
+        for cmd in (["plan", "--scenario", str(f), "--out", str(out)],
+                    ["bench", "--scenarios", str(f), "--seeds", "1",
+                     "--out", str(out)],
+                    ["oracle", "--scenario", str(f), "--resolution", "0.1"]):
+            assert main(cmd) == EXIT_BAD_INPUT
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: {info.value}\n"
+            assert not out.exists()
+
+    @pytest.mark.parametrize("path, value, match", [
+        (("levels", 2, "space", 0, "weight"), "abc",
+         r"^boundary.levels\[2\].space\[0\]: weight must be a number, "
+         r"got 'abc'$"),
+        (("start",), ["a", 0, 0, 0], r"^boundary.start: could not convert"),
+        (("workspace",), "abc", r"^boundary.workspace: could not convert"),
+        (("workspace",), [[0.0, 1.0], [0.0]], r"^boundary.workspace: "),
+        (("levels", 3, "robot", "link_lengths"), 5,
+         r"^boundary.levels\[3\].robot: "),
+        (("levels", 1, "robot", "radius"), [1],
+         r"^boundary.levels\[1\].robot: radius must be a number, "
+         r"got \[1\]$"),
+        (("levels", 0, "robot", "position_indices"), [0, 7],
+         r"^boundary.levels\[0\].robot: position_indices must be 2 "
+         r"indices in 0..1, got \[0, 7\]$"),
+        (("levels", 0, "robot", "position_indices"), [1],
+         r"^boundary.levels\[0\]: obstacles\[0\] is not 1-D like the "
+         r"robot$"),
+    ], ids=["weight_text", "start_text", "workspace_text", "workspace_ragged",
+            "link_lengths_number", "radius_list", "index_out_of_range",
+            "robot_below_obstacle_dimension"])
+    def test_field_named(self, tmp_path, path, value, match):
+        f = write(tmp_path, yaml.safe_dump(_corrupt(path, value)))
+        with pytest.raises(ScenarioError, match=match):
+            load_scenario(f)

@@ -68,6 +68,18 @@ class TestAddConditional:
     def test_coverage_on_empty_graph(self):
         rm = free_world()
         assert rm.add_conditional([0.5, 0.5]) is AddOutcome.ADDED_COVERAGE
+
+    def test_invalid_state_rejected(self):
+        space = RealVectorSpace([[0, 1], [0, 1]])
+        v = LevelValidity(space=space, robot=PointRobot(),
+                          obstacles=[Box([0.4, 0.4], [0.6, 0.6])])
+        rm = SparseRoadmap(space, v, delta=0.25, stretch_t=3.0)
+        assert rm.add_conditional([0.5, 0.5]) is AddOutcome.REJECTED
+        assert rm.num_guards == 0
+        assert rm.consecutive_failures == 1
+        assert rm.total_samples == 1
+        assert rm.add_conditional([0.2, 0.2]) is AddOutcome.ADDED_COVERAGE
+        assert v.is_valid(rm.guard_state(0))
         assert rm.num_guards == 1
         assert rm.consecutive_failures == 0
 
