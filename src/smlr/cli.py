@@ -1,6 +1,8 @@
 """Command line interface: plan a single scenario, run benchmark batches, or
 query the grid oracle.  Exit code 0 means the command ran; 2 means bad input,
 a ValueError (ScenarioError included) or OSError that main prints as 'error: '.
+Each command checks its input before it prints or writes anything; a failed
+output write, or a ValueError of the program's own, after that also exits 2.
 
 The default output directory can be set with the SMLR_OUT_DIR environment
 variable (overridden by --out).
@@ -23,10 +25,6 @@ from .svg_export import UnsupportedDimensionError, export_svg, \
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 2
-
-
-def _default_out() -> Path:
-    return Path(os.environ.get("SMLR_OUT_DIR", "out"))
 
 
 def _check_field(flag: str, name: str, value):
@@ -145,7 +143,7 @@ def cmd_bench(args) -> int:
         named[name] = path
     table = run_benchmark(paths, planners, seeds, overrides=overrides,
                           workers=args.workers)
-    out = Path(args.out) if args.out else _default_out()
+    out = Path(args.out or os.environ.get("SMLR_OUT_DIR", "out"))
     results, summary = write_results(table, out)
     for s in table.summaries():
         print(f"{s.scenario:30s} {s.planner:5s} mean {s.mean_seconds:7.2f}s "

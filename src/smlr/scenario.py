@@ -9,8 +9,10 @@ in a different workspace (e.g. angle-space levels).
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -55,13 +57,13 @@ _PLANNER_KEYS = {"M": ("max_failures", True),
 
 @contextmanager
 def _named(where, message=None):
-    """The loader's one conversion boundary: a TypeError or ValueError
-    inside becomes ScenarioError(message or 'where: <error>')."""
+    """The loader's one conversion boundary: a TypeError, ValueError or
+    OverflowError inside becomes ScenarioError(message or 'where: <e>')."""
     try:
         yield
     except ScenarioError:
         raise
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, OverflowError) as e:
         raise ScenarioError(message or f"{where}: {e}") from None
 
 
@@ -74,9 +76,9 @@ def _require(mapping, key, where):
 
 
 def _number(spec, key, where, default=None, kind="a number",
-            accept=lambda x: True) -> float:
+            accept=math.isfinite) -> float:
     """spec[key] as a float (default when absent; None: required).  A bool,
-    a non-number or one accept refuses fails as 'key must be kind'."""
+    a non-number or a value accept refuses fails as 'key must be kind'."""
     raw = (_require(spec, key, where) if default is None
            else spec.get(key, default))
     message = f"{where}: {key} must be {kind}, got {raw!r}"
@@ -126,39 +128,37 @@ def _build_obstacle(spec, where):
     raise ScenarioError(f"{where}: unknown obstacle type '{kind}'")
 
 
+def _indices(spec, key, default, dim, where) -> tuple:
+    """spec[key] as a tuple of coordinates in 0..dim-1; an index outside
+    the level's space would fail every run."""
+    idx = tuple(spec.get(key, default))
+    if not all(type(i) is int and 0 <= i < dim for i in idx):
+        raise ScenarioError(f"{where}: {key} must be indices in "
+                            f"0..{dim - 1}, got {list(idx)}")
+    return idx
+
+
 def _build_robot(spec, space: StateSpace, where):
     kind = _require(spec, "type", where)
+    ix = partial(_indices, spec, dim=space.dim, where=where)
+    pos = (0,) if space.dim == 1 else (0, 1)
     with _named(where):
-        pos = spec.get("position_indices", (0,) if space.dim == 1 else (0, 1))
         if kind == "point":
-            robot = PointRobot(position_indices=tuple(pos))
-        elif kind == "disc":
-            robot = DiscRobot(radius=_number(spec, "radius", where),
-                              position_indices=tuple(pos))
-        elif kind == "polygon":
-            robot = PolygonRobot(
-                vertices=_require(spec, "vertices", where),
-                pose_indices=tuple(spec.get("pose_indices", (0, 1, 2))))
-        elif kind == "chain":
+            return PointRobot(position_indices=ix("position_indices", pos))
+        if kind == "disc":
+            return DiscRobot(radius=_number(spec, "radius", where),
+                             position_indices=ix("position_indices", pos))
+        if kind == "polygon":
+            return PolygonRobot(vertices=_require(spec, "vertices", where),
+                                pose_indices=ix("pose_indices", (0, 1, 2)))
+        if kind == "chain":
             lengths = tuple(_require(spec, "link_lengths", where))
-            robot = ChainRobot(
+            return ChainRobot(
                 link_lengths=lengths,
                 link_radius=_number(spec, "link_radius", where),
-                base_indices=tuple(spec.get("base_indices", (0, 1))),
-                angle_indices=tuple(spec.get(
-                    "angle_indices", range(2, 2 + len(lengths)))))
-        else:
-            raise ScenarioError(f"{where}: unknown robot type '{kind}'")
-    # an index outside the level's coordinates would fail every run
-    for key, idx in vars(robot).items():
-        if not key.endswith("_indices"):
-            continue
-        count = {"pose_indices": 3, "base_indices": 2}.get(key, len(idx))
-        if len(idx) != count or not all(
-                type(i) is int and 0 <= i < space.dim for i in idx):
-            raise ScenarioError(f"{where}: {key} must be {count} indices "
-                                f"in 0..{space.dim - 1}, got {list(idx)}")
-    return robot
+                base_indices=ix("base_indices", (0, 1)),
+                angle_indices=ix("angle_indices", range(2, 2 + len(lengths))))
+    raise ScenarioError(f"{where}: unknown robot type '{kind}'")
 
 
 def _obstacle_list(specs, where) -> list:
@@ -171,14 +171,10 @@ def _obstacle_list(specs, where) -> list:
 def _planner_config(spec) -> PlannerConfig:
     """PlannerConfig from the keys the file sets; the rest keep the
     dataclass defaults."""
-    fields = {}
-    for key, (field, whole) in _PLANNER_KEYS.items():
-        if key in spec and whole:
-            fields[field] = int(_number(spec, key, "planner",
-                                        kind="a whole number",
-                                        accept=float.is_integer))
-        elif key in spec:
-            fields[field] = _number(spec, key, "planner")
+    fields = {field: (int(_number(spec, key, "planner", kind="a whole number",
+                                  accept=float.is_integer)) if whole
+                      else _number(spec, key, "planner"))
+              for key, (field, whole) in _PLANNER_KEYS.items() if key in spec}
     with _named("planner"):
         return PlannerConfig(**fields)
 

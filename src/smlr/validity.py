@@ -270,6 +270,8 @@ class PolygonRobot(RobotModel):
         self.vertices = np.asarray(self.vertices, dtype=float)
         if self.vertices.ndim != 2 or self.vertices.shape[0] < 3:
             raise ValueError("polygon robot needs >= 3 vertices")
+        if len(self.pose_indices) != 3:
+            raise ValueError("polygon robot needs 3 pose indices")
 
     def _verts(self, coords):
         i, j, k = self.pose_indices
@@ -321,6 +323,8 @@ class ChainRobot(RobotModel):
     angle_indices: tuple = (2, 3)
 
     def __post_init__(self):
+        if len(self.base_indices) != 2:
+            raise ValueError("chain robot needs 2 base indices")
         if len(self.angle_indices) != len(self.link_lengths):
             raise ValueError("one joint angle per link required")
         if self.link_radius <= 0 or any(l <= 0 for l in self.link_lengths):

@@ -277,8 +277,10 @@ BOUNDARY_FIELDS = [
     ("planner", "stretch_t"), ("planner", "time_limit"),
     ("planner", "check_resolution"), ("start",), ("goal",),
 ]
-# a string, a list, a ragged list, null, a bool, a mapping and a number
-WRONG_VALUES = ["abc", [1], [[1], [1, 2]], None, True, {"a": 1}, 5]
+# a string, a list, a ragged list, null, a bool, a mapping, a number, nan
+# and an integer too large for a float
+WRONG_VALUES = ["abc", [1], [[1], [1, 2]], None, True, {"a": 1}, 5,
+                float("nan"), 10 ** 400]
 NUMBER_KEYS = {"radius", "link_radius", "weight", "M", "delta_fraction",
                "eta", "stretch_t", "time_limit", "check_resolution"}
 
@@ -321,7 +323,7 @@ class TestBoundary:
 
     @pytest.mark.parametrize(
         "path, value", BOUNDARY_CASES,
-        ids=[".".join(map(str, p)) + f"={v!r}" for p, v in BOUNDARY_CASES])
+        ids=[".".join(map(str, p)) + f"={v!r:.20}" for p, v in BOUNDARY_CASES])
     def test_wrong_field_fails_by_name(self, tmp_path, capsys, path, value):
         f = write(tmp_path, yaml.safe_dump(_corrupt(path, value)))
         with pytest.raises(ScenarioError) as info:
@@ -352,13 +354,29 @@ class TestBoundary:
          r"^boundary.levels\[1\].robot: radius must be a number, "
          r"got \[1\]$"),
         (("levels", 0, "robot", "position_indices"), [0, 7],
-         r"^boundary.levels\[0\].robot: position_indices must be 2 "
-         r"indices in 0..1, got \[0, 7\]$"),
+         r"^boundary.levels\[0\].robot: position_indices must be indices "
+         r"in 0..1, got \[0, 7\]$"),
+        (("levels", 2, "robot", "pose_indices"), [0, 1],
+         r"^boundary.levels\[2\].robot: polygon robot needs 3 pose "
+         r"indices$"),
+        (("levels", 3, "robot", "base_indices"), [0],
+         r"^boundary.levels\[3\].robot: chain robot needs 2 base "
+         r"indices$"),
+        (("planner", "stretch_t"), float("nan"),
+         r"^planner: stretch_t must be a number, got nan$"),
+        (("levels", 1, "robot", "radius"), float("inf"),
+         r"^boundary.levels\[1\].robot: radius must be a number, "
+         r"got inf$"),
+        (("levels", 2, "space", 1, "weight"), 10 ** 400,
+         r"^boundary.levels\[2\].space\[1\]: weight must be a number, "
+         r"got 1000"),
         (("levels", 0, "robot", "position_indices"), [1],
          r"^boundary.levels\[0\]: obstacles\[0\] is not 1-D like the "
          r"robot$"),
     ], ids=["weight_text", "start_text", "workspace_text", "workspace_ragged",
             "link_lengths_number", "radius_list", "index_out_of_range",
+            "pose_indices_two", "chain_base_indices_one", "stretch_t_nan",
+            "radius_inf", "weight_too_large",
             "robot_below_obstacle_dimension"])
     def test_field_named(self, tmp_path, path, value, match):
         f = write(tmp_path, yaml.safe_dump(_corrupt(path, value)))

@@ -68,6 +68,8 @@ class TestAddConditional:
     def test_coverage_on_empty_graph(self):
         rm = free_world()
         assert rm.add_conditional([0.5, 0.5]) is AddOutcome.ADDED_COVERAGE
+        assert rm.num_guards == 1
+        assert rm.consecutive_failures == 0
 
     def test_invalid_state_rejected(self):
         space = RealVectorSpace([[0, 1], [0, 1]])
