@@ -6,8 +6,7 @@ from .bundles import (AdmissibilityReport, FiberBundle, FiberBundleSequence,
                       Level, check_admissibility)
 from .geometry import Box, Disc, Polygon
 from .planner import (PlannerConfig, PlannerResult, SmlrPlanner, Status,
-                      compute_importance, flat_solve, smlr_solve,
-                      smooth_parameter)
+                      compute_importance, smooth_parameter)
 from .scenario import Scenario, ScenarioError, load_scenario, \
     shipped_scenarios
 from .sparse_graph import AddOutcome, SparseRoadmap

@@ -93,38 +93,6 @@ class ResultTable:
                     f"{ls.coverage:.9f}"])
         return buf.getvalue()
 
-    @classmethod
-    def from_csv(cls, text: str) -> "ResultTable":
-        """Parse to_csv output.  Each run's rows must be numbered 1..k in
-        order.  Paths, reasons and the run's overall coverage are not in the
-        CSV, so they read None and ''."""
-        reader = csv.reader(io.StringIO(text))
-        header = next(reader)
-        if header != CSV_HEADER:
-            raise ValueError(f"unexpected CSV header {header}")
-        table = cls()
-        current: RunRecord | None = None
-        for line, row in enumerate(reader, start=2):
-            scn, pl, seed, status, seconds, cost, level, v, e, f, cov = row
-            if current is None or current.key() != (scn, pl, int(seed)):
-                if current is not None:
-                    table.add(current)
-                current = RunRecord(scn, pl, PlannerResult(
-                    status=Status(status), level_stats=[], path=None,
-                    cost=None if cost == "" else float(cost),
-                    seconds=float(seconds), seed=int(seed),
-                    coverage_estimate=None))
-            stats = current.result.level_stats
-            if int(level) != len(stats) + 1:
-                raise ValueError(
-                    f"CSV line {line}: level {level} of run "
-                    f"{current.key()} should be {len(stats) + 1}")
-            stats.append(LevelStats(vertices=int(v), edges=int(e),
-                                    failures=int(f), coverage=float(cov)))
-        if current is not None:
-            table.add(current)
-        return table
-
 
 def make_planner(scenario: Scenario, planner: str, seed: int,
                  overrides: dict | None = None) -> SmlrPlanner:

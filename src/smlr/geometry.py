@@ -139,25 +139,6 @@ def points_to_segments_dist(pts, seg_a, seg_b) -> np.ndarray:
     return point_segment_dist(pts[:, None, :], a[None], b[None])
 
 
-def segments_intersect(a0, a1, b0, b1) -> np.ndarray:
-    """Pairwise proper-or-touching intersection of segment batches.
-
-    a0, a1: (m, 2); b0, b1: (k, 2); returns (m, k) booleans.
-    """
-    return segment_crossing(np.asarray(a0, float)[:, None, :],
-                            np.asarray(a1, float)[:, None, :],
-                            np.asarray(b0, float)[None, :, :],
-                            np.asarray(b1, float)[None, :, :])
-
-
-def segments_to_segments_dist(a0, a1, b0, b1) -> np.ndarray:
-    """Distance matrix (m, k) between segment batches (0 on intersection)."""
-    return segment_segment_dist(np.asarray(a0, float)[:, None, :],
-                                np.asarray(a1, float)[:, None, :],
-                                np.asarray(b0, float)[None, :, :],
-                                np.asarray(b1, float)[None, :, :])
-
-
 class Obstacle:
     """Static workspace obstacle with a signed distance field for points."""
 

@@ -36,7 +36,7 @@ class RevalidationError(RuntimeError):
 
 class Status(Enum):
     """Outcome of a run.  ERROR marks a run whose planner raised:
-    bench.run_single records it, the planner itself never returns it."""
+    bench.solve_scenario records it, the planner itself never returns it."""
 
     FEASIBLE = "feasible"
     INFEASIBLE = "infeasible"
@@ -84,7 +84,7 @@ class PlannerResult:
     cost: float | None
     seconds: float
     seed: int
-    coverage_estimate: float | None   # None when unknown (errors, CSV rows)
+    coverage_estimate: float | None   # None when unknown (errors)
     reason: str = ""
 
 
@@ -400,15 +400,3 @@ class SmlrPlanner:
         return finish(Status.FEASIBLE, reason="; ".join(lifts), path=path,
                       cost=cost,
                       coverage=levels[-1].roadmap.coverage_estimate())
-
-
-def smlr_solve(seq: FiberBundleSequence, start, goal,
-               cfg: PlannerConfig) -> PlannerResult:
-    return SmlrPlanner(seq, cfg).solve(start, goal)
-
-
-def flat_solve(seq: FiberBundleSequence, start, goal,
-               cfg: PlannerConfig) -> PlannerResult:
-    """Flat sparse-roadmap baseline: the same planner on a one-level
-    sequence over the finest space."""
-    return SmlrPlanner(seq.flat(), cfg).solve(start, goal)

@@ -54,6 +54,23 @@ _PLANNER_KEYS = {"M": ("max_failures", True),
                  "stretch_t": ("stretch_t", False),
                  "time_limit": ("time_limit", False)}
 
+# The keys the loader reads from each mapping; any other key is rejected.
+# Typed mappings (space factors, robots, obstacles) by their 'type'.
+_SCENARIO_KEYS = {"format_version", "name", "ground_truth", "workspace",
+                  "obstacles", "planner", "levels", "start", "goal"}
+_LEVEL_KEYS = {"space", "robot", "obstacles", "ignore_workspace",
+               "base_indices"}
+_FACTOR_KEYS = {"real": {"type", "bounds", "weight"},
+                "circle": {"type", "weight"}}
+_ROBOT_KEYS = {"point": {"type", "position_indices"},
+               "disc": {"type", "radius", "position_indices"},
+               "polygon": {"type", "vertices", "pose_indices"},
+               "chain": {"type", "link_lengths", "link_radius",
+                         "base_indices", "angle_indices"}}
+_OBSTACLE_KEYS = {"disc": {"type", "center", "radius"},
+                  "box": {"type", "lo", "hi"},
+                  "polygon": {"type", "vertices"}}
+
 
 @contextmanager
 def _named(where, message=None):
@@ -67,12 +84,34 @@ def _named(where, message=None):
         raise ScenarioError(message or f"{where}: {e}") from None
 
 
-def _require(mapping, key, where):
-    if not isinstance(mapping, dict):
+def _mapping(spec, where) -> dict:
+    if not isinstance(spec, dict):
         raise ScenarioError(f"{where} must be a mapping")
-    if key not in mapping:
+    return spec
+
+
+def _require(mapping, key, where):
+    if key not in _mapping(mapping, where):
         raise ScenarioError(f"missing field '{key}' in {where}")
     return mapping[key]
+
+
+def _known(spec, keys, where) -> None:
+    """Reject the first key of the mapping spec that is not in keys: a
+    misspelt key would otherwise be ignored."""
+    for key in _mapping(spec, where):
+        if key not in keys:
+            raise ScenarioError(f"{where}: unknown key {key!r}")
+
+
+def _kind(spec, kinds: dict, what, where) -> str:
+    """spec's 'type', a key of kinds, once spec carries no key outside
+    kinds[type]."""
+    kind = _require(spec, "type", where)
+    if not isinstance(kind, str) or kind not in kinds:
+        raise ScenarioError(f"{where}: unknown {what} type '{kind}'")
+    _known(spec, kinds[kind], where)
+    return kind
 
 
 def _number(spec, key, where, default=None, kind="a number",
@@ -90,13 +129,10 @@ def _number(spec, key, where, default=None, kind="a number",
 
 
 def _build_factor(spec, where) -> StateSpace:
-    kind = _require(spec, "type", where)
-    if kind == "real":
-        with _named(where):
-            return RealVectorSpace(_require(spec, "bounds", where))
-    if kind == "circle":
+    if _kind(spec, _FACTOR_KEYS, "space", where) == "circle":
         return CircleSpace()
-    raise ScenarioError(f"{where}: unknown space type '{kind}'")
+    with _named(where):
+        return RealVectorSpace(_require(spec, "bounds", where))
 
 
 def _build_space(factors, where) -> StateSpace:
@@ -115,7 +151,7 @@ def _build_space(factors, where) -> StateSpace:
 
 
 def _build_obstacle(spec, where):
-    kind = _require(spec, "type", where)
+    kind = _kind(spec, _OBSTACLE_KEYS, "obstacle", where)
     with _named(where):
         if kind == "disc":
             return Disc(_require(spec, "center", where),
@@ -123,9 +159,7 @@ def _build_obstacle(spec, where):
         if kind == "box":
             return Box(_require(spec, "lo", where),
                        _require(spec, "hi", where))
-        if kind == "polygon":
-            return Polygon(_require(spec, "vertices", where))
-    raise ScenarioError(f"{where}: unknown obstacle type '{kind}'")
+        return Polygon(_require(spec, "vertices", where))
 
 
 def _indices(spec, key, default, dim, where) -> tuple:
@@ -139,7 +173,7 @@ def _indices(spec, key, default, dim, where) -> tuple:
 
 
 def _build_robot(spec, space: StateSpace, where):
-    kind = _require(spec, "type", where)
+    kind = _kind(spec, _ROBOT_KEYS, "robot", where)
     ix = partial(_indices, spec, dim=space.dim, where=where)
     pos = (0,) if space.dim == 1 else (0, 1)
     with _named(where):
@@ -151,14 +185,12 @@ def _build_robot(spec, space: StateSpace, where):
         if kind == "polygon":
             return PolygonRobot(vertices=_require(spec, "vertices", where),
                                 pose_indices=ix("pose_indices", (0, 1, 2)))
-        if kind == "chain":
-            lengths = tuple(_require(spec, "link_lengths", where))
-            return ChainRobot(
-                link_lengths=lengths,
-                link_radius=_number(spec, "link_radius", where),
-                base_indices=ix("base_indices", (0, 1)),
-                angle_indices=ix("angle_indices", range(2, 2 + len(lengths))))
-    raise ScenarioError(f"{where}: unknown robot type '{kind}'")
+        lengths = tuple(_require(spec, "link_lengths", where))
+        return ChainRobot(
+            link_lengths=lengths,
+            link_radius=_number(spec, "link_radius", where),
+            base_indices=ix("base_indices", (0, 1)),
+            angle_indices=ix("angle_indices", range(2, 2 + len(lengths))))
 
 
 def _obstacle_list(specs, where) -> list:
@@ -168,14 +200,14 @@ def _obstacle_list(specs, where) -> list:
             for i, o in enumerate(specs)]
 
 
-def _planner_config(spec) -> PlannerConfig:
+def _planner_config(spec, where) -> PlannerConfig:
     """PlannerConfig from the keys the file sets; the rest keep the
     dataclass defaults."""
-    fields = {field: (int(_number(spec, key, "planner", kind="a whole number",
+    fields = {field: (int(_number(spec, key, where, kind="a whole number",
                                   accept=float.is_integer)) if whole
-                      else _number(spec, key, "planner"))
+                      else _number(spec, key, where))
               for key, (field, whole) in _PLANNER_KEYS.items() if key in spec}
-    with _named("planner"):
+    with _named(where):
         return PlannerConfig(**fields)
 
 
@@ -193,6 +225,10 @@ def load_scenario(path) -> Scenario:
             f"{path}: format_version {version!r} unsupported "
             f"(expected {FORMAT_VERSION})")
     name = _require(doc, "name", str(path))
+    if not isinstance(name, str) or not name:
+        raise ScenarioError(
+            f"{path}: name must be a non-empty string, got {name!r}")
+    _known(doc, _SCENARIO_KEYS, name)
     ground_truth = _require(doc, "ground_truth", name)
     if ground_truth not in ("feasible", "infeasible"):
         raise ScenarioError(
@@ -210,8 +246,10 @@ def load_scenario(path) -> Scenario:
     planner_spec = doc.get("planner") or {}
     if not isinstance(planner_spec, dict):
         raise ScenarioError(f"{name}: 'planner' must be a mapping")
-    cfg = _planner_config(planner_spec)
-    check_res = _number(planner_spec, "check_resolution", "planner", 0.01,
+    where = f"{name}.planner"
+    _known(planner_spec, {*_PLANNER_KEYS, "check_resolution"}, where)
+    cfg = _planner_config(planner_spec, where)
+    check_res = _number(planner_spec, "check_resolution", where, 0.01,
                         "in (0, 1]", lambda r: 0 < r <= 1)
 
     level_specs = _require(doc, "levels", name)
@@ -222,6 +260,8 @@ def load_scenario(path) -> Scenario:
     bundles: list[FiberBundle] = []
     for k, lvl in enumerate(level_specs):
         where = f"{name}.levels[{k}]"
+        _known(lvl, _LEVEL_KEYS if k else _LEVEL_KEYS - {"base_indices"},
+               where)
         space = _build_space(_require(lvl, "space", where), where)
         robot = _build_robot(_require(lvl, "robot", where), space,
                              f"{where}.robot")

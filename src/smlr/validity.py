@@ -268,8 +268,9 @@ class PolygonRobot(RobotModel):
 
     def __post_init__(self):
         self.vertices = np.asarray(self.vertices, dtype=float)
-        if self.vertices.ndim != 2 or self.vertices.shape[0] < 3:
-            raise ValueError("polygon robot needs >= 3 vertices")
+        v = self.vertices
+        if v.ndim != 2 or v.shape[0] < 3 or v.shape[1] != 2:
+            raise ValueError("polygon robot needs >= 3 planar vertices")
         if len(self.pose_indices) != 3:
             raise ValueError("polygon robot needs 3 pose indices")
 
@@ -453,14 +454,6 @@ class LevelValidity:
         pts = self.space.interpolate_many(
             a, np.repeat(np.asarray(bs, dtype=float), count, axis=0), svals)
         return pts, np.cumsum(count) - count
-
-    def motion_states(self, a, b) -> np.ndarray:
-        """The states motion_valid(a, b) checks: states 0..n of the motion,
-        as motion_points discretizes it."""
-        a = np.asarray(a, dtype=float)
-        b = np.asarray(b, dtype=float)
-        return self.motion_points(a, b[None, :], [self.space.distance(a, b)],
-                                  first=0)[0]
 
     def motions_valid(self, a, bs) -> np.ndarray:
         """motion_valid(a[i], bs[i]) for each row pair (a is one state or

@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 from smlr.oracle import GridOracle
-from smlr.planner import (LevelState, PlannerConfig, Status, flat_solve,
-                          compute_importance, restriction_sample, smlr_solve,
+from smlr.planner import (LevelState, PlannerConfig, SmlrPlanner, Status,
+                          compute_importance, restriction_sample,
                           smooth_parameter)
 from smlr.scenario import load_scenario, shipped_scenario_dir
 from smlr.sparse_graph import SparseRoadmap
@@ -29,7 +29,11 @@ FEASIBLE_ALL = ["square_wall_feasible", "bugtrap2d_feasible",
                 "se2_bugtrap_feasible", "chain4_feasible"]
 MULTILEVEL_NARROW = ["se2_lshape_infeasible", "se2_bugtrap_infeasible"]
 
-SOLVERS = {"smlr": smlr_solve, "flat": flat_solve}
+SOLVERS = {
+    "smlr": lambda seq, start, goal, cfg: SmlrPlanner(seq, cfg).solve(
+        start, goal),
+    "flat": lambda seq, start, goal, cfg: SmlrPlanner(seq.flat(), cfg).solve(
+        start, goal)}
 
 _CAPTURE = None
 

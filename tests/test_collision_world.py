@@ -20,14 +20,35 @@ from smlr.geometry import (Box, Disc, Polygon, box_signed_distance,
                            disc_signed_distance, edge_crossings,
                            point_segment_dist, points_to_segments_dist,
                            polygons_contain, segment_crossing,
-                           segment_segment_dist, segments_intersect,
-                           segments_to_segments_dist)
+                           segment_segment_dist)
 from smlr.scenario import load_scenario, shipped_scenario_dir
 from smlr.spaces import CircleSpace, ProductSpace, RealVectorSpace
 from smlr.sparse_graph import SparseRoadmap
 from smlr.validity import (BOX_MARGIN, CHUNK_STATES, ChainRobot,
                            CollisionWorld, DiscRobot, LevelValidity,
                            PointRobot, PolygonRobot)
+
+# -- matrix forms of the segment kernels, as references -----------------------
+
+
+def segments_intersect(a0, a1, b0, b1) -> np.ndarray:
+    """Pairwise proper-or-touching intersection of segment batches.
+
+    a0, a1: (m, 2); b0, b1: (k, 2); returns (m, k) booleans.
+    """
+    return segment_crossing(np.asarray(a0, float)[:, None, :],
+                            np.asarray(a1, float)[:, None, :],
+                            np.asarray(b0, float)[None, :, :],
+                            np.asarray(b1, float)[None, :, :])
+
+
+def segments_to_segments_dist(a0, a1, b0, b1) -> np.ndarray:
+    """Distance matrix (m, k) between segment batches (0 on intersection)."""
+    return segment_segment_dist(np.asarray(a0, float)[:, None, :],
+                                np.asarray(a1, float)[:, None, :],
+                                np.asarray(b0, float)[None, :, :],
+                                np.asarray(b1, float)[None, :, :])
+
 
 # -- per-obstacle reference ---------------------------------------------------
 

@@ -16,14 +16,15 @@ from smlr.geometry import Box
 from smlr import planner
 from smlr.planner import (GOAL_ID, N_PATTERNS, START_ID, LevelState,
                           PlannerConfig, SmlrPlanner, Status,
-                          compute_importance, flat_solve, lift_section, ptc,
+                          compute_importance, lift_section, ptc,
                           restriction_sample, section_test, simplify_path,
-                          smlr_solve, smooth_parameter)
+                          smooth_parameter)
 from smlr.scenario import load_scenario, shipped_scenario_dir
 from smlr.spaces import (CircleSpace, ProductSpace, RealVectorSpace,
                          points_to_edge_distance)
 from smlr.validity import (CollisionWorld, LevelValidity, PointRobot,
                            PolygonRobot)
+from test_spaces import motion_states
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -339,7 +340,8 @@ class TestSectionTest:
         if collision == "vertex":
             spot = [lifted[2]]
         elif collision == "mid_segment":
-            states = free.finest.validity.motion_states(lifted[1], lifted[2])
+            states = motion_states(free.finest.validity, lifted[1],
+                                   lifted[2])
             spot = [states[len(states) // 2]]
         else:
             spot = []
@@ -552,8 +554,8 @@ class TestSectionPatterns:
                                                    monkeypatch):
         def run():
             sc = load_scenario(shipped_scenario_dir() / f"{name}.yaml")
-            res = smlr_solve(sc.seq, sc.start, sc.goal,
-                             replace(sc.config, seed=seed))
+            cfg = replace(sc.config, seed=seed)
+            res = SmlrPlanner(sc.seq, cfg).solve(sc.start, sc.goal)
             return (res.status, res.reason, res.coverage_estimate,
                     res.level_stats)
         real = run()
@@ -772,7 +774,7 @@ class TestSolveFlatWorlds:
         seq = single_level_seq([])
         cfg = PlannerConfig(seed=3, time_limit=10)
         start, goal = np.array([0.1, 0.1]), np.array([0.9, 0.9])
-        res = smlr_solve(seq, start, goal, cfg)
+        res = SmlrPlanner(seq, cfg).solve(start, goal)
         assert res.status is Status.FEASIBLE
         assert res.seconds < 1.0
         assert res.cost >= seq.finest.space.distance(start, goal) - 1e-9
@@ -782,7 +784,8 @@ class TestSolveFlatWorlds:
     def test_partition_wall_infeasible(self):
         seq = single_level_seq([Box([0.45, 0.0], [0.55, 1.0])])
         cfg = PlannerConfig(seed=1, max_failures=1000, time_limit=60)
-        res = smlr_solve(seq, np.array([0.2, 0.5]), np.array([0.8, 0.5]), cfg)
+        res = SmlrPlanner(seq, cfg).solve(np.array([0.2, 0.5]),
+                                          np.array([0.8, 0.5]))
         assert res.status is Status.INFEASIBLE
         assert res.coverage_estimate >= 0.999
         assert res.path is None
@@ -790,14 +793,16 @@ class TestSolveFlatWorlds:
     def test_gap_in_wall_feasible(self):
         seq = single_level_seq([Box([0.45, 0.0], [0.55, 0.7])])
         cfg = PlannerConfig(seed=2, time_limit=30)
-        res = smlr_solve(seq, np.array([0.2, 0.5]), np.array([0.8, 0.5]), cfg)
+        res = SmlrPlanner(seq, cfg).solve(np.array([0.2, 0.5]),
+                                          np.array([0.8, 0.5]))
         assert res.status is Status.FEASIBLE
         assert res.cost > 0.6  # must detour over the wall
 
     def test_invalid_start_reports_infeasible(self):
         seq = single_level_seq([Box([0.0, 0.0], [0.3, 0.3])])
         cfg = PlannerConfig(seed=0)
-        res = smlr_solve(seq, np.array([0.1, 0.1]), np.array([0.9, 0.9]), cfg)
+        res = SmlrPlanner(seq, cfg).solve(np.array([0.1, 0.1]),
+                                          np.array([0.9, 0.9]))
         assert res.status is Status.INFEASIBLE
         assert "start" in res.reason
 
@@ -821,8 +826,8 @@ class TestSolveFlatWorlds:
             seen.append(len(coords))
             return valid_mask(self, coords)
         monkeypatch.setattr(LevelValidity, "valid_mask", counting)
-        res = smlr_solve(seq, np.array(start), np.array(goal),
-                         PlannerConfig(seed=0))
+        cfg = PlannerConfig(seed=0)
+        res = SmlrPlanner(seq, cfg).solve(np.array(start), np.array(goal))
         assert res.status is Status.INFEASIBLE
         assert res.reason == reason
         assert seen == [2] * calls
@@ -831,12 +836,14 @@ class TestSolveFlatWorlds:
         seq = single_level_seq([])
         cfg = PlannerConfig(seed=0)
         with pytest.raises(ValueError):
-            smlr_solve(seq, np.array([2.0, 0.5]), np.array([0.9, 0.9]), cfg)
+            SmlrPlanner(seq, cfg).solve(np.array([2.0, 0.5]),
+                                        np.array([0.9, 0.9]))
 
     def test_timeout_status(self):
         seq = single_level_seq([Box([0.45, 0.0], [0.55, 1.0])])
         cfg = PlannerConfig(seed=0, max_failures=10 ** 6, time_limit=0.2)
-        res = smlr_solve(seq, np.array([0.2, 0.5]), np.array([0.8, 0.5]), cfg)
+        res = SmlrPlanner(seq, cfg).solve(np.array([0.2, 0.5]),
+                                          np.array([0.8, 0.5]))
         assert res.status is Status.TIMEOUT
         assert res.seconds >= 0.2
 
@@ -847,10 +854,10 @@ class TestSolveFlatWorlds:
                            / "square_wall_infeasible.yaml")
         cfg = replace(sc.config, seed=0, max_failures=10 ** 6,
                       time_limit=0.3)
-        res = smlr_solve(sc.seq, sc.start, sc.goal, cfg)
+        res = SmlrPlanner(sc.seq, cfg).solve(sc.start, sc.goal)
         assert res.status is Status.TIMEOUT
         assert res.coverage_estimate is None
-        res = smlr_solve(sc.seq, np.array([0.5, 0.5]), sc.goal, cfg)
+        res = SmlrPlanner(sc.seq, cfg).solve(np.array([0.5, 0.5]), sc.goal)
         assert res.status is Status.INFEASIBLE
         assert res.reason == "start invalid on level 1"
         assert res.coverage_estimate is None
@@ -946,7 +953,7 @@ class TestSolveMultilevel:
         cfg = PlannerConfig(seed=4, time_limit=20)
         start = np.array([0.5, 1.0])
         goal = np.array([3.5, 2.0])
-        res = smlr_solve(seq, start, goal, cfg)
+        res = SmlrPlanner(seq, cfg).solve(start, goal)
         assert res.status is Status.FEASIBLE
         assert len(res.level_stats) == 2
         # the path lives on the finest level and connects the query
@@ -956,9 +963,10 @@ class TestSolveMultilevel:
     def test_reason_names_the_section_lift(self):
         start, goal = np.array([0.5, 1.0]), np.array([3.5, 2.0])
         cfg = PlannerConfig(seed=4, time_limit=20)
-        res = smlr_solve(torus_over_circle_seq(), start, goal, cfg)
+        res = SmlrPlanner(torus_over_circle_seq(), cfg).solve(start, goal)
         assert res.reason == "section lift on level 2: straight"
-        res = flat_solve(torus_over_circle_seq(), start, goal, cfg)
+        flat = torus_over_circle_seq().flat()
+        res = SmlrPlanner(flat, cfg).solve(start, goal)
         assert res.status is Status.FEASIBLE and res.reason == ""
 
     def test_base_infeasibility_short_circuits(self):
@@ -969,7 +977,8 @@ class TestSolveMultilevel:
         seq = torus_over_circle_seq(bundle_obstacles=top_obs,
                                     base_obstacles=base_obs)
         cfg = PlannerConfig(seed=5, max_failures=500, time_limit=60)
-        res = smlr_solve(seq, np.array([0.5, 1.0]), np.array([3.5, 2.0]), cfg)
+        res = SmlrPlanner(seq, cfg).solve(np.array([0.5, 1.0]),
+                                          np.array([3.5, 2.0]))
         assert res.status is Status.INFEASIBLE
         assert "level 1" in res.reason
         # the fine level was never grown beyond its start/goal guards
@@ -979,7 +988,8 @@ class TestSolveMultilevel:
     def test_flat_baseline_matches_single_level(self):
         seq = torus_over_circle_seq()
         cfg = PlannerConfig(seed=6, time_limit=20)
-        res = flat_solve(seq, np.array([0.5, 1.0]), np.array([3.5, 2.0]), cfg)
+        res = SmlrPlanner(seq.flat(), cfg).solve(np.array([0.5, 1.0]),
+                                                 np.array([3.5, 2.0]))
         assert res.status is Status.FEASIBLE
         assert len(res.level_stats) == 1
 
@@ -987,8 +997,10 @@ class TestSolveMultilevel:
         seq_a = torus_over_circle_seq()
         seq_b = torus_over_circle_seq()
         cfg = PlannerConfig(seed=7, time_limit=20)
-        ra = smlr_solve(seq_a, np.array([0.5, 1.0]), np.array([3.5, 2.0]), cfg)
-        rb = smlr_solve(seq_b, np.array([0.5, 1.0]), np.array([3.5, 2.0]), cfg)
+        ra = SmlrPlanner(seq_a, cfg).solve(np.array([0.5, 1.0]),
+                                           np.array([3.5, 2.0]))
+        rb = SmlrPlanner(seq_b, cfg).solve(np.array([0.5, 1.0]),
+                                           np.array([3.5, 2.0]))
         assert ra.status == rb.status
         assert ra.cost == rb.cost
         assert all(np.array_equal(a, b) for a, b in zip(ra.path, rb.path))
@@ -998,10 +1010,10 @@ class TestSolveMultilevel:
     def test_seeds_differ(self):
         cfg_a = PlannerConfig(seed=8, time_limit=20)
         cfg_b = PlannerConfig(seed=9, time_limit=20)
-        ra = smlr_solve(torus_over_circle_seq(), np.array([0.5, 1.0]),
-                        np.array([3.5, 2.0]), cfg_a)
-        rb = smlr_solve(torus_over_circle_seq(), np.array([0.5, 1.0]),
-                        np.array([3.5, 2.0]), cfg_b)
+        ra = SmlrPlanner(torus_over_circle_seq(), cfg_a).solve(
+            np.array([0.5, 1.0]), np.array([3.5, 2.0]))
+        rb = SmlrPlanner(torus_over_circle_seq(), cfg_b).solve(
+            np.array([0.5, 1.0]), np.array([3.5, 2.0]))
         assert ra.status is Status.FEASIBLE and rb.status is Status.FEASIBLE
         # different seeds grow different roadmaps
         assert [(s.vertices, s.edges) for s in ra.level_stats] != \

@@ -6,14 +6,14 @@ from dataclasses import replace
 import pytest
 
 from smlr.cli import EXIT_OK, main
-from smlr.planner import RevalidationError, Status, smlr_solve
+from smlr.planner import RevalidationError, SmlrPlanner, Status
 from smlr.scenario import load_scenario, shipped_scenario_dir
 
 
 def solve(name, seed):
     sc = load_scenario(shipped_scenario_dir() / f"{name}.yaml")
-    return sc, smlr_solve(sc.seq, sc.start, sc.goal,
-                          replace(sc.config, seed=seed))
+    cfg = replace(sc.config, seed=seed)
+    return sc, SmlrPlanner(sc.seq, cfg).solve(sc.start, sc.goal)
 
 
 # Without section patterns the sampled path of these queries failed the

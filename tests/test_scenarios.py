@@ -363,7 +363,7 @@ class TestBoundary:
          r"^boundary.levels\[3\].robot: chain robot needs 2 base "
          r"indices$"),
         (("planner", "stretch_t"), float("nan"),
-         r"^planner: stretch_t must be a number, got nan$"),
+         r"^boundary.planner: stretch_t must be a number, got nan$"),
         (("levels", 1, "robot", "radius"), float("inf"),
          r"^boundary.levels\[1\].robot: radius must be a number, "
          r"got inf$"),
@@ -373,11 +373,37 @@ class TestBoundary:
         (("levels", 0, "robot", "position_indices"), [1],
          r"^boundary.levels\[0\]: obstacles\[0\] is not 1-D like the "
          r"robot$"),
+        (("nmae",), "boundary", r"^boundary: unknown key 'nmae'$"),
+        (("planner", "time_limt"), 1,
+         r"^boundary.planner: unknown key 'time_limt'$"),
+        (("levels", 1, "bse_indices"), [0, 1],
+         r"^boundary.levels\[1\]: unknown key 'bse_indices'$"),
+        (("levels", 0, "base_indices"), [0, 1],
+         r"^boundary.levels\[0\]: unknown key 'base_indices'$"),
+        (("levels", 2, "robot", "pose_indicse"), [0, 1, 2],
+         r"^boundary.levels\[2\].robot: unknown key 'pose_indicse'$"),
+        (("levels", 0, "robot", "radius"), 0.02,
+         r"^boundary.levels\[0\].robot: unknown key 'radius'$"),
+        (("levels", 2, "space", 1, "bounds"), [[0.0, 1.0]],
+         r"^boundary.levels\[2\].space\[1\]: unknown key 'bounds'$"),
+        (("obstacles", 1, "radious"), 0.05,
+         r"^boundary.obstacles\[1\]: unknown key 'radious'$"),
+        (("levels", 2, "robot", "vertices"),
+         [[-0.02, -0.02, 0.0], [0.02, -0.02, 0.0], [0.0, 0.03, 0.0]],
+         r"^boundary.levels\[2\].robot: polygon robot needs >= 3 planar "
+         r"vertices$"),
+        (("name",), [1], r": name must be a non-empty string, got \[1\]$"),
+        (("name",), "", r": name must be a non-empty string, got ''$"),
     ], ids=["weight_text", "start_text", "workspace_text", "workspace_ragged",
             "link_lengths_number", "radius_list", "index_out_of_range",
             "pose_indices_two", "chain_base_indices_one", "stretch_t_nan",
             "radius_inf", "weight_too_large",
-            "robot_below_obstacle_dimension"])
+            "robot_below_obstacle_dimension", "unknown_top_level_key",
+            "unknown_planner_key", "unknown_level_key",
+            "base_indices_on_coarsest_level", "unknown_robot_key",
+            "key_of_another_robot_type", "key_of_another_space_type",
+            "unknown_obstacle_key", "polygon_robot_vertices_3d",
+            "name_list", "name_empty"])
     def test_field_named(self, tmp_path, path, value, match):
         f = write(tmp_path, yaml.safe_dump(_corrupt(path, value)))
         with pytest.raises(ScenarioError, match=match):

@@ -292,6 +292,14 @@ def motion_batches(draw):
     return v, a, bs
 
 
+def motion_states(v, a, b):
+    """States 0..n of the one motion a -> b, as v.motion_points discretizes
+    it: the states v.motion_valid(a, b) checks."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    return v.motion_points(a, b[None], [v.space.distance(a, b)], first=0)[0]
+
+
 def reference_motion(v, a, b):
     """States 0..n of the motion a -> b from np.linspace and the scalar
     interpolate, n = max(1, ceil(distance / step))."""
@@ -309,7 +317,7 @@ class TestMotionDiscretization:
         want = [reference_motion(v, x, b)
                 for x, b in zip(np.broadcast_to(a, bs.shape), bs)]
         for x, b, states in zip(np.broadcast_to(a, bs.shape), bs, want):
-            assert v.motion_states(x, b).tobytes() == states.tobytes()
+            assert motion_states(v, x, b).tobytes() == states.tobytes()
         pts, starts = v.motion_points(a, bs, v.space.distances(a, bs))
         assert pts.tobytes() == \
             np.concatenate([states[1:] for states in want]).tobytes()
@@ -325,7 +333,7 @@ class TestMotionDiscretization:
         assert v.motion_steps(v.space.distance(a, b)) == 49
         assert 49 * (1.0 / 49) != 1.0
         want = reference_motion(v, a, b)
-        assert v.motion_states(a, b).tobytes() == want.tobytes()
+        assert motion_states(v, a, b).tobytes() == want.tobytes()
         for start in (a, a[None, :]):
             pts, starts = v.motion_points(start, b[None, :], [0.485])
             assert pts.tobytes() == want[1:].tobytes()

@@ -9,6 +9,7 @@ from smlr.geometry import Box, Disc, Polygon
 from smlr.spaces import CircleSpace, ProductSpace, RealVectorSpace
 from smlr.validity import (ChainRobot, DiscRobot, LevelValidity, PointRobot,
                            PolygonRobot)
+from test_spaces import motion_states
 
 UNIT = [[0.0, 1.0], [0.0, 1.0]]
 
@@ -223,7 +224,7 @@ class TestPathValid:
         v, path = data.draw(polyline_worlds(kind))
         path = np.array(path)
         for a, bs in ((path[0], path), (path, path[::-1])):
-            want = [bool(v.valid_mask(v.motion_states(x, b)).all())
+            want = [bool(v.valid_mask(motion_states(v, x, b)).all())
                     for x, b in zip(np.broadcast_to(a, bs.shape), bs)]
             assert v.motions_valid(a, bs).tolist() == want
 
