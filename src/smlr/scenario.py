@@ -268,9 +268,12 @@ def load_scenario(path) -> Scenario:
         obstacles = (_obstacle_list(lvl["obstacles"], where)
                      if "obstacles" in lvl else shared_obstacles)
         pos_dim = len(getattr(robot, "position_indices", (0, 1)))
+        ignore = lvl.get("ignore_workspace", False)
+        if not isinstance(ignore, bool):
+            raise ScenarioError(f"{where}: ignore_workspace must be true or "
+                                f"false, got {ignore!r}")
         ws_lo = ws_hi = None
-        if workspace is not None and not lvl.get("ignore_workspace", False) \
-                and pos_dim == len(workspace):
+        if workspace is not None and not ignore and pos_dim == len(workspace):
             ws_lo, ws_hi = workspace[:, 0], workspace[:, 1]
         with _named(where):
             validity = LevelValidity(space=space, robot=robot,

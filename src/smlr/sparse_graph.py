@@ -79,7 +79,6 @@ class SparseRoadmap:
         self.total_samples = 0
         # (min, max) guard pairs whose motion failed; a valid one is an edge
         self._blocked: set[tuple[int, int]] = set()
-        self._invalid = 0   # samples visible_guard_distances found invalid
 
     # -- basic accessors ----------------------------------------------------
 
@@ -124,27 +123,87 @@ class SparseRoadmap:
 
     # -- queries ------------------------------------------------------------
 
+    def _near(self, dists) -> list[int]:
+        """Ids of the guards within delta of a state by increasing distance,
+        ties by smaller id, from its distance_many to the guards."""
+        near = np.nonzero(dists <= self.delta)[0]
+        return near[np.lexsort((near, dists[near]))].tolist()
+
     def visible_guard_distances(self, q) -> dict[int, float] | None:
         """{id: distance} of the guards within delta of q with a valid
         straight-line motion, ordered by increasing distance (ties by
-        smaller id); None when q itself is invalid.  q and all the motions
-        are checked in one valid_mask call, unless the share of invalid
-        samples seen so far makes checking q first cheaper (see
-        LevelValidity.visibility); the planner calls this once per recorded
-        sample, so total_samples counts the samples seen."""
+        smaller id); None when q itself is invalid.  q is checked on its
+        own, then its motions in one more valid_mask call
+        (LevelValidity.visibility).  The planner calls this once per sample
+        while more than one level is active; visible_in_order serves the
+        one-level phase."""
         q = np.asarray(q, dtype=float)
-        coords = self._coords
-        dists = self.space.distance_many(q, coords)
-        near = np.nonzero(dists <= self.delta)[0]
-        order = near[np.lexsort((near, dists[near]))]
-        seen = self.total_samples
-        p_valid = (seen - self._invalid + 1) / (seen + 2)
-        vis = self.validity.visibility(q, coords[order], p_valid)
-        self._invalid += not vis.state
+        order = self._near(self.space.distance_many(q, self._coords))
+        vis = self.validity.visibility(q, self._coords[order])
         if not vis.state:
             return None
-        return {int(g): d for g, ok, d in
+        return {g: d for g, ok, d in
                 zip(order, vis.motions, vis.distances) if ok}
+
+    def visible_in_order(self, xs):
+        """visible_guard_distances(x) for each row x of xs in turn, as a
+        generator: each value is what that call would return when the
+        value is taken, with the guards admitted before it.
+
+        The rows are checked in one valid_mask call, and the motions from
+        the valid ones to the guards within delta in one more.  The guards
+        admitted since the previous value are checked against the rows
+        still pending in one call, when the next valid row is taken.  Each
+        row's near set, order and distances are computed as
+        visible_guard_distances computes them, against the guards present
+        when it is taken, and a verdict missing for it joins that call.
+        Motion checks are deterministic, so the verdicts are only a memo.
+        """
+        xs = np.asarray(xs, dtype=float)
+        valid = self.validity.valid_mask(xs)
+        rows = np.flatnonzero(valid)
+        # distance_many from each valid row to the guards as they are now;
+        # a row taken after an admission computes it again
+        dists = {r: self.space.distance_many(xs[r], self._coords)
+                 for r in rows.tolist()}
+        # (row, guard) -> the motion's exact length if it is valid, else None
+        motions: dict[tuple[int, int], float | None] = {}
+        self._check_motions(xs, motions, [
+            (r, g) for r, d in dists.items()
+            for g in np.flatnonzero(d <= self.delta).tolist()])
+        fetched = self.num_guards   # guards checked against pending rows
+        for i, ok in enumerate(valid.tolist()):
+            if not ok:
+                yield None
+                continue
+            d = dists[i]
+            if len(d) != self.num_guards:
+                d = self.space.distance_many(xs[i], self._coords)
+            order = self._near(d)
+            ask = [(i, g) for g in order if (i, g) not in motions]
+            pending = rows[rows > i]
+            if len(pending):
+                for g in range(fetched, self.num_guards):
+                    near = self.space.distance_many(
+                        self._coords[g], xs[pending]) <= self.delta
+                    ask += [(r, g) for r in pending[near].tolist()]
+            fetched = self.num_guards
+            self._check_motions(xs, motions, ask)
+            yield {g: motions[i, g] for g in order
+                   if motions[i, g] is not None}
+
+    def _check_motions(self, xs, motions, pairs):
+        """Set motions[row, guard] for each pair to the exact length of the
+        motion from xs[row] to the guard if it is valid, else None, from
+        one LevelValidity.motions_from call."""
+        if not pairs:
+            return
+        rows, guards = (list(t) for t in zip(*pairs))
+        a, b = xs[rows], self._coords[guards]
+        lengths = self.space.distances(a, b)
+        ok = self.validity.motions_from(a, b, lengths)
+        motions.update(zip(pairs, (d if k else None
+                                   for d, k in zip(lengths, ok))))
 
     def visible_guards(self, q) -> list[int]:
         """Ids of visible_guard_distances(q); [] when q is invalid."""

@@ -25,15 +25,6 @@ from .spaces import StateSpace
 # temporaries on the grid oracle's batches of 1e4-1e5 states.
 CHUNK_STATES = 1024
 
-# Motion states worth one extra valid_mask call in LevelValidity.visibility.
-# On the shipped polygon and chain worlds a valid sample checked on its own
-# costs 60-100 us, as much as 5-30 of the motion states (3-12 us each) an
-# invalid sample wastes in a fused call (2-vCPU Xeon VM, with the broad
-# phase; 0.4-0.47 ms and 12-20 us before it).  The value predates the broad
-# phase and is kept: it decides which states are checked, so a new value
-# has to win paired benchmark runs first.
-CALL_STATES = 32
-
 # Widening of each obstacle's bounding box in the broad phase, far above the
 # 1e-12 touch tolerance of the segment and containment kernels and the
 # rounding of the exact tests, so a pair they find touching is a candidate.
@@ -488,36 +479,24 @@ class LevelValidity:
         call."""
         return bool(self.paths_valid([path])[0])
 
-    def visibility(self, a, bs, p_valid: float = 1.0) -> Visibility:
+    def visibility(self, a, bs) -> Visibility:
         """is_valid(a), motion_valid(a, b) for every row b of bs and the
-        exact distance(a, b), from one valid_mask call.
-
-        The batch is a itself, then motion_points' states 1..n of each
-        motion.  Each motion's state 0 equals a byte for byte when a is
-        normalized, so it is checked once for all of them.
-
-        p_valid is the caller's estimate that a is valid.  When the motion
-        states an invalid a would waste, (1 - p_valid) * S of S, outweigh
-        the second call a valid a then pays, p_valid * CALL_STATES, a is
-        checked on its own first and its motions only if it is valid.
-        """
+        exact distance(a, b): a on its own, then, if it is valid, its
+        motions (motions_from) in one more valid_mask call."""
         a = np.asarray(a, dtype=float)
         bs = np.asarray(bs, dtype=float)
+        dists = self.space.distances(a, bs) if len(bs) else []
+        if not self.valid_mask(a[None, :])[0]:
+            return Visibility(False, [False] * len(bs), dists)
+        return Visibility(True, self.motions_from(a, bs, dists), dists)
+
+    def motions_from(self, a, bs, dists) -> list[bool]:
+        """motion_valid(a, b) for each row b of bs, of length dists[i],
+        where a (one state or one per row of bs) is valid: motion_points'
+        states 1..n of every motion from one valid_mask call.  Each
+        motion's state 0 equals its a byte for byte when a is normalized,
+        so it is left to the check of a."""
         if not len(bs):
-            return Visibility(bool(self.valid_mask(a[None, :])[0]), [], [])
-        dists = self.space.distances(a, bs)
-        blocked = Visibility(False, [False] * len(bs), dists)
-        total = self.motion_steps(dists).sum()
-        alone = (1.0 - p_valid) * total > p_valid * CALL_STATES
-        if alone and not self.valid_mask(a[None, :])[0]:
-            return blocked
+            return []
         pts, starts = self.motion_points(a, bs, dists)
-        if alone:
-            mask = self.valid_mask(pts)
-        else:
-            mask = self.valid_mask(np.concatenate([a[None, :], pts]))
-            if not mask[0]:
-                return blocked
-            mask = mask[1:]
-        motions = np.logical_and.reduceat(mask, starts).tolist()
-        return Visibility(True, motions, dists)
+        return np.logical_and.reduceat(self.valid_mask(pts), starts).tolist()

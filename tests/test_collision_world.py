@@ -23,7 +23,7 @@ from smlr.geometry import (Box, Disc, Polygon, box_signed_distance,
                            segment_segment_dist)
 from smlr.scenario import load_scenario, shipped_scenario_dir
 from smlr.spaces import CircleSpace, ProductSpace, RealVectorSpace
-from smlr.sparse_graph import SparseRoadmap
+from smlr.sparse_graph import AddOutcome, SparseRoadmap
 from smlr.validity import (BOX_MARGIN, CHUNK_STATES, ChainRobot,
                            CollisionWorld, DiscRobot, LevelValidity,
                            PointRobot, PolygonRobot)
@@ -745,25 +745,30 @@ def batches(monkeypatch):
 
 def assert_same_as_one_by_one(v, q, bs, batches):
     """visibility(q, bs) equals is_valid(q) and motion_valid(q, b) for each
-    b, from one valid_mask call over [q] and the one-by-one states with each
-    motion's state 0 (byte-equal to q) removed."""
+    b, from one valid_mask call over [q] and, if q is valid, one over the
+    one-by-one states with each motion's state 0 (byte-equal to q)
+    removed."""
     batches.clear()
     state = v.is_valid(q)
     motions = [v.motion_valid(q, b) for b in bs]
     one_by_one = batches[1:]
     assert len(one_by_one) == len(bs)
     assert all(m[0].tobytes() == q.tobytes() for m in one_by_one)
-    expected = np.concatenate([q[None, :]] + [m[1:] for m in one_by_one])
     batches.clear()
     got = v.visibility(q, bs)
     assert got == (state, motions, [v.space.distance(q, b) for b in bs])
-    assert len(batches) == 1
-    assert batches[0].tobytes() == expected.tobytes()
+    assert batches[0].tobytes() == q[None, :].tobytes()
+    if state and len(bs):
+        assert len(batches) == 2
+        expected = np.concatenate([m[1:] for m in one_by_one])
+        assert batches[1].tobytes() == expected.tobytes()
+    else:
+        assert len(batches) == 1
 
 
 class TestMotionsValid:
-    """LevelValidity.visibility, the fused state and motion check, against
-    is_valid and motion_valid one by one."""
+    """LevelValidity.visibility, the state check and then the motion check,
+    against is_valid and motion_valid one by one."""
 
     def test_circle_wrapped_torus(self, batches):
         v = scenario("torus_band_feasible").seq.finest.validity
@@ -800,27 +805,6 @@ class TestMotionsValid:
         bs = np.array([[1.9, 1.0], [2.6, 1.2], [2.25, 5.5], [2.25, 1.0]])
         assert_same_as_one_by_one(v, q, bs, batches)
         assert v.visibility(q, bs).motions == [False] * 4
-
-    def test_sample_checked_alone_when_likely_invalid(self, batches):
-        sc = scenario("chain4_feasible")
-        v, space = sc.seq.finest.validity, sc.seq.finest.space
-        rng = np.random.default_rng(8)
-        outcomes = set()
-        for _ in range(30):
-            q = space.sample_uniform(rng)
-            bs = np.stack([space.sample_uniform(rng) for _ in range(5)])
-            batches.clear()
-            fused = v.visibility(q, bs)
-            fused_states = batches[0]
-            batches.clear()
-            assert v.visibility(q, bs, p_valid=0.0) == fused
-            # q on its own, then states 1..n of its motions if q is valid
-            assert batches[0].tobytes() == q[None, :].tobytes()
-            assert len(batches) == (2 if fused.state else 1)
-            assert np.concatenate(batches).tobytes() == \
-                (fused_states if fused.state else q[None, :]).tobytes()
-            outcomes.add(fused.state)
-        assert outcomes == {True, False}
 
     def test_empty_targets(self, batches):
         v = scenario("torus_band_feasible").seq.finest.validity
@@ -880,6 +864,49 @@ class TestMotionsValid:
         assert fused.edges == two_pass.edges
         assert fused.consecutive_failures == two_pass.consecutive_failures
         assert fused.total_samples == two_pass.total_samples
+
+    @pytest.mark.parametrize("name", ["se2_lshape_feasible",
+                                      "chain4_feasible",
+                                      "torus_band_feasible"])
+    def test_block_values_equal_one_at_a_time(self, batches, name):
+        """visible_in_order with add_conditional after each value against
+        visible_guard_distances one sample at a time: the same values, in
+        the same order, and the same roadmap.  A block costs one valid_mask
+        call for its rows, one for their motions and at most one per
+        admission before a later row."""
+        level = scenario(name).seq.finest
+        delta = 0.25 * level.space.max_extent()
+        block, single = (SparseRoadmap(level.space, level.validity, delta)
+                         for _ in range(2))
+        rng = np.random.default_rng(9)
+        outcomes = set()
+        for _ in range(25):
+            xs = level.space.sample_uniform(rng, 16)
+            values = block.visible_in_order(xs)
+            calls = admitted = 0
+            for x in xs:
+                before = len(batches)
+                got = next(values)
+                calls += len(batches) - before
+                expected = single.visible_guard_distances(x)
+                assert (got is None) == (expected is None)
+                if got is None:
+                    block.record_failure()
+                    single.record_failure()
+                    continue
+                assert list(got.items()) == list(expected.items())
+                outcome = block.add_conditional(x, got)
+                assert single.add_conditional(x, expected) is outcome
+                admitted += outcome is not AddOutcome.REJECTED
+                outcomes.add(outcome)
+            assert calls <= 2 + admitted
+        assert len(outcomes) >= 3
+        assert block.guard_coords().tobytes() == \
+            single.guard_coords().tobytes()
+        assert block.edges == single.edges
+        assert block._blocked == single._blocked
+        assert block.consecutive_failures == single.consecutive_failures
+        assert block.total_samples == single.total_samples
 
 
 class TestBatchedSpaceHelpers:

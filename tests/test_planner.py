@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
@@ -610,6 +611,107 @@ class TestPtc:
         ls = self.make_level(cfg)
         ls.roadmap.consecutive_failures = 99
         assert ptc(ls, cfg, 99.0) is Status.INFEASIBLE
+
+
+def one_level_one_at_a_time(level, cfg, rng, t0):
+    """The one-level phase one sample at a time, as sample_levels runs it
+    on one level: ptc, one uniform draw, visible_guard_distances, then
+    record_failure or add_conditional."""
+    rm = level.roadmap
+    while True:
+        verdict = ptc(level, cfg, time.perf_counter() - t0)
+        if verdict is not None:
+            return verdict
+        level.sample_count += 1
+        x = level.space.sample_uniform(rng)
+        visible = rm.visible_guard_distances(x)
+        if visible is None:
+            rm.record_failure()
+        else:
+            rm.add_conditional(x, visible)
+
+
+def roadmap_state(level):
+    rm = level.roadmap
+    return (rm.guard_coords().tobytes(), rm.edges, rm._blocked,
+            rm.consecutive_failures, rm.total_samples, level.sample_count)
+
+
+def block_ends(limit=10 ** 5) -> set[int]:
+    """Sample counts at which a block of sample_one_level ends."""
+    ends, total, size = set(), 0, planner.FIRST_BLOCK
+    while total < limit:
+        total += size
+        ends.add(total)
+        size = min(2 * size, planner.MAX_BLOCK)
+    return ends
+
+
+def shipped(name, planner_name, seed, max_failures=None):
+    sc = load_scenario(shipped_scenario_dir() / f"{name}.yaml")
+    cfg = replace(sc.config, seed=seed,
+                  max_failures=max_failures or sc.config.max_failures)
+    return sc, (sc.seq if planner_name == "smlr" else sc.seq.flat()), cfg
+
+
+class TestSampleBlocks:
+    """sample_one_level, in blocks, against one sample at a time."""
+
+    @pytest.mark.parametrize("name, planner_name, max_failures, seed, stop", [
+        ("se2_lshape_feasible", "flat", None, 1, Status.FEASIBLE),
+        ("chain4_feasible", "flat", None, 2, Status.FEASIBLE),
+        ("torus_band_feasible", "smlr", None, 3, Status.FEASIBLE),
+        ("se2_lshape_infeasible", "flat", 20, 1, Status.INFEASIBLE),
+        ("se2_bugtrap_infeasible", "smlr", 20, 2, Status.INFEASIBLE),
+        ("chain4_infeasible", "smlr", 20, 1, Status.INFEASIBLE),
+    ])
+    def test_phase_equals_one_at_a_time(self, name, planner_name,
+                                        max_failures, seed, stop):
+        sc, seq, cfg = shipped(name, planner_name, seed, max_failures)
+        lvl = seq.levels[0]
+        ends = []
+        for phase in (planner.sample_one_level, one_level_one_at_a_time):
+            level = LevelState(0, lvl.space, lvl.validity, cfg)
+            for x in (sc.start, sc.goal):
+                level.roadmap.add_guard(
+                    lvl.space.normalize(seq.project_to_level(x, 0)))
+            rng = np.random.default_rng(seed)
+            verdict = phase(level, cfg, rng, time.perf_counter())
+            ends.append((verdict, roadmap_state(level),
+                         rng.bit_generator.state))
+        assert ends[0] == ends[1]
+        assert ends[0][0] is stop
+        # ptc stopped inside a block, so the rng was rewound
+        assert level.sample_count not in block_ends()
+
+    @pytest.mark.parametrize("name, planner_name, max_failures, seed", [
+        ("chain4_infeasible", "smlr", 50, 3),
+        ("se2_bugtrap_feasible", "smlr", None, 1),
+        ("chain4_feasible", "smlr", None, 2),
+        ("se2_lshape_infeasible", "flat", 20, 2),
+        ("torus_band_feasible", "flat", None, 1),
+    ])
+    def test_solve_equals_one_at_a_time(self, monkeypatch, name,
+                                        planner_name, max_failures, seed):
+        sc, seq, cfg = shipped(name, planner_name, seed, max_failures)
+
+        def run():
+            p = SmlrPlanner(seq, cfg)
+            res = p.solve(sc.start, sc.goal)
+            path = None if res.path is None else np.asarray(res.path)
+            return (res.status, res.reason, res.cost, res.level_stats,
+                    None if path is None else path.tobytes(),
+                    [roadmap_state(ls) for ls in p.level_states])
+        blocks = run()
+        monkeypatch.setattr(planner, "sample_one_level",
+                            one_level_one_at_a_time)
+        assert run() == blocks
+        if name == "chain4_infeasible":
+            # the level-2 section test missed, so level 2 was sampled from
+            # the rng the one-level phase left
+            assert blocks[0] is Status.INFEASIBLE
+            assert blocks[1] == "failure bound exceeded on level 2"
+            assert blocks[-1][1][-1] > 0
 
 
 def simplify_path_one_at_a_time(path, space, checker, steps=None):

@@ -272,6 +272,7 @@ BOUNDARY_FIELDS = [
     ("levels", 3, "robot", "base_indices"),
     ("levels", 3, "robot", "angle_indices"),
     ("levels", 1, "base_indices"), ("levels", 3, "base_indices"),
+    ("levels", 1, "ignore_workspace"),
     ("levels", 3, "obstacles"), ("planner",), ("planner", "M"),
     ("planner", "delta_fraction"), ("planner", "eta"),
     ("planner", "stretch_t"), ("planner", "time_limit"),
@@ -289,6 +290,8 @@ def _boundary_cases():
     for path in BOUNDARY_FIELDS:
         for value in WRONG_VALUES:
             if value == 5 and path[-1] in NUMBER_KEYS:
+                continue  # the right type
+            if value is True and path[-1] == "ignore_workspace":
                 continue  # the right type
             if path in (("workspace",), ("planner",)) and (
                     value is None or value == {"a": 1}):
@@ -320,6 +323,12 @@ class TestBoundary:
     def test_base_document_loads(self, tmp_path):
         sc = load_scenario(write(tmp_path, yaml.safe_dump(BOUNDARY)))
         assert sc.seq.depth == 4
+
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_ignore_workspace_drops_the_level_bounds(self, tmp_path, flag):
+        doc = _corrupt(("levels", 1, "ignore_workspace"), flag)
+        sc = load_scenario(write(tmp_path, yaml.safe_dump(doc)))
+        assert (sc.seq.levels[1].validity.workspace_lo is None) is flag
 
     @pytest.mark.parametrize(
         "path, value", BOUNDARY_CASES,
@@ -394,6 +403,9 @@ class TestBoundary:
          r"vertices$"),
         (("name",), [1], r": name must be a non-empty string, got \[1\]$"),
         (("name",), "", r": name must be a non-empty string, got ''$"),
+        (("levels", 1, "ignore_workspace"), "false",
+         r"^boundary.levels\[1\]: ignore_workspace must be true or false, "
+         r"got 'false'$"),
     ], ids=["weight_text", "start_text", "workspace_text", "workspace_ragged",
             "link_lengths_number", "radius_list", "index_out_of_range",
             "pose_indices_two", "chain_base_indices_one", "stretch_t_nan",
@@ -403,7 +415,7 @@ class TestBoundary:
             "base_indices_on_coarsest_level", "unknown_robot_key",
             "key_of_another_robot_type", "key_of_another_space_type",
             "unknown_obstacle_key", "polygon_robot_vertices_3d",
-            "name_list", "name_empty"])
+            "name_list", "name_empty", "ignore_workspace_text"])
     def test_field_named(self, tmp_path, path, value, match):
         f = write(tmp_path, yaml.safe_dump(_corrupt(path, value)))
         with pytest.raises(ScenarioError, match=match):
