@@ -93,6 +93,13 @@ class StateSpace:
             d[..., c] = np.minimum(dc, TWO_PI - dc)
         return d
 
+    def _norm(self, d) -> np.ndarray:
+        """sqrt(sum_i w_i d_i**2) over the last axis of the differences d.
+        np.vecdot runs the BLAS dot kernel that np.dot runs on one state,
+        once per row; the squares are made C-ordered because strided rows
+        take another BLAS path, which rounds differently."""
+        return np.sqrt(np.vecdot(np.multiply(d, d, order="C"), self.weights))
+
     def distance(self, a, b) -> float:
         a = self._check(a)
         b = self._check(b)
@@ -101,23 +108,18 @@ class StateSpace:
 
     def distances(self, a, b) -> list[float]:
         """distance(a[i], b[i]) for each row pair, bit for bit; a and b are
-        each one state or rows of states.
-
-        distance_many's matrix product can round differently in the last
-        bit; use this where a result must equal the scalar distance.
-        """
+        each one state or rows of states."""
         d = self._absdiff(self._check(a, rows=True),
                           self._check(b, rows=True))
-        d *= d
-        return [math.sqrt(np.dot(self.weights, row))
-                for row in d.reshape(-1, self.dim)]
+        return self._norm(d.reshape(-1, self.dim)).tolist()
 
     def distance_many(self, q, pts: np.ndarray) -> np.ndarray:
-        """Distances from a single state q to each row of pts, vectorized."""
-        q = self._check(q)
+        """distance(x, p) for each row p of pts, bit for bit: q one state
+        -> (len(pts),), or rows of states (n, dim) -> the (n, len(pts))
+        table with one row per row x of q."""
+        q = self._check(q, rows=True)
         pts = np.asarray(pts, dtype=float)
-        d = self._absdiff(q, pts)
-        return np.sqrt((d * d) @ self.weights)
+        return self._norm(self._absdiff(q[..., None, :], pts))
 
     # -- interpolation -----------------------------------------------------
 

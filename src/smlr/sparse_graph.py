@@ -150,60 +150,48 @@ class SparseRoadmap:
         generator: each value is what that call would return when the
         value is taken, with the guards admitted before it.
 
-        The rows are checked in one valid_mask call, and the motions from
-        the valid ones to the guards within delta in one more.  The guards
-        admitted since the previous value are checked against the rows
-        still pending in one call, when the next valid row is taken.  Each
-        row's near set, order and distances are computed as
-        visible_guard_distances computes them, against the guards present
-        when it is taken, and a verdict missing for it joins that call.
-        Motion checks are deterministic, so the verdicts are only a memo.
+        The rows are checked in one valid_mask call.  One distance_many
+        table holds the distances from the valid rows not yet taken to the
+        guards, and their motions to the guards within delta are checked
+        in one more call.  When a row is taken after admissions, the
+        admitted guards' columns are added to the table in one
+        distance_many call, and the new motions within delta are checked in
+        one more.  Every entry equals distance bit for bit, so each row's
+        near set, order and lengths are those of visible_guard_distances.
         """
         xs = np.asarray(xs, dtype=float)
         valid = self.validity.valid_mask(xs)
-        rows = np.flatnonzero(valid)
-        # distance_many from each valid row to the guards as they are now;
-        # a row taken after an admission computes it again
-        dists = {r: self.space.distance_many(xs[r], self._coords)
-                 for r in rows.tolist()}
-        # (row, guard) -> the motion's exact length if it is valid, else None
-        motions: dict[tuple[int, int], float | None] = {}
-        self._check_motions(xs, motions, [
-            (r, g) for r, d in dists.items()
-            for g in np.flatnonzero(d <= self.delta).tolist()])
-        fetched = self.num_guards   # guards checked against pending rows
-        for i, ok in enumerate(valid.tolist()):
+        # row k of each: the k-th valid row not yet taken; table[k, g] is
+        # its distance to guard g and sees[k, g] whether its motion to g
+        # is valid, set for every g within delta
+        starts = xs[valid]
+        table = self.space.distance_many(starts, self._coords)
+        sees = np.zeros(table.shape, dtype=bool)
+        self._check_motions(starts, table, sees, 0)
+        for ok in valid.tolist():
             if not ok:
                 yield None
                 continue
-            d = dists[i]
-            if len(d) != self.num_guards:
-                d = self.space.distance_many(xs[i], self._coords)
-            order = self._near(d)
-            ask = [(i, g) for g in order if (i, g) not in motions]
-            pending = rows[rows > i]
-            if len(pending):
-                for g in range(fetched, self.num_guards):
-                    near = self.space.distance_many(
-                        self._coords[g], xs[pending]) <= self.delta
-                    ask += [(r, g) for r in pending[near].tolist()]
-            fetched = self.num_guards
-            self._check_motions(xs, motions, ask)
-            yield {g: motions[i, g] for g in order
-                   if motions[i, g] is not None}
+            fetched = table.shape[1]
+            if fetched < self.num_guards:
+                new = self.space.distance_many(starts, self._coords[fetched:])
+                table = np.hstack([table, new])
+                sees = np.hstack([sees, np.zeros(new.shape, dtype=bool)])
+                self._check_motions(starts, table, sees, fetched)
+            order = self._near(table[0])
+            yield {g: d for g, d, v in zip(order, table[0, order].tolist(),
+                                           sees[0, order].tolist()) if v}
+            starts, table, sees = starts[1:], table[1:], sees[1:]
 
-    def _check_motions(self, xs, motions, pairs):
-        """Set motions[row, guard] for each pair to the exact length of the
-        motion from xs[row] to the guard if it is valid, else None, from
-        one LevelValidity.motions_from call."""
-        if not pairs:
-            return
-        rows, guards = (list(t) for t in zip(*pairs))
-        a, b = xs[rows], self._coords[guards]
-        lengths = self.space.distances(a, b)
-        ok = self.validity.motions_from(a, b, lengths)
-        motions.update(zip(pairs, (d if k else None
-                                   for d, k in zip(lengths, ok))))
+    def _check_motions(self, starts, table, sees, first):
+        """Set sees[k, g] for every guard g >= first with table[k, g] <=
+        delta to whether the motion from starts[k] to guard g is valid,
+        from one LevelValidity.motions_from call."""
+        ks, gs = np.nonzero(table[:, first:] <= self.delta)
+        if len(ks):
+            gs += first
+            sees[ks, gs] = self.validity.motions_from(
+                starts[ks], self._coords[gs], table[ks, gs])
 
     def visible_guards(self, q) -> list[int]:
         """Ids of visible_guard_distances(q); [] when q is invalid."""

@@ -865,21 +865,29 @@ class TestMotionsValid:
         assert fused.consecutive_failures == two_pass.consecutive_failures
         assert fused.total_samples == two_pass.total_samples
 
-    @pytest.mark.parametrize("name", ["se2_lshape_feasible",
-                                      "chain4_feasible",
-                                      "torus_band_feasible"])
-    def test_block_values_equal_one_at_a_time(self, batches, name):
+    @pytest.mark.parametrize("name, index", [
+        pytest.param("se2_lshape_feasible", -1, id="se2_lshape_feasible"),
+        pytest.param("chain4_feasible", -1, id="chain4_feasible"),
+        pytest.param("torus_band_feasible", -1, id="torus_band_feasible"),
+        # the levels the one-level phase samples on the benchmark mix
+        *(pytest.param(name, 0, id=f"{name}-level0")
+          for name in ("chain4_feasible", "torus_band_feasible",
+                       "se2_bugtrap_feasible", "se2_lshape_feasible")),
+    ])
+    def test_block_values_equal_one_at_a_time(self, batches, name, index):
         """visible_in_order with add_conditional after each value against
         visible_guard_distances one sample at a time: the same values, in
         the same order, and the same roadmap.  A block costs one valid_mask
         call for its rows, one for their motions and at most one per
-        admission before a later row."""
-        level = scenario(name).seq.finest
+        admission before a later row; some rows are taken after an
+        admission in their block, so their table columns were added."""
+        level = scenario(name).seq.levels[index]
         delta = 0.25 * level.space.max_extent()
         block, single = (SparseRoadmap(level.space, level.validity, delta)
                          for _ in range(2))
         rng = np.random.default_rng(9)
         outcomes = set()
+        after_admission = 0
         for _ in range(25):
             xs = level.space.sample_uniform(rng, 16)
             values = block.visible_in_order(xs)
@@ -894,6 +902,7 @@ class TestMotionsValid:
                     block.record_failure()
                     single.record_failure()
                     continue
+                after_admission += admitted > 0
                 assert list(got.items()) == list(expected.items())
                 outcome = block.add_conditional(x, got)
                 assert single.add_conditional(x, expected) is outcome
@@ -901,6 +910,7 @@ class TestMotionsValid:
                 outcomes.add(outcome)
             assert calls <= 2 + admitted
         assert len(outcomes) >= 3
+        assert after_admission > 0
         assert block.guard_coords().tobytes() == \
             single.guard_coords().tobytes()
         assert block.edges == single.edges

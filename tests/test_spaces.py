@@ -221,10 +221,10 @@ class TestEdgeDistance:
 
 @st.composite
 def weighted_products(draw):
-    """A real interval, a circle, or a weighted product of 2-3 of them."""
+    """A real interval, a circle, or a weighted product of 2-5 of them."""
     children = []
     for kind in draw(st.lists(st.sampled_from(["real", "circle"]),
-                              min_size=1, max_size=3)):
+                              min_size=1, max_size=5)):
         if kind == "circle":
             children.append(CircleSpace())
         else:
@@ -244,6 +244,15 @@ def draw_state(draw, space, wrap=True):
     return np.array([
         draw(st.floats(-20, 20)) if c and wrap else draw(st.floats(lo, hi))
         for lo, hi, c in zip(space.lo, space.hi, space.circular)])
+
+
+# the same rows in four memory layouts
+LAYOUTS = {
+    "C": np.ascontiguousarray,
+    "F": np.asfortranarray,
+    "every_other_row": lambda x: np.repeat(x, 2, axis=0)[::2],
+    "every_other_column": lambda x: np.repeat(x, 2, axis=1)[:, ::2],
+}
 
 
 @st.composite
@@ -274,6 +283,29 @@ class TestMetricProperties:
         assert space.distances(q, rows) == [space.distance(q, y) for y in rows]
         assert space.distances(rows, q) == [space.distance(x, q) for x in rows]
         assert space.distances(q, rows[0]) == [space.distance(q, rows[0])]
+
+    @settings(max_examples=200, deadline=None)
+    @given(spaces_with_states(12), st.integers(1, 11),
+           st.sampled_from(sorted(LAYOUTS)), st.sampled_from(sorted(LAYOUTS)))
+    def test_vectorized_distances_equal_distance(self, case, split, xs_layout,
+                                                 pts_layout):
+        """distances, distance_many from one state and the distance_many
+        table equal distance bit for bit, whatever the inputs' memory
+        layout: BLAS rounds a strided dot product differently."""
+        space, states = case
+        rows = np.stack(states)
+        xs = LAYOUTS[xs_layout](rows[:split])
+        pts = LAYOUTS[pts_layout](rows[split:])
+        want = np.array([[space.distance(x, p) for p in pts] for x in xs])
+        assert space.distance_many(xs, pts).tobytes() == want.tobytes()
+        for x, row in zip(xs, want):
+            assert space.distance_many(x, pts).tobytes() == row.tobytes()
+        n = min(len(xs), len(pts))
+        pairs = np.diagonal(want[:n, :n])
+        assert np.array(space.distances(xs[:n], pts[:n])).tobytes() == \
+            pairs.tobytes()
+        assert np.array(space.distances(xs[0], pts)).tobytes() == \
+            want[0].tobytes()
 
 
 @st.composite
