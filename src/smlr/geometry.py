@@ -29,6 +29,12 @@ def polygon_area(vertices: np.ndarray) -> float:
 # -- elementwise kernels: coordinates on the last axis ------------------------
 
 
+def _norm(x) -> np.ndarray:
+    """Euclidean norm over the last axis: the float operations that
+    np.linalg.norm(x, axis=-1) runs on real input, without its dispatch."""
+    return np.sqrt(np.add.reduce(x * x, axis=-1))
+
+
 def edge_crossings(p, a, b) -> np.ndarray:
     """Whether the ray from p in +x crosses the edge a-b, counted the
     even-odd way (half-open in y)."""
@@ -43,60 +49,75 @@ def edge_crossings(p, a, b) -> np.ndarray:
     return cond & (x < xint)
 
 
-def point_segment_dist(p, a, b) -> np.ndarray:
-    """Distance from p to the segment a-b."""
+def _point_segment_sq(p, a, b) -> np.ndarray:
+    """Squared distance from p to the segment a-b."""
     d = b - a
-    dd = np.sum(d * d, axis=-1)
+    dd = np.add.reduce(d * d, axis=-1)
     ap = p - a
     with np.errstate(divide="ignore", invalid="ignore"):
-        t = np.sum(ap * d, axis=-1) / dd
+        t = np.add.reduce(ap * d, axis=-1) / dd
     t = np.where(dd == 0.0, 0.0, t)
     t = np.clip(t, 0.0, 1.0)
-    closest = a + t[..., None] * d
-    return np.linalg.norm(p - closest, axis=-1)
+    off = p - (a + t[..., None] * d)
+    return np.add.reduce(off * off, axis=-1)
 
 
-def _cross(o, p, q):
-    return ((p[..., 0] - o[..., 0]) * (q[..., 1] - o[..., 1])
-            - (p[..., 1] - o[..., 1]) * (q[..., 0] - o[..., 0]))
+def point_segment_dist(p, a, b) -> np.ndarray:
+    """Distance from p to the segment a-b."""
+    return np.sqrt(_point_segment_sq(p, a, b))
 
 
-def _on_segment(o, p, q, c):
-    return (np.abs(c) <= 1e-12) & \
-        (q[..., 0] >= np.minimum(o[..., 0], p[..., 0]) - 1e-12) & \
-        (q[..., 0] <= np.maximum(o[..., 0], p[..., 0]) + 1e-12) & \
-        (q[..., 1] >= np.minimum(o[..., 1], p[..., 1]) - 1e-12) & \
-        (q[..., 1] <= np.maximum(o[..., 1], p[..., 1]) + 1e-12)
+def _cross(e, w):
+    """z of the cross product of the edge vector e and w, the vector from
+    the edge's start to a point: (p - o) x (q - o) for e = p - o and
+    w = q - o."""
+    return e[..., 0] * w[..., 1] - e[..., 1] * w[..., 0]
+
+
+def _in_box(q, lo, hi):
+    """Whether the planar point q lies in the box [lo, hi]."""
+    inside = (lo <= q) & (q <= hi)
+    return inside[..., 0] & inside[..., 1]
 
 
 def segment_crossing(a0, a1, b0, b1) -> np.ndarray:
     """Whether segment a0-a1 meets segment b0-b1, properly or touching
     within 1e-12."""
-    d1 = _cross(b0, b1, a0)
-    d2 = _cross(b0, b1, a1)
-    d3 = _cross(a0, a1, b0)
-    d4 = _cross(a0, a1, b1)
+    ea, eb = a1 - a0, b1 - b0
+    d1 = _cross(eb, a0 - b0)
+    d2 = _cross(eb, a1 - b0)
+    d3 = _cross(ea, b0 - a0)
+    d4 = _cross(ea, b1 - a0)
     # a crossing also needs the boxes to meet: when all four points are
     # collinear, rounding gives the cross products arbitrary signs
     a_lo, a_hi = np.minimum(a0, a1), np.maximum(a0, a1)
     b_lo, b_hi = np.minimum(b0, b1), np.maximum(b0, b1)
-    boxes_meet = (a_lo[..., 0] <= b_hi[..., 0]) & \
-        (b_lo[..., 0] <= a_hi[..., 0]) & \
-        (a_lo[..., 1] <= b_hi[..., 1]) & (b_lo[..., 1] <= a_hi[..., 1])
-    proper = ((d1 > 0) != (d2 > 0)) & ((d3 > 0) != (d4 > 0)) & boxes_meet
-    touch = (_on_segment(b0, b1, a0, d1) | _on_segment(b0, b1, a1, d2)
-             | _on_segment(a0, a1, b0, d3) | _on_segment(a0, a1, b1, d4))
+    meet = (a_lo <= b_hi) & (b_lo <= a_hi)
+    proper = ((d1 > 0) != (d2 > 0)) & ((d3 > 0) != (d4 > 0)) & \
+        meet[..., 0] & meet[..., 1]
+    # a touch: an endpoint within 1e-12 of the other segment's line (its
+    # cross product) and of its box.  Most batches have no cross product
+    # that small, and then no pair touches.
+    n1, n2, n3, n4 = (np.abs(c) <= 1e-12 for c in (d1, d2, d3, d4))
+    if not (n1 | n2 | n3 | n4).any():
+        return proper
+    a_lo, a_hi = a_lo - 1e-12, a_hi + 1e-12
+    b_lo, b_hi = b_lo - 1e-12, b_hi + 1e-12
+    touch = (n1 & _in_box(a0, b_lo, b_hi)) | (n2 & _in_box(a1, b_lo, b_hi)) \
+        | (n3 & _in_box(b0, a_lo, a_hi)) | (n4 & _in_box(b1, a_lo, a_hi))
     return proper | touch
 
 
 def segment_segment_dist(a0, a1, b0, b1) -> np.ndarray:
-    """Distance between segments a0-a1 and b0-b1, 0 where they meet."""
-    d = np.minimum(
-        np.minimum(point_segment_dist(a0, b0, b1),
-                   point_segment_dist(a1, b0, b1)),
-        np.minimum(point_segment_dist(b0, a0, a1),
-                   point_segment_dist(b1, a0, a1)))
-    return np.where(segment_crossing(a0, a1, b0, b1), 0.0, d)
+    """Distance between segments a0-a1 and b0-b1: 0 where they meet, else
+    the least distance from an endpoint of one to the other.  The square
+    root is taken of the least squared distance only; sqrt is monotone, so
+    that is the least distance bit for bit."""
+    sq = np.minimum(np.minimum(_point_segment_sq(a0, b0, b1),
+                               _point_segment_sq(a1, b0, b1)),
+                    np.minimum(_point_segment_sq(b0, a0, a1),
+                               _point_segment_sq(b1, a0, a1)))
+    return np.where(segment_crossing(a0, a1, b0, b1), 0.0, np.sqrt(sq))
 
 
 def box_signed_distance(p, lo, hi) -> np.ndarray:
@@ -107,9 +128,21 @@ def box_signed_distance(p, lo, hi) -> np.ndarray:
     return np.where(dist_out > 0, dist_out, -inside_margin)
 
 
+def box_near(p, lo, hi, margin: float) -> np.ndarray:
+    """box_signed_distance(p, lo, hi) <= margin for a margin >= 0, from
+    the floats the verdict needs: closed containment lo <= p <= hi at
+    margin 0, the distance outside the box against the margin above it.
+    (The two differ only where a distance outside the box below 1e-154
+    squares to 0 and the margin is smaller still.)"""
+    if margin == 0:
+        return ((lo <= p) & (p <= hi)).all(axis=-1)
+    outside = np.maximum(np.maximum(lo - p, p - hi), 0.0)
+    return _norm(outside) <= margin
+
+
 def disc_signed_distance(p, center, radius) -> np.ndarray:
     """Signed distance from p to the disc (ball) of the given radius."""
-    return np.linalg.norm(p - center, axis=-1) - radius
+    return _norm(p - center) - radius
 
 
 def polygon_signed_distance(dist, odd) -> np.ndarray:

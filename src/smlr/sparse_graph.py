@@ -134,16 +134,18 @@ class SparseRoadmap:
         straight-line motion, ordered by increasing distance (ties by
         smaller id); None when q itself is invalid.  q is checked on its
         own, then its motions in one more valid_mask call
-        (LevelValidity.visibility).  The planner calls this once per sample
-        while more than one level is active; visible_in_order serves the
+        (LevelValidity.motions_from), with the lengths read from its
+        distance_many row.  The planner calls this once per sample while
+        more than one level is active; visible_in_order serves the
         one-level phase."""
         q = np.asarray(q, dtype=float)
-        order = self._near(self.space.distance_many(q, self._coords))
-        vis = self.validity.visibility(q, self._coords[order])
-        if not vis.state:
+        if not self.validity.valid_mask(q[None, :])[0]:
             return None
-        return {g: d for g, ok, d in
-                zip(order, vis.motions, vis.distances) if ok}
+        dists = self.space.distance_many(q, self._coords)
+        order = self._near(dists)
+        lengths = dists[order].tolist()
+        sees = self.validity.motions_from(q, self._coords[order], lengths)
+        return {g: d for g, d, ok in zip(order, lengths, sees) if ok}
 
     def visible_in_order(self, xs):
         """visible_guard_distances(x) for each row x of xs in turn, as a

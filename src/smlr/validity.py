@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field, replace
-from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import (Box, Disc, Polygon, box_signed_distance,
-                       disc_signed_distance, edge_crossings,
-                       point_segment_dist, polygon_signed_distance,
-                       segment_crossing, segment_segment_dist)
+from .geometry import (Box, Disc, Polygon, box_near, disc_signed_distance,
+                       edge_crossings, point_segment_dist,
+                       polygon_signed_distance, segment_crossing,
+                       segment_segment_dist)
 from .spaces import StateSpace
 
 # States tested per collision pass: bounds the (states x obstacle edges)
@@ -35,7 +34,7 @@ def _take(x, rows):
     """x[rows] in column-major order, whatever the order of x.  The
     elementwise kernels and their reductions over the short trailing axes
     (points, coordinates) run 1.5 to 5 times faster on it."""
-    return np.take(x.T, rows, axis=-1).T
+    return x.T.take(rows, axis=-1).T
 
 
 class CollisionWorld:
@@ -128,17 +127,18 @@ class CollisionWorld:
         pair, col = np.nonzero(table >= 0)
         return pair, table[pair, col]
 
-    def points_near(self, pts, obs, margin: float, discs: bool = True):
+    def points_near(self, pts, obs, kinds, margin: float,
+                    discs: bool = True):
         """Pairs i where some point of pts[i] (n, k, 2) has signed distance
         <= margin to obstacle obs[i] (disc pairs skipped when discs is
-        False) -> (n,) bool."""
+        False), given kinds = kind_slices(obs) -> (n,) bool."""
         hit = np.zeros(len(obs), dtype=bool)
-        box, disc, poly = self.kind_slices(obs)
+        box, disc, poly = kinds
         if box.stop:
             j = obs[box]
-            sd = box_signed_distance(pts[box], _take(self.box_lo, j)[:, None],
-                                     _take(self.box_hi, j)[:, None])
-            hit[box] = (sd <= margin).any(axis=1)
+            hit[box] = box_near(pts[box], _take(self.box_lo, j)[:, None],
+                                _take(self.box_hi, j)[:, None],
+                                margin).any(axis=1)
         if discs and disc.stop > disc.start:
             j = obs[disc] - self.first_disc
             sd = disc_signed_distance(pts[disc],
@@ -160,16 +160,20 @@ class CollisionWorld:
     def near_points(self, pts, margin: float):
         """Rows of pts (m, d) whose signed distance to some obstacle is
         <= margin, every obstacle tested -> (m,) bool."""
-        hit = np.zeros(len(pts), dtype=bool)
         p = pts[:, None, :]
+        hits = []
         if self.has_boxes:
-            sd = box_signed_distance(p, self.box_lo, self.box_hi)
-            hit |= (sd <= margin).any(axis=1)
+            hits.append(box_near(p, self.box_lo, self.box_hi,
+                                 margin).any(axis=1))
         if self.has_discs:
             sd = disc_signed_distance(p, self.disc_centers, self.disc_radii)
-            hit |= (sd <= margin).any(axis=1)
-        for o in self.polygons:
-            hit |= o.signed_distance(pts) <= margin
+            hits.append((sd <= margin).any(axis=1))
+        hits += [o.signed_distance(pts) <= margin for o in self.polygons]
+        if not hits:
+            return np.zeros(len(pts), dtype=bool)
+        hit = hits[0]
+        for h in hits[1:]:
+            hit |= h
         return hit
 
 
@@ -182,7 +186,7 @@ def _posed_vertices(local_vertices, xy, theta):
     vx, vy = local_vertices[:, 0, None], local_vertices[:, 1, None]
     px = c * vx - s * vy + xy[:, 0]
     py = s * vx + c * vy + xy[:, 1]
-    return np.stack([px, py]).T
+    return np.array([px, py]).T
 
 
 def _in_workspace(body_lo, body_hi, lo, hi, r):
@@ -190,7 +194,7 @@ def _in_workspace(body_lo, body_hi, lo, hi, r):
     workspace [lo, hi]; every row when there is none -> (m,) bool."""
     if lo is None:
         return np.ones(len(body_lo), dtype=bool)
-    return np.all((body_lo >= lo + r) & (body_hi <= hi - r), axis=1)
+    return ((body_lo >= lo + r) & (body_hi <= hi - r)).all(axis=1)
 
 
 def _valid_body(body, r, world, lo, hi, collides):
@@ -281,9 +285,11 @@ class PolygonRobot(RobotModel):
         obs[i]: a vertex inside the obstacle, a disc's centre inside the
         polygon or within its radius of an edge, an obstacle corner inside
         the polygon, or an edge crossing an obstacle edge -> (n,) bool."""
-        b = np.roll(a, -1, axis=1)
-        hit = world.points_near(a, obs, 0.0)
-        _, disc, _ = world.kind_slices(obs)
+        # each vertex's successor: np.roll(a, -1, axis=1), column-major
+        b = np.concatenate([a[:, 1:], a[:, :1]], axis=1)
+        kinds = world.kind_slices(obs)
+        hit = world.points_near(a, obs, kinds, 0.0)
+        _, disc, _ = kinds
         if disc.stop > disc.start:
             j = obs[disc] - world.first_disc
             c = _take(world.disc_centers, j)[:, None]
@@ -328,7 +334,7 @@ class ChainRobot(RobotModel):
         base = coords[:, list(self.base_indices)].T[:, None, :]
         angles = np.cumsum(coords[:, list(self.angle_indices)].T, axis=0)
         lengths = np.asarray(self.link_lengths, dtype=float)[:, None]
-        steps = lengths * np.stack([np.cos(angles), np.sin(angles)])
+        steps = lengths * np.array([np.cos(angles), np.sin(angles)])
         return np.concatenate([base, base + np.cumsum(steps, axis=1)],
                               axis=1).T
 
@@ -342,8 +348,9 @@ class ChainRobot(RobotModel):
         within link_radius of a disc or of an obstacle edge -> (n,) bool."""
         a, b = j[:, :-1], j[:, 1:]
         r = self.link_radius
-        hit = world.points_near(j, obs, r, discs=False)
-        _, disc, _ = world.kind_slices(obs)
+        kinds = world.kind_slices(obs)
+        hit = world.points_near(j, obs, kinds, r, discs=False)
+        _, disc, _ = kinds
         if disc.stop > disc.start:
             k = obs[disc] - world.first_disc
             d = point_segment_dist(_take(world.disc_centers, k)[:, None],
@@ -367,15 +374,6 @@ def _fractions(n: int) -> np.ndarray:
     s = np.linspace(0.0, 1.0, n + 1)
     s.setflags(write=False)
     return s
-
-
-class Visibility(NamedTuple):
-    """LevelValidity.visibility(a, bs): whether a is valid, whether each
-    motion a -> bs[i] is valid, and each motion's exact length."""
-
-    state: bool
-    motions: list[bool]
-    distances: list[float]
 
 
 @dataclass(frozen=True)
@@ -413,6 +411,9 @@ class LevelValidity:
             coords = coords[None, :]
         if self._world.empty and self.workspace_lo is None:
             return np.ones(len(coords), dtype=bool)
+        if len(coords) <= CHUNK_STATES:
+            return self.robot.valid(coords, self._world, self.workspace_lo,
+                                    self.workspace_hi)
         ok = np.empty(len(coords), dtype=bool)
         for i in range(0, len(coords), CHUNK_STATES):
             ok[i:i + CHUNK_STATES] = self.robot.valid(
@@ -457,8 +458,6 @@ class LevelValidity:
         return np.logical_and.reduceat(self.valid_mask(pts), starts)
 
     def motion_valid(self, a, b) -> bool:
-        # not visibility(a, [b]): its batch set-up costs more than this on
-        # the one-motion checks of interfaces
         b = np.asarray(b, dtype=float)
         return bool(self.motions_valid(a, b[None, :])[0])
 
@@ -478,17 +477,6 @@ class LevelValidity:
         states 0..n of each segment, the same states, in one valid_mask
         call."""
         return bool(self.paths_valid([path])[0])
-
-    def visibility(self, a, bs) -> Visibility:
-        """is_valid(a), motion_valid(a, b) for every row b of bs and the
-        exact distance(a, b): a on its own, then, if it is valid, its
-        motions (motions_from) in one more valid_mask call."""
-        a = np.asarray(a, dtype=float)
-        bs = np.asarray(bs, dtype=float)
-        dists = self.space.distances(a, bs) if len(bs) else []
-        if not self.valid_mask(a[None, :])[0]:
-            return Visibility(False, [False] * len(bs), dists)
-        return Visibility(True, self.motions_from(a, bs, dists), dists)
 
     def motions_from(self, a, bs, dists) -> list[bool]:
         """motion_valid(a, b) for each row b of bs, of length dists[i],

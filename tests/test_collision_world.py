@@ -8,6 +8,7 @@ phase and before each robot answered both in one posed pass; the
 world-level masks must equal it bit for bit.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -16,7 +17,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import smlr.validity as validity_module
-from smlr.geometry import (Box, Disc, Polygon, box_signed_distance,
+from smlr.geometry import (Box, Disc, Polygon, box_near, box_signed_distance,
                            disc_signed_distance, edge_crossings,
                            point_segment_dist, points_to_segments_dist,
                            polygons_contain, segment_crossing,
@@ -724,6 +725,280 @@ class TestKernelsEqualMatrixForms:
             box_matrix.tobytes()
 
 
+# -- verdict-only kernels against their references -------------------------
+
+
+def point_segment_dist_reference(p, a, b):
+    """point_segment_dist's reference, with np.sum and np.linalg.norm."""
+    d = b - a
+    dd = np.sum(d * d, axis=-1)
+    ap = p - a
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.sum(ap * d, axis=-1) / dd
+    t = np.where(dd == 0.0, 0.0, t)
+    t = np.clip(t, 0.0, 1.0)
+    closest = a + t[..., None] * d
+    return np.linalg.norm(p - closest, axis=-1)
+
+
+def cross_reference(o, p, q):
+    """(p - o) x (q - o), one coordinate difference at a time."""
+    return ((p[..., 0] - o[..., 0]) * (q[..., 1] - o[..., 1])
+            - (p[..., 1] - o[..., 1]) * (q[..., 0] - o[..., 0]))
+
+
+def cross_products(a0, a1, b0, b1):
+    """The four cross products of segment_crossing_reference."""
+    return (cross_reference(b0, b1, a0), cross_reference(b0, b1, a1),
+            cross_reference(a0, a1, b0), cross_reference(a0, a1, b1))
+
+
+def segment_crossing_reference(a0, a1, b0, b1):
+    """segment_crossing's reference: the four cross products from one
+    helper each, and the four touch terms always computed."""
+    def on_segment(o, p, q, c):
+        return (np.abs(c) <= 1e-12) & \
+            (q[..., 0] >= np.minimum(o[..., 0], p[..., 0]) - 1e-12) & \
+            (q[..., 0] <= np.maximum(o[..., 0], p[..., 0]) + 1e-12) & \
+            (q[..., 1] >= np.minimum(o[..., 1], p[..., 1]) - 1e-12) & \
+            (q[..., 1] <= np.maximum(o[..., 1], p[..., 1]) + 1e-12)
+
+    d1, d2, d3, d4 = cross_products(a0, a1, b0, b1)
+    a_lo, a_hi = np.minimum(a0, a1), np.maximum(a0, a1)
+    b_lo, b_hi = np.minimum(b0, b1), np.maximum(b0, b1)
+    boxes_meet = (a_lo[..., 0] <= b_hi[..., 0]) & \
+        (b_lo[..., 0] <= a_hi[..., 0]) & \
+        (a_lo[..., 1] <= b_hi[..., 1]) & (b_lo[..., 1] <= a_hi[..., 1])
+    proper = ((d1 > 0) != (d2 > 0)) & ((d3 > 0) != (d4 > 0)) & boxes_meet
+    touch = (on_segment(b0, b1, a0, d1) | on_segment(b0, b1, a1, d2)
+             | on_segment(a0, a1, b0, d3) | on_segment(a0, a1, b1, d4))
+    return proper | touch
+
+
+def segment_segment_dist_reference(a0, a1, b0, b1):
+    """segment_segment_dist's reference: the least of four point-segment
+    distances, each through point_segment_dist_reference."""
+    d = np.minimum(
+        np.minimum(point_segment_dist_reference(a0, b0, b1),
+                   point_segment_dist_reference(a1, b0, b1)),
+        np.minimum(point_segment_dist_reference(b0, a0, a1),
+                   point_segment_dist_reference(b1, a0, a1)))
+    return np.where(segment_crossing_reference(a0, a1, b0, b1), 0.0, d)
+
+
+# box faces on a lattice that holds 0.0, where one ulp outside a face is a
+# subnormal whose square is 0
+box_bound = st.one_of(st.just(0.0), st.integers(-8, 8).map(lambda v: v / 4),
+                      st.floats(-2.0, 2.0))
+margins = st.one_of(st.just(0.0), st.floats(1e-9, 1.0),
+                    st.sampled_from([0.25, 0.125]))
+
+
+@st.composite
+def boxes_and_points(draw):
+    """Boxes [lo, hi] of 1-3 dimensions, a margin, and points whose every
+    coordinate lies on a face of one box, one ulp inside or outside it,
+    at the margin from it or anywhere: faces, edges and corners."""
+    dim = draw(st.integers(1, 3))
+    k = draw(st.integers(1, 3))
+    lo = np.array([[draw(box_bound) for _ in range(dim)] for _ in range(k)])
+    hi = lo + np.array([[draw(st.sampled_from([0.25, 1.0, 1e-3]))
+                         for _ in range(dim)] for _ in range(k)])
+    margin = draw(margins)
+    pts = []
+    for _ in range(draw(st.integers(1, 8))):
+        j = draw(st.integers(0, k - 1))
+        row = []
+        for i in range(dim):
+            face = draw(st.sampled_from([lo[j, i], hi[j, i]]))
+            out = -1.0 if face == lo[j, i] else 1.0
+            row.append(draw(st.sampled_from([
+                face, np.nextafter(face, -np.inf), np.nextafter(face, np.inf),
+                face + out * margin,
+                np.nextafter(face + out * margin, out * np.inf),
+                np.nextafter(face + out * margin, -out * np.inf),
+                (lo[j, i] + hi[j, i]) / 2, draw(st.floats(-3.0, 3.0))])))
+        pts.append(row)
+    return lo, hi, margin, np.array(pts)
+
+
+def contact_pairs(n_max=6):
+    """Batches of segment pairs that share an endpoint, meet in a T (one
+    starts on the other), lie on one line, or lie anywhere on the lattice;
+    each pair in either argument order and direction."""
+    @st.composite
+    def pair(draw):
+        a0 = np.array(draw(lattice_point))
+        a1 = np.array(draw(lattice_point))
+        kind = draw(st.sampled_from(["shared", "t", "collinear", "any"]))
+        s = [draw(st.one_of(st.sampled_from([0.0, 0.5, 1.0, -0.5, 1.5]),
+                            st.floats(-2.0, 2.0))) for _ in range(2)]
+        on = [a0 + x * (a1 - a0) for x in s]
+        if kind == "shared":
+            b0, b1 = draw(st.sampled_from([a0, a1])), np.array(
+                draw(lattice_point))
+        elif kind == "t":
+            b0 = on[0]
+            b1 = b0 + np.array([a0[1] - a1[1], a1[0] - a0[0]]) * s[1]
+        elif kind == "collinear":
+            b0, b1 = on
+        else:
+            b0, b1 = (np.array(draw(lattice_point)) for _ in range(2))
+        segs = [(a0, a1), (b0, b1)]
+        if draw(st.booleans()):
+            segs.reverse()
+        return [(q, p) if draw(st.booleans()) else (p, q) for p, q in segs]
+
+    return st.lists(pair(), min_size=1, max_size=n_max).map(
+        lambda pairs: tuple(np.array([p[i][j] for p in pairs])
+                            for i in (0, 1) for j in (0, 1)))
+
+
+class TestVerdictKernels:
+    """The verdict-only kernels give the bytes of their references."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(case=boxes_and_points())
+    def test_box_near_is_signed_distance_within_margin(self, case):
+        lo, hi, margin, pts = case
+        want = box_signed_distance(pts[:, None], lo, hi) <= margin
+        got = box_near(pts[:, None], lo, hi, margin)
+        assert got.tobytes() == want.tobytes()
+        for j in range(len(lo)):
+            assert Box(lo[j], hi[j]).signed_distance(pts).tobytes() == \
+                box_signed_distance(pts, lo[j], hi[j]).tobytes()
+
+    def test_box_near_one_ulp_outside_a_face_at_zero(self):
+        """Outside by a subnormal, whose square is 0: not near at margin 0
+        (closed containment), near at any normal positive margin."""
+        lo, hi = np.zeros(2), np.ones(2)
+        pts = np.array([[np.nextafter(0.0, -1.0), 0.5],
+                        [0.5, np.nextafter(1.0, 2.0)], [0.0, 0.0]])
+        assert box_near(pts, lo, hi, 0.0).tolist() == [False, False, True]
+        assert (box_signed_distance(pts, lo, hi) <= 0.0).tolist() == \
+            [False, False, True]
+        assert box_near(pts, lo, hi, 1e-9).all()
+
+    @settings(max_examples=400, deadline=None)
+    @given(pairs=contact_pairs(), layout=layouts)
+    def test_segment_crossing_on_contacts(self, pairs, layout):
+        a0, a1, b0, b1 = (np.asfortranarray(x) if layout == "F" else x
+                          for x in pairs)
+        want = segment_crossing_reference(a0, a1, b0, b1)
+        assert segment_crossing(a0, a1, b0, b1).tobytes() == want.tobytes()
+        # every pair against every pair, as the collision world pairs them
+        m = [x[:, None] for x in (a0, a1)] + [x[None] for x in (b0, b1)]
+        assert segment_crossing(*m).tobytes() == \
+            segment_crossing_reference(*m).tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(1, 8),
+           k=st.integers(1, 8))
+    def test_segment_crossing_in_general_position(self, seed, m, k):
+        """Batches with no cross product within 1e-12 of zero: the touch
+        terms are skipped and every pair is a proper crossing or none."""
+        rng = np.random.default_rng(seed)
+        a = rng.uniform(-1.0, 1.0, (2, m, 2))
+        b = rng.uniform(-1.0, 1.0, (2, k, 2))
+        pairs = [x[:, None] for x in a] + [x[None] for x in b]
+        assume(not any((np.abs(c) <= 1e-12).any()
+                       for c in cross_products(*pairs)))
+        assert segment_crossing(*pairs).tobytes() == \
+            segment_crossing_reference(*pairs).tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(p=point_batch(), seg=lattice_segments(), data=st.data(),
+           layout=layouts)
+    def test_point_segment_dist_equals_linalg_norm(self, p, seg, data,
+                                                   layout):
+        i, j = row_pairs(data.draw, len(p), len(seg[0]))
+        args = (gathered(p, i, layout),
+                *(gathered(x, j, layout) for x in seg))
+        assert point_segment_dist(*args).tobytes() == \
+            point_segment_dist_reference(*args).tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(a=lattice_segments(), b=lattice_segments(), data=st.data(),
+           layout=layouts)
+    def test_segment_segment_dist_equals_four_point_distances(
+            self, a, b, data, layout):
+        i, j = row_pairs(data.draw, len(a[0]), len(b[0]))
+        args = (*(gathered(x, i, layout) for x in a),
+                *(gathered(x, j, layout) for x in b))
+        assert segment_segment_dist(*args).tobytes() == \
+            segment_segment_dist_reference(*args).tobytes()
+        # the chain robot's shapes: a pose's links against one segment
+        args = (*(gathered(x, i, layout)[:, None] for x in a),
+                *(gathered(x, j, layout)[:, None] for x in b))
+        assert segment_segment_dist(*args).tobytes() == \
+            segment_segment_dist_reference(*args).tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(dim=st.integers(1, 4), data=st.data(), layout=layouts)
+    def test_disc_signed_distance_equals_linalg_norm(self, dim, data,
+                                                     layout):
+        rows = st.lists(st.lists(mixed, min_size=dim, max_size=dim),
+                        min_size=1, max_size=6).map(np.array)
+        p, c = data.draw(rows), data.draw(rows)
+        r = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=len(c),
+                                        max_size=len(c))))
+        i, j = row_pairs(data.draw, len(p), len(c))
+        q, cj = gathered(p, i, layout), gathered(c, j, layout)
+        want = np.linalg.norm(q - cj, axis=-1) - r[j]
+        assert disc_signed_distance(q, cj, r[j]).tobytes() == want.tobytes()
+
+
+# -- every shipped level against the per-obstacle reference -----------------
+
+SHIPPED_LEVELS = [
+    pytest.param(path.name, k, id=f"{path.stem}-level{k}")
+    for path in sorted(shipped_scenario_dir().glob("*.yaml"))
+    for k in range(len(load_scenario(path).seq.levels))]
+
+
+def shipped_poses_around(level, obstacle, gap):
+    """States of level whose robot box lies gap outside the obstacle's
+    bounding box, beside each of its sides and corners (poses_around,
+    with a point or disc robot as a body of one point, in any
+    dimension)."""
+    robot, dim = level.validity.robot, level.space.dim
+    if isinstance(robot, (PolygonRobot, ChainRobot)):
+        poses = poses_around(robot, obstacle, gap)
+        assert poses.shape[1] == dim
+        return poses
+    pad = robot.radius
+    lo, hi = obstacle.bounding_box()
+    states = []
+    for side in itertools.product((-1, 0, 1), repeat=len(lo)):
+        if not any(side):
+            continue
+        xy = (lo + hi) / 2
+        for i, s in enumerate(side):
+            if s > 0:
+                xy[i] = hi[i] + gap + pad
+            elif s < 0:
+                xy[i] = lo[i] - gap - pad
+        x = np.zeros(dim)
+        x[list(robot.position_indices)] = xy
+        states.append(x)
+    return np.array(states)
+
+
+class TestShippedWorlds:
+    @pytest.mark.parametrize("name, index", SHIPPED_LEVELS)
+    def test_valid_mask_equals_per_obstacle_reference(self, name, index):
+        """Every level of every shipped scenario: 2,000 uniform states and
+        the states touching each obstacle's bounding box or 1e-7 outside
+        it, valid_mask byte-equal to the per-obstacle loop."""
+        level = load_scenario(shipped_scenario_dir() / name).seq.levels[index]
+        v = level.validity
+        x = np.concatenate(
+            [level.space.sample_uniform(np.random.default_rng(index), 2000)]
+            + [shipped_poses_around(level, o, gap) for o in v.obstacles
+               for gap in (0.0, 1e-7)])
+        assert v.valid_mask(x).tobytes() == ref_valid_mask(v, x).tobytes()
+
+
 # -- batched motion checks ---------------------------------------------------
 
 def scenario(name):
@@ -743,32 +1018,49 @@ def batches(monkeypatch):
     return seen
 
 
+def roadmap_of(v, bs):
+    """A roadmap on v whose guards are the rows of bs, with delta twice
+    the space's diameter, so every guard is near every state."""
+    rm = SparseRoadmap(v.space, v, 2 * v.space.max_extent())
+    for b in bs:
+        rm.add_guard(b)
+    return rm
+
+
 def assert_same_as_one_by_one(v, q, bs, batches):
-    """visibility(q, bs) equals is_valid(q) and motion_valid(q, b) for each
-    b, from one valid_mask call over [q] and, if q is valid, one over the
-    one-by-one states with each motion's state 0 (byte-equal to q)
-    removed."""
+    """visible_guard_distances(q) on the roadmap whose guards are bs equals
+    is_valid(q), and motion_valid(q, b) with the exact distance(q, b) for
+    each b, nearest first (ties by smaller id), from one valid_mask call
+    over [q] and, if q is valid, one over the one-by-one states in that
+    order with each motion's state 0 (byte-equal to q) removed."""
+    rm = roadmap_of(v, bs)
     batches.clear()
     state = v.is_valid(q)
     motions = [v.motion_valid(q, b) for b in bs]
     one_by_one = batches[1:]
     assert len(one_by_one) == len(bs)
     assert all(m[0].tobytes() == q.tobytes() for m in one_by_one)
+    dists = [v.space.distance(q, b) for b in bs]
+    order = sorted(range(len(bs)), key=lambda g: (dists[g], g))
     batches.clear()
-    got = v.visibility(q, bs)
-    assert got == (state, motions, [v.space.distance(q, b) for b in bs])
+    got = rm.visible_guard_distances(q)
+    if state:
+        assert list(got.items()) == [(g, dists[g]) for g in order
+                                     if motions[g]]
+    else:
+        assert got is None
     assert batches[0].tobytes() == q[None, :].tobytes()
     if state and len(bs):
         assert len(batches) == 2
-        expected = np.concatenate([m[1:] for m in one_by_one])
+        expected = np.concatenate([one_by_one[g][1:] for g in order])
         assert batches[1].tobytes() == expected.tobytes()
     else:
         assert len(batches) == 1
 
 
 class TestMotionsValid:
-    """LevelValidity.visibility, the state check and then the motion check,
-    against is_valid and motion_valid one by one."""
+    """SparseRoadmap.visible_guard_distances, the state check and then the
+    motion check, against is_valid and motion_valid one by one."""
 
     def test_circle_wrapped_torus(self, batches):
         v = scenario("torus_band_feasible").seq.finest.validity
@@ -804,14 +1096,17 @@ class TestMotionsValid:
         assert not v.is_valid(q)
         bs = np.array([[1.9, 1.0], [2.6, 1.2], [2.25, 5.5], [2.25, 1.0]])
         assert_same_as_one_by_one(v, q, bs, batches)
-        assert v.visibility(q, bs).motions == [False] * 4
+        assert roadmap_of(v, bs).visible_guard_distances(q) is None
 
     def test_empty_targets(self, batches):
         v = scenario("torus_band_feasible").seq.finest.validity
         for q in (np.array([1.0, 1.0]), np.array([2.25, 1.0])):
             for bs in (np.empty((0, 2)), []):
+                rm = roadmap_of(v, bs)
                 batches.clear()
-                assert v.visibility(q, bs) == (v.is_valid(q), [], [])
+                state = v.is_valid(q)
+                assert rm.visible_guard_distances(q) == \
+                    ({} if state else None)
                 assert len(batches) == 2
 
     def test_visible_guards_unchanged_on_seeded_roadmap(self):
@@ -838,8 +1133,9 @@ class TestMotionsValid:
         assert seen > 0
 
     def test_planner_step_builds_the_same_roadmap(self):
-        """The planner's step (one visibility call, then add_conditional
-        with it) against is_valid followed by add_conditional(q)."""
+        """The planner's step (one visible_guard_distances call, then
+        add_conditional with it) against is_valid followed by
+        add_conditional(q)."""
         level = scenario("se2_lshape_feasible").seq.finest
         delta = 0.25 * level.space.max_extent()
         fused, two_pass = (SparseRoadmap(level.space, level.validity, delta)
