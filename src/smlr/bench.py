@@ -136,10 +136,13 @@ def _worker(args):
 
 def run_benchmark(scenario_paths, planners, seeds, overrides=None,
                   workers: int = 1) -> ResultTable:
-    """Run every (scenario, planner, seed) combination."""
+    """Run every (scenario, planner, seed) combination, in
+    min(workers, jobs) processes: the pool starts all of its processes at
+    its first job."""
     jobs = [(str(p), planner, seed, overrides)
             for p in scenario_paths for planner in planners
             for seed in seeds]
+    workers = min(workers, len(jobs))
     table = ResultTable()
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -78,15 +78,11 @@ class GridOracle:
 
     def _edge_valid_mask(self, a, b):
         """Motion check of the edges a[i] -> b[i] at their interior
-        substep states, one substep at a time over the edges still valid."""
+        substep states, one substep at a time over all edges."""
         ok = np.ones(len(a), dtype=bool)
         for s in np.linspace(0.0, 1.0, self._substeps + 1)[1:-1]:
-            idx = np.nonzero(ok)[0]
-            if not len(idx):
-                break
-            mid = self.space.interpolate_many(a[idx], b[idx],
-                                              np.full(len(idx), s))
-            ok[idx] &= self.validity.valid_mask(mid)
+            ok &= self.validity.valid_mask(
+                self.space.interpolate_many(a, b, np.full(len(a), s)))
         return ok
 
     def _center_differences(self, cells, off):

@@ -289,9 +289,9 @@ def simplify_path(path, space, checker):
     The path is one (n, dim) array.  Subdivision inserts the midpoint of
     every segment longer than 1e-9, from one distances and one
     interpolate_many call.  Elision from vertex i checks the candidates
-    j = n-1 ... i+2 in slices of 2, 4, 8, ... from the far end, one
-    motions_valid call per slice, and keeps the farthest that passes, or
-    i + 1 unchecked when none does.  Verdicts are kept for the call, keyed
+    j = n-1 ... i+2 not yet known, up to the farthest known pass, in one
+    motions_valid call, and keeps the farthest that passes, or i + 1
+    unchecked when none does.  Verdicts are kept for the call, keyed
     by the endpoints' bytes (equal endpoints give equal states), so no
     motion is checked twice.
     """
@@ -328,18 +328,9 @@ def _elide(sub, checker, seen) -> list[int]:
                 break
             if ok is None:
                 ask.setdefault((keys[i], keys[c]), c)
-        # slices of 2, 4, 8, ... as in section_test: a pass settles the step
-        # and spares the nearer candidates, whose batch would raise the
-        # peak memory for no time saved
-        motions, rows = list(ask), list(ask.values())
-        lo, size = 0, 2
-        while lo < len(rows):
-            verdicts = checker.motions_valid(sub[i],
-                                             sub[rows[lo:lo + size]]).tolist()
-            seen.update(zip(motions[lo:lo + size], verdicts))
-            if True in verdicts:
-                break
-            lo, size = lo + size, size * 2
+        if ask:
+            seen.update(zip(ask, checker.motions_valid(
+                sub[i], sub[list(ask.values())]).tolist()))
         j = next((c for c in cands if seen[keys[i], keys[c]]), i + 1)
         keep.append(j)
         i = j

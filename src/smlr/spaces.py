@@ -101,10 +101,10 @@ class StateSpace:
         return np.sqrt(np.vecdot(np.multiply(d, d, order="C"), self.weights))
 
     def distance(self, a, b) -> float:
-        a = self._check(a)
-        b = self._check(b)
-        d = self._absdiff(a, b)
-        return float(math.sqrt(np.dot(self.weights, d * d)))
+        """The metric: _norm on the one pair, the kernel of distances and
+        distance_many."""
+        return float(self._norm(self._absdiff(self._check(a),
+                                              self._check(b))))
 
     def distances(self, a, b) -> list[float]:
         """distance(a[i], b[i]) for each row pair, bit for bit; a and b are
@@ -126,16 +126,12 @@ class StateSpace:
     def interpolate(self, a, b, s: float) -> np.ndarray:
         if not 0.0 <= s <= 1.0:
             raise ValueError(f"interpolation parameter {s} outside [0, 1]")
-        a = self._check(a)
-        b = self._check(b)
-        x = a + s * self._diff(a, b)
-        x[self.circular] = np.mod(x[self.circular], TWO_PI)
-        return x
+        return self.interpolate_many(self._check(a), self._check(b), [s])[0]
 
     def interpolate_many(self, a, b, svals: np.ndarray) -> np.ndarray:
         """State i lies on the segment from a to b at svals[i]; a and b are
-        each one state or one row per s -> (len(svals), dim).  Elementwise
-        the arithmetic of interpolate."""
+        each one state or one row per s -> (len(svals), dim):
+        a + s * _diff(a, b), wrapped into [0, 2*pi) on circles."""
         a = self._check(a, rows=True)
         b = self._check(b, rows=True)
         svals = np.asarray(svals, dtype=float)
@@ -175,8 +171,8 @@ class StateSpace:
 
     def max_extent(self) -> float:
         """Diameter of the space under its metric."""
-        ext = np.where(self.circular, math.pi, self.hi - self.lo)
-        return float(math.sqrt(np.dot(self.weights, ext * ext)))
+        return float(self._norm(np.where(self.circular, math.pi,
+                                         self.hi - self.lo)))
 
 
 class RealVectorSpace(StateSpace):

@@ -305,9 +305,6 @@ class SparseRoadmap:
                 u, w = vis[i], vis[j]
                 if self.has_edge(u, w):
                     continue
-                if self.space.distance(self._coords[u], self._coords[w]) \
-                        > 2.0 * self.delta:
-                    continue
                 pair = (min(u, w), max(u, w))
                 if pair not in self._blocked:
                     if self.validity.motion_valid(self._coords[u],

@@ -62,11 +62,12 @@ class CollisionWorld:
         boxes = [o for o in obstacles if isinstance(o, Box)]
         discs = [o for o in obstacles if isinstance(o, Disc)]
         self.polygons = [o for o in obstacles if isinstance(o, Polygon)]
-        for kind, dims in (("box", {len(b.lo) for b in boxes}),
-                           ("disc", {len(d.center) for d in discs})):
+        for kind, group in (("box obstacles", boxes),
+                            ("disc obstacles", discs),
+                            ("obstacles", obstacles)):
+            dims = {len(o.bounding_box()[0]) for o in group}
             if len(dims) > 1:
-                raise ValueError(f"{kind} obstacles mix dimensions "
-                                 f"{sorted(dims)}")
+                raise ValueError(f"{kind} mix dimensions {sorted(dims)}")
         self.has_boxes = bool(boxes)
         if boxes:
             self.box_lo = np.stack([b.lo for b in boxes])
@@ -91,24 +92,17 @@ class CollisionWorld:
         self.seg_table = np.where(cols < self.seg_count[:, None],
                                   first[:, None] + cols, -1)
         self.empty = not obstacles
-        bounds = [o.bounding_box() for o in ordered]
-        self.has_aabbs = not self.empty and all(len(lo) == 2
-                                                for lo, _ in bounds)
-        if self.has_aabbs:
-            self.aabb_lo = np.stack([lo for lo, _ in bounds]) - BOX_MARGIN
-            self.aabb_hi = np.stack([hi for _, hi in bounds]) + BOX_MARGIN
+        bounds = (np.array([o.bounding_box() for o in ordered]) if ordered
+                  else np.empty((0, 2, 2)))
+        self.aabb_lo = bounds[:, 0] - BOX_MARGIN
+        self.aabb_hi = bounds[:, 1] + BOX_MARGIN
 
     def broad_phase(self, lo, hi):
         """(pose, obstacle) index pairs whose boxes meet: pose i's planar
         box [lo[i], hi[i]] and the obstacle's bounding box widened by
-        BOX_MARGIN.  Only these pairs can collide.  Every pair when the
-        world has no planar boxes.  The pairs are sorted by obstacle, so
-        each kind's pairs are one run (kind_slices) -> (pose, obstacle)
-        int arrays."""
-        if not self.has_aabbs:
-            obs, pose = np.nonzero(np.ones((len(self.seg_table), len(lo)),
-                                           dtype=bool))
-            return pose, obs
+        BOX_MARGIN.  Only these pairs can collide.  The pairs are sorted
+        by obstacle, so each kind's pairs are one run (kind_slices)
+        -> (pose, obstacle) int arrays."""
         meets = (self.aabb_lo[:, None] <= hi) & (self.aabb_hi[:, None] >= lo)
         obs, pose = np.nonzero(meets[..., 0] & meets[..., 1])
         return pose, obs
@@ -411,9 +405,6 @@ class LevelValidity:
             coords = coords[None, :]
         if self._world.empty and self.workspace_lo is None:
             return np.ones(len(coords), dtype=bool)
-        if len(coords) <= CHUNK_STATES:
-            return self.robot.valid(coords, self._world, self.workspace_lo,
-                                    self.workspace_hi)
         ok = np.empty(len(coords), dtype=bool)
         for i in range(0, len(coords), CHUNK_STATES):
             ok[i:i + CHUNK_STATES] = self.robot.valid(

@@ -4,6 +4,7 @@ import time
 import numpy as np
 import pytest
 
+from smlr import bench
 from smlr.bench import (ResultTable, RunRecord, run_benchmark, run_single,
                         write_results)
 from smlr.cli import EXIT_BAD_INPUT, EXIT_OK, main
@@ -182,6 +183,35 @@ class TestRunBenchmark:
             other = next(x for x in parallel.rows if x.key() == r.key())
             assert r.result.status == other.result.status
             assert r.result.cost == other.result.cost
+
+    @pytest.mark.parametrize("workers, jobs, want", [
+        (1000, 2, [2]), (3, 4, [3]), (1000, 1, []), (2, 0, [])])
+    def test_pool_no_larger_than_the_batch(self, free_path, monkeypatch,
+                                           workers, jobs, want):
+        """The pool starts all of its processes at its first job, so it
+        gets at most one per job; one job or none runs in this process.
+        The stand-in records the pool size and runs the jobs serially."""
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+        monkeypatch.setattr(bench, "ProcessPoolExecutor", SerialPool)
+        table = run_benchmark([free_path], ["flat"], seeds=range(1, jobs + 1),
+                              overrides={"max_failures": 20},
+                              workers=workers)
+        assert sizes == want
+        assert [r.result.seed for r in table.rows] == \
+            list(range(1, jobs + 1))
 
 
 class TestCli:

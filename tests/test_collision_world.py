@@ -330,6 +330,14 @@ class TestWorldEqualsPerObstacle:
                           obstacles=[Box([0.1, 0.1], [0.2, 0.2]),
                                      Box([0.5], [0.6])])
 
+    def test_mixed_kind_dimensions_rejected(self):
+        with pytest.raises(ValueError,
+                           match=r"^obstacles mix dimensions \[2, 3\]$"):
+            LevelValidity(space=RealVectorSpace([[0, 1], [0, 1]]),
+                          robot=PointRobot(),
+                          obstacles=[Box([0.1, 0.1], [0.2, 0.2]),
+                                     Disc([0.5] * 3, 0.1)])
+
 
 # -- bounding-box broad phase -------------------------------------------------
 
@@ -464,15 +472,19 @@ class TestBroadPhase:
         kept = meets.any(axis=1)
         assert 0 < len(want) < kept.sum() * len(BOUNDARY_OBSTACLES)
 
-    def test_non_planar_world_has_no_boxes(self):
-        v = LevelValidity(space=RealVectorSpace([[0, 1]] * 3),
-                          robot=PointRobot(position_indices=(0, 1, 2)),
-                          obstacles=[Box([0.1] * 3, [0.2] * 3)])
-        assert not v._world.has_aabbs
-        # every (row, obstacle) pair is a candidate
+    @pytest.mark.parametrize("robot", TOUCHING_ROBOTS,
+                             ids=lambda r: type(r).__name__)
+    def test_empty_world_with_workspace(self, robot):
+        """An empty world has (0, 2) boxes: no pairs, and only the
+        workspace test decides."""
+        v = validity(robot, [], workspace=True)
+        assert v._world.aabb_lo.shape == v._world.aabb_hi.shape == (0, 2)
         pose, obs = v._world.broad_phase(np.zeros((4, 2)), np.ones((4, 2)))
-        assert pose.tolist() == [0, 1, 2, 3]
-        assert obs.tolist() == [0] * 4
+        assert pose.tolist() == obs.tolist() == []
+        x = states(np.random.default_rng(5), robot, 300, [])
+        want = ref_valid_mask(v, x)
+        assert 0 < want.sum() < len(x)
+        np.testing.assert_array_equal(v.valid_mask(x), want)
 
 
 class TestOnePosedPass:

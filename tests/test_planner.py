@@ -717,7 +717,8 @@ class TestSampleBlocks:
 def simplify_path_one_at_a_time(path, space, checker, steps=None):
     """simplify_path as a sequential loop, kept as the reference: distance
     and interpolate per segment, and one motion_valid call per candidate
-    from the far end.  steps, a list, gets one entry per elision step."""
+    from the far end.  steps, a list, gets each elision step's start
+    state's bytes."""
     if len(path) <= 2:
         return list(path)
     pts = [np.asarray(p, dtype=float) for p in path]
@@ -736,7 +737,7 @@ def simplify_path_one_at_a_time(path, space, checker, steps=None):
                 j -= 1
             out.append(sub[j])
             if steps is not None:
-                steps.append(i)
+                steps.append(sub[i].tobytes())
             i = j
         if len(out) == len(pts) and \
                 all(np.array_equal(a, b) for a, b in zip(out, pts)):
@@ -802,9 +803,9 @@ class TestSimplifyPath:
     @pytest.mark.parametrize("kind", sorted(SIMPLIFY_SPACES))
     @settings(max_examples=30, deadline=None)
     @given(data=st.data())
-    def test_each_motion_checked_once_one_call_per_slice(self, kind, data):
-        # a step's calls share its start state; every call but its last
-        # finds no pass, and the k-th holds at most 2 ** k motions
+    def test_each_motion_checked_once_one_call_per_step(self, kind, data):
+        # each call checks one step's unknown candidates, from the step's
+        # start state, so the calls' starts are a subsequence of the steps'
         v, path = data.draw(simplify_inputs(kind))
         steps = []
         simplify_path_one_at_a_time(path, v.space, v, steps)
@@ -813,10 +814,9 @@ class TestSimplifyPath:
         valid_mask = LevelValidity.valid_mask
 
         def recording(self, a, bs):
-            ok = motions_valid(self, a, bs)
             calls.append((np.asarray(a, dtype=float).tobytes(),
-                          [b.tobytes() for b in bs], ok.any()))
-            return ok
+                          [b.tobytes() for b in bs]))
+            return motions_valid(self, a, bs)
 
         def counting(self, coords):
             masks.append(len(coords))
@@ -826,17 +826,10 @@ class TestSimplifyPath:
             mp.setattr(LevelValidity, "valid_mask", counting)
             simplify_path(path, v.space, v)
         assert len(masks) == len(calls)
-        motions = [(a, b) for a, bs, _ in calls for b in bs]
+        motions = [(a, b) for a, bs in calls for b in bs]
         assert len(set(motions)) == len(motions)
-        groups = []
-        for k, (a, bs, _) in enumerate(calls):
-            if k and a == calls[k - 1][0] and not calls[k - 1][2]:
-                groups[-1].append(len(bs))
-            else:
-                groups.append([len(bs)])
-        assert len(groups) <= len(steps)
-        assert all(n <= 2 ** (k + 1) for g in groups
-                   for k, n in enumerate(g))
+        starts = iter(steps)
+        assert all(any(a == s for s in starts) for a, _ in calls)
 
     def test_straightens_free_detour(self):
         lvl = r2_level([])

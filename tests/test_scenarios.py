@@ -155,6 +155,17 @@ class TestDiagnostics:
                                  r"mix dimensions \[1, 2\]"):
             load_scenario(write(tmp_path, text))
 
+    def test_mixed_kind_dimensions_named(self, tmp_path):
+        text = MINIMAL.replace(
+            "levels:",
+            "obstacles:\n  - {type: box, lo: [0.4, 0.4], hi: [0.6, 0.6]}\n"
+            "  - {type: disc, center: [0.2, 0.2, 0.2], radius: 0.1}\n"
+            "levels:")
+        with pytest.raises(ScenarioError,
+                           match=r"levels\[0\]: obstacles "
+                                 r"mix dimensions \[2, 3\]"):
+            load_scenario(write(tmp_path, text))
+
     def test_mismatched_base_indices(self, tmp_path):
         text = MINIMAL.replace(
             "start: [0.1, 0.1]\ngoal: [0.9, 0.9]",

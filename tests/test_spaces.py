@@ -255,6 +255,23 @@ LAYOUTS = {
 }
 
 
+def reference_distance(space, a, b):
+    """The scalar metric formula, a test-local reference for the kernel
+    behind distance: math.sqrt(np.dot(weights, d * d)) on the wrapped
+    absolute differences d."""
+    d = space._absdiff(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    return math.sqrt(np.dot(space.weights, d * d))
+
+
+def reference_interpolate(space, a, b, s):
+    """a + s * _diff(a, b), wrapped into [0, 2*pi) on circles: a
+    test-local reference for interpolate."""
+    a = np.asarray(a, dtype=float)
+    x = a + s * space._diff(a, np.asarray(b, dtype=float))
+    x[space.circular] = np.mod(x[space.circular], TWO_PI)
+    return x
+
+
 @st.composite
 def spaces_with_states(draw, k):
     space = draw(weighted_products())
@@ -278,11 +295,23 @@ class TestMetricProperties:
         space, states = case
         q, rows = states[0], np.stack(states[1:])
         a, b = rows[:3], rows[3:]
-        assert space.distances(a, b) == \
-            [space.distance(x, y) for x, y in zip(a, b)]
-        assert space.distances(q, rows) == [space.distance(q, y) for y in rows]
-        assert space.distances(rows, q) == [space.distance(x, q) for x in rows]
-        assert space.distances(q, rows[0]) == [space.distance(q, rows[0])]
+
+        def ref(x, y):
+            return reference_distance(space, x, y)
+        assert space.distances(a, b) == [ref(x, y) for x, y in zip(a, b)]
+        assert space.distances(q, rows) == [ref(q, y) for y in rows]
+        assert space.distances(rows, q) == [ref(x, q) for x in rows]
+        assert space.distances(q, rows[0]) == [ref(q, rows[0])]
+        assert [space.distance(q, y) for y in rows] == \
+            [ref(q, y) for y in rows]
+
+    @settings(max_examples=200, deadline=None)
+    @given(spaces_with_states(2),
+           st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
+    def test_interpolate_equals_scalar_formula(self, case, s):
+        space, (a, b) = case
+        assert space.interpolate(a, b, s).tobytes() == \
+            reference_interpolate(space, a, b, s).tobytes()
 
     @settings(max_examples=200, deadline=None)
     @given(spaces_with_states(12), st.integers(1, 11),
@@ -290,13 +319,14 @@ class TestMetricProperties:
     def test_vectorized_distances_equal_distance(self, case, split, xs_layout,
                                                  pts_layout):
         """distances, distance_many from one state and the distance_many
-        table equal distance bit for bit, whatever the inputs' memory
-        layout: BLAS rounds a strided dot product differently."""
+        table equal the scalar formula bit for bit, whatever the inputs'
+        memory layout: BLAS rounds a strided dot product differently."""
         space, states = case
         rows = np.stack(states)
         xs = LAYOUTS[xs_layout](rows[:split])
         pts = LAYOUTS[pts_layout](rows[split:])
-        want = np.array([[space.distance(x, p) for p in pts] for x in xs])
+        want = np.array([[reference_distance(space, x, p) for p in pts]
+                         for x in xs])
         assert space.distance_many(xs, pts).tobytes() == want.tobytes()
         for x, row in zip(xs, want):
             assert space.distance_many(x, pts).tobytes() == row.tobytes()
@@ -334,10 +364,10 @@ def motion_states(v, a, b):
 
 def reference_motion(v, a, b):
     """States 0..n of the motion a -> b from np.linspace and the scalar
-    interpolate, n = max(1, ceil(distance / step))."""
+    formulas, n = max(1, ceil(distance / step))."""
     step = v.check_resolution * v.space.max_extent()
-    n = max(1, math.ceil(v.space.distance(a, b) / step))
-    return np.stack([v.space.interpolate(a, b, s)
+    n = max(1, math.ceil(reference_distance(v.space, a, b) / step))
+    return np.stack([reference_interpolate(v.space, a, b, s)
                      for s in np.linspace(0.0, 1.0, n + 1)])
 
 
