@@ -278,25 +278,29 @@ def _stats(levels: list[LevelState]) -> list[LevelStats]:
 
 
 def simplify_path(path, space, checker):
-    """Deterministic one-shot shortcutting of an extracted solution.
+    """Deterministic one-shot shortcutting of an extracted solution
+    -> (path, valid), valid[i] the verdict of checker on segment i of the
+    returned path.
 
     Alternates segment subdivision with greedy vertex elision (skip to the
     farthest vertex directly reachable by a valid motion).  Elision never
     increases cost because straight segments realize the metric.  Motions are
     checked with checker; the planner passes its half-resolution validity,
-    the one the final path is re-validated with.
+    the one the final path must pass, and reads that check from valid.
 
     The path is one (n, dim) array.  Subdivision inserts the midpoint of
     every segment longer than 1e-9, from one distances and one
     interpolate_many call.  Elision from vertex i checks the candidates
     j = n-1 ... i+2 not yet known, up to the farthest known pass, in one
-    motions_valid call, and keeps the farthest that passes, or i + 1
-    unchecked when none does.  Verdicts are kept for the call, keyed
-    by the endpoints' bytes (equal endpoints give equal states), so no
-    motion is checked twice.
+    motions_valid call, with the motion to i + 1 when no known pass stops
+    the scan, and keeps the farthest that passes, or i + 1 when none does.
+    Verdicts are kept for the call, keyed by the endpoints' bytes (equal
+    endpoints give equal states), so no motion is checked twice.  A path of
+    at most two states is returned as it is, with its path_valid verdict as
+    the one entry of valid.
     """
     if len(path) <= 2:
-        return list(path)
+        return list(path), [checker.path_valid(path)]
     pts = np.array(path, dtype=float)
     seen: dict[tuple[bytes, bytes], bool] = {}
     for _ in range(SIMPLIFY_ROUNDS):
@@ -306,23 +310,25 @@ def simplify_path(path, space, checker):
         # each vertex, then its segment's midpoint where the segment splits
         take = np.column_stack([np.ones_like(split), split])
         sub = np.concatenate([np.stack([a, mids], axis=1)[take], pts[-1:]])
-        out = sub[_elide(sub, checker, seen)]
+        keep, valid = _elide(sub, checker, seen)
+        out = sub[keep]
         if len(out) == len(pts) and np.array_equal(out, pts):
             break
         pts = out
-    return list(pts)
+    return list(pts), valid
 
 
-def _elide(sub, checker, seen) -> list[int]:
-    """Indices of the vertices greedy elision keeps on the polyline sub,
-    reading and filling the verdict memo seen."""
+def _elide(sub, checker, seen) -> tuple[list[int], list[bool]]:
+    """Indices of the vertices greedy elision keeps on the polyline sub and
+    the verdict of each kept segment, reading and filling the verdict memo
+    seen."""
     keys = [row.tobytes() for row in sub]
-    keep, i, last = [0], 0, len(sub) - 1
+    keep, valid, i, last = [0], [], 0, len(sub) - 1
     while i < last:
-        cands = range(last, i + 1, -1)
-        # the motions farther than the farthest known pass, each once
+        # the motions farther than the farthest known pass, each once,
+        # and the one to i + 1 when no known pass stops the scan
         ask = {}
-        for c in cands:
+        for c in range(last, i, -1):
             ok = seen.get((keys[i], keys[c]))
             if ok:
                 break
@@ -331,10 +337,12 @@ def _elide(sub, checker, seen) -> list[int]:
         if ask:
             seen.update(zip(ask, checker.motions_valid(
                 sub[i], sub[list(ask.values())]).tolist()))
-        j = next((c for c in cands if seen[keys[i], keys[c]]), i + 1)
+        j = next((c for c in range(last, i + 1, -1)
+                  if seen[keys[i], keys[c]]), i + 1)
         keep.append(j)
+        valid.append(seen[keys[i], keys[j]])
         i = j
-    return keep
+    return keep, valid
 
 
 def _insert_path(level: LevelState, path):
@@ -423,15 +431,17 @@ class SmlrPlanner:
                 return finish(Status.TIMEOUT, reason="time limit")
             rm = levels[cur].roadmap
             ids, _ = rm.shortest_graph_path(START_ID, GOAL_ID)
-            checker = levels[cur].validity.half_resolution
-            base_solutions[cur] = simplify_path(
-                rm.guard_coords()[ids], levels[cur].space, checker)
+            base_solutions[cur], valid = simplify_path(
+                rm.guard_coords()[ids], levels[cur].space,
+                levels[cur].validity.half_resolution)
 
-        # the finest level solved last, so checker is its half-resolution one
+        # the finest level solved last: valid holds its half-resolution
+        # verdicts, one per segment of its path
         path = base_solutions[K - 1]
-        if not checker.path_valid(path):
+        if not all(valid):
             raise RevalidationError(
-                "solution failed re-validation at half resolution")
+                "solution failed re-validation at half resolution: segment "
+                f"{valid.index(False) + 1} of {len(valid)} on level {K}")
         cost = sum(seq.finest.space.distance(a, b)
                    for a, b in zip(path[:-1], path[1:]))
         return finish(Status.FEASIBLE, reason="; ".join(lifts), path=path,

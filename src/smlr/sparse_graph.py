@@ -69,7 +69,8 @@ class SparseRoadmap:
         self.validity = validity
         self.delta = delta
         self.stretch_t = stretch_t
-        self._coords = np.empty((0, space.dim))   # row i is guard i
+        # rows 0..n-1 are the guards; the capacity doubles when full
+        self._coords = np.empty((2, space.dim))
         self.adjacency: list[dict[int, float]] = []   # neighbour -> length
         self.edges: list[tuple[int, int, float]] = []  # insertion order
         self._edge_cum: np.ndarray | None = None
@@ -84,17 +85,19 @@ class SparseRoadmap:
 
     @property
     def num_guards(self) -> int:
-        return len(self._coords)
+        return len(self.adjacency)
 
     @property
     def num_edges(self) -> int:
         return len(self.edges)
 
     def guard_state(self, i: int) -> np.ndarray:
-        return self._coords[i]
+        return self.guard_coords()[i]
 
     def guard_coords(self) -> np.ndarray:
-        return self._coords
+        """The guards as a live (n, dim) view: later admissions never
+        change the rows of a view taken earlier."""
+        return self._coords[:self.num_guards]
 
     def same_component(self, u: int, v: int) -> bool:
         return self.components.find(u) == self.components.find(v)
@@ -103,15 +106,21 @@ class SparseRoadmap:
 
     def add_guard(self, q: np.ndarray) -> int:
         gid = self.components.add()
-        self._coords = np.concatenate(
-            [self._coords, np.asarray(q, dtype=float)[None]])
+        if gid == len(self._coords):
+            grown = np.empty((2 * gid, self.space.dim))
+            grown[:gid] = self._coords
+            self._coords = grown
+        self._coords[gid] = q
         self.adjacency.append({})
         return gid
 
-    def add_edge(self, u: int, v: int):
+    def add_edge(self, u: int, v: int, length: float | None = None):
+        """Add the edge u - v of the given length, by default the distance
+        of its guards; the caller's length must be that distance."""
         if v in self.adjacency[u]:
             return
-        length = self.space.distance(self._coords[u], self._coords[v])
+        if length is None:
+            length = self.space.distance(self._coords[u], self._coords[v])
         self.edges.append((min(u, v), max(u, v), length))
         self.adjacency[u][v] = length
         self.adjacency[v][u] = length
@@ -123,11 +132,13 @@ class SparseRoadmap:
 
     # -- queries ------------------------------------------------------------
 
-    def _near(self, dists) -> list[int]:
-        """Ids of the guards within delta of a state by increasing distance,
-        ties by smaller id, from its distance_many to the guards."""
-        near = np.nonzero(dists <= self.delta)[0]
-        return near[np.lexsort((near, dists[near]))].tolist()
+    def _near_orders(self, table):
+        """The guards by increasing distance, ties by smaller id, from one
+        stable argsort of each distance_many row of table, and how many of
+        them lie within delta -> (order, count): the near guards of row k
+        are order[k, :count[k]], or order[:count] for one row."""
+        return (table.argsort(axis=-1, kind="stable"),
+                (table <= self.delta).sum(axis=-1))
 
     def visible_guard_distances(self, q) -> dict[int, float] | None:
         """{id: distance} of the guards within delta of q with a valid
@@ -141,11 +152,13 @@ class SparseRoadmap:
         q = np.asarray(q, dtype=float)
         if not self.validity.valid_mask(q[None, :])[0]:
             return None
-        dists = self.space.distance_many(q, self._coords)
-        order = self._near(dists)
-        lengths = dists[order].tolist()
-        sees = self.validity.motions_from(q, self._coords[order], lengths)
-        return {g: d for g, d, ok in zip(order, lengths, sees) if ok}
+        coords = self.guard_coords()
+        dists = self.space.distance_many(q, coords)
+        order, count = self._near_orders(dists)
+        near = order[:count]
+        lengths = dists[near].tolist()
+        sees = self.validity.motions_from(q, coords[near], lengths)
+        return {g: d for g, d, ok in zip(near.tolist(), lengths, sees) if ok}
 
     def visible_in_order(self, xs):
         """visible_guard_distances(x) for each row x of xs in turn, as a
@@ -155,11 +168,13 @@ class SparseRoadmap:
         The rows are checked in one valid_mask call.  One distance_many
         table holds the distances from the valid rows not yet taken to the
         guards, and their motions to the guards within delta are checked
-        in one more call.  When a row is taken after admissions, the
-        admitted guards' columns are added to the table in one
-        distance_many call, and the new motions within delta are checked in
-        one more.  Every entry equals distance bit for bit, so each row's
-        near set, order and lengths are those of visible_guard_distances.
+        in one more call.  The table is sorted once by _near_orders, so
+        each row's near set is a prefix of its order.  When a row is taken
+        after admissions, the admitted guards' columns are added to the
+        table in one distance_many call, the new motions within delta are
+        checked in one more, and the table is sorted again.  Every entry
+        equals distance bit for bit, so each row's near set, order and
+        lengths are those of visible_guard_distances.
         """
         xs = np.asarray(xs, dtype=float)
         valid = self.validity.valid_mask(xs)
@@ -167,23 +182,28 @@ class SparseRoadmap:
         # its distance to guard g and sees[k, g] whether its motion to g
         # is valid, set for every g within delta
         starts = xs[valid]
-        table = self.space.distance_many(starts, self._coords)
+        table = self.space.distance_many(starts, self.guard_coords())
         sees = np.zeros(table.shape, dtype=bool)
         self._check_motions(starts, table, sees, 0)
+        order, count = self._near_orders(table)
         for ok in valid.tolist():
             if not ok:
                 yield None
                 continue
             fetched = table.shape[1]
             if fetched < self.num_guards:
-                new = self.space.distance_many(starts, self._coords[fetched:])
+                new = self.space.distance_many(
+                    starts, self.guard_coords()[fetched:])
                 table = np.hstack([table, new])
                 sees = np.hstack([sees, np.zeros(new.shape, dtype=bool)])
                 self._check_motions(starts, table, sees, fetched)
-            order = self._near(table[0])
-            yield {g: d for g, d, v in zip(order, table[0, order].tolist(),
-                                           sees[0, order].tolist()) if v}
+                order, count = self._near_orders(table)
+            near = order[0, :count[0]]
+            yield {g: d for g, d, v in zip(near.tolist(),
+                                           table[0, near].tolist(),
+                                           sees[0, near].tolist()) if v}
             starts, table, sees = starts[1:], table[1:], sees[1:]
+            order, count = order[1:], count[1:]
 
     def _check_motions(self, starts, table, sees, first):
         """Set sees[k, g] for every guard g >= first with table[k, g] <=
@@ -295,7 +315,7 @@ class SparseRoadmap:
         if len(comps) >= 2:
             gid = self.add_guard(q)
             for g in comps.values():
-                self.add_edge(gid, g)
+                self.add_edge(gid, g, visible[g])
             self._succeed()
             return AddOutcome.ADDED_CONNECTIVITY
 
@@ -318,8 +338,8 @@ class SparseRoadmap:
                     # adding another would grow the graph without bound
                     continue
                 gid = self.add_guard(q)
-                self.add_edge(gid, u)
-                self.add_edge(gid, w)
+                self.add_edge(gid, u, visible[u])
+                self.add_edge(gid, w, visible[w])
                 self._succeed()
                 return AddOutcome.ADDED_INTERFACE_VERTEX
 
@@ -332,8 +352,8 @@ class SparseRoadmap:
                 through = visible[u] + visible[w]
                 if self.path_cost_exceeds(u, w, self.stretch_t * through):
                     gid = self.add_guard(q)
-                    self.add_edge(gid, u)
-                    self.add_edge(gid, w)
+                    self.add_edge(gid, u, visible[u])
+                    self.add_edge(gid, w, visible[w])
                     self._succeed()
                     return AddOutcome.ADDED_QUALITY
 

@@ -392,6 +392,10 @@ class LevelValidity:
             raise ValueError("check_resolution must be in (0, 1]")
         object.__setattr__(self, "_extent", self.space.max_extent())
         object.__setattr__(self, "_world", CollisionWorld(self.obstacles))
+        # no obstacle and no workspace box: every state is valid, so
+        # valid_mask returns all-true and the motion checks build no states
+        object.__setattr__(self, "unconstrained",
+                           self._world.empty and self.workspace_lo is None)
 
     @functools.cached_property
     def half_resolution(self) -> LevelValidity:
@@ -441,9 +445,12 @@ class LevelValidity:
     def motions_valid(self, a, bs) -> np.ndarray:
         """motion_valid(a[i], bs[i]) for each row pair (a is one state or
         one per row of bs): states 0..n of every motion, as motion_points
-        discretizes it, from one valid_mask call -> (len(bs),) bool."""
+        discretizes it, from one valid_mask call, or none on an
+        unconstrained level -> (len(bs),) bool."""
         a = np.asarray(a, dtype=float)
         bs = np.asarray(bs, dtype=float)
+        if self.unconstrained:
+            return np.ones(len(bs), dtype=bool)
         pts, starts = self.motion_points(a, bs, self.space.distances(a, bs),
                                          first=0)
         return np.logical_and.reduceat(self.valid_mask(pts), starts)
@@ -474,7 +481,10 @@ class LevelValidity:
         where a (one state or one per row of bs) is valid: motion_points'
         states 1..n of every motion from one valid_mask call.  Each
         motion's state 0 equals its a byte for byte when a is normalized,
-        so it is left to the check of a."""
+        so it is left to the check of a.  An unconstrained level checks
+        none."""
+        if self.unconstrained:
+            return [True] * len(bs)
         if not len(bs):
             return []
         pts, starts = self.motion_points(a, bs, dists)

@@ -1,6 +1,7 @@
 import functools
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -29,9 +30,10 @@ from test_spaces import motion_states
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-# A free world whose validity rejects every state checked at a resolution
-# finer than the planning resolution 0.1, so the path the planner finds
-# always fails the final half-resolution check.
+# A world with no obstacle whose validity rejects every state checked at a
+# resolution finer than the planning resolution 0.1, so the path the planner
+# finds always fails the final half-resolution check.  Its workspace box
+# makes the level constrained, so its motions reach valid_mask.
 FORCED_REVALIDATION_FAILURE = """
 import numpy as np
 from smlr.bundles import FiberBundleSequence, Level
@@ -45,8 +47,8 @@ class FineBlind(LevelValidity):
 
 space = RealVectorSpace([[0, 1], [0, 1]])
 seq = FiberBundleSequence(levels=[Level(space, FineBlind(
-    space=space, robot=PointRobot(), obstacles=[], check_resolution=0.1))],
-    bundles=[])
+    space=space, robot=PointRobot(), obstacles=[], workspace_lo=np.zeros(2),
+    workspace_hi=np.ones(2), check_resolution=0.1))], bundles=[])
 cfg = PlannerConfig(seed=0, time_limit=10)
 try:
     SmlrPlanner(seq, cfg).solve(np.array([0.1, 0.1]), np.array([0.9, 0.9]))
@@ -365,7 +367,8 @@ class TestSectionTest:
         monkeypatch.setattr(LevelValidity, "valid_mask", counting_valid_mask)
         got = top.validity.path_valid(
             lift_section(seq.bundles[0], base_path, start[1:], goal[1:]))
-        assert len(calls) == 1
+        # the obstacle-free level is unconstrained and checks no state
+        assert len(calls) == (collision != "none")
         assert got == (want is not None)
 
     def test_lifts_free_base_path(self):
@@ -796,9 +799,32 @@ class TestSimplifyPath:
     @given(data=st.data())
     def test_equals_one_at_a_time(self, kind, data):
         v, path = data.draw(simplify_inputs(kind))
-        got = simplify_path(path, v.space, v)
+        got, _ = simplify_path(path, v.space, v)
         want = simplify_path_one_at_a_time(path, v.space, v)
         assert [p.tobytes() for p in got] == [p.tobytes() for p in want]
+
+    @pytest.mark.parametrize("kind", sorted(SIMPLIFY_SPACES))
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_valid_is_the_path_check(self, kind, data):
+        """valid holds each returned segment's motion_valid verdict, so
+        all(valid) is path_valid of the returned path, and no motion is
+        asked twice to get them."""
+        v, path = data.draw(simplify_inputs(kind))
+        asked = []
+        motions_valid = LevelValidity.motions_valid
+
+        def recording(self, a, bs):
+            a = np.asarray(a, dtype=float)
+            asked.extend((a.tobytes(), b.tobytes()) for b in bs)
+            return motions_valid(self, a, bs)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(LevelValidity, "motions_valid", recording)
+            got, valid = simplify_path(path, v.space, v)
+        assert len(set(asked)) == len(asked)
+        assert valid == [v.motion_valid(a, b)
+                         for a, b in zip(got[:-1], got[1:])]
+        assert all(valid) == v.path_valid(got)
 
     @pytest.mark.parametrize("kind", sorted(SIMPLIFY_SPACES))
     @settings(max_examples=30, deadline=None)
@@ -825,7 +851,8 @@ class TestSimplifyPath:
             mp.setattr(LevelValidity, "motions_valid", recording)
             mp.setattr(LevelValidity, "valid_mask", counting)
             simplify_path(path, v.space, v)
-        assert len(masks) == len(calls)
+        # a level with no box checks no state
+        assert len(masks) == (0 if v.unconstrained else len(calls))
         motions = [(a, b) for a, bs in calls for b in bs]
         assert len(set(motions)) == len(motions)
         starts = iter(steps)
@@ -835,7 +862,7 @@ class TestSimplifyPath:
         lvl = r2_level([])
         path = [np.array([0.1, 0.1]), np.array([0.1, 0.9]),
                 np.array([0.9, 0.9])]
-        out = simplify_path(path, lvl.space, lvl.validity)
+        out, _ = simplify_path(path, lvl.space, lvl.validity)
         assert np.allclose(out[0], path[0])
         assert np.allclose(out[-1], path[-1])
         cost = sum(lvl.space.distance(a, b)
@@ -847,7 +874,7 @@ class TestSimplifyPath:
         path = [np.array([0.2, 0.5]), np.array([0.3, 0.9]),
                 np.array([0.5, 0.92]), np.array([0.7, 0.9]),
                 np.array([0.8, 0.5])]
-        out = simplify_path(path, lvl.space, lvl.validity)
+        out, _ = simplify_path(path, lvl.space, lvl.validity)
         for a, b in zip(out[:-1], out[1:]):
             assert lvl.validity.motion_valid(a, b)
         new = sum(lvl.space.distance(a, b) for a, b in zip(out[:-1], out[1:]))
@@ -860,7 +887,7 @@ class TestSimplifyPath:
     def test_two_point_path_unchanged(self):
         lvl = r2_level([])
         path = [np.array([0.1, 0.1]), np.array([0.9, 0.9])]
-        out = simplify_path(path, lvl.space, lvl.validity)
+        out, _ = simplify_path(path, lvl.space, lvl.validity)
         assert len(out) == 2
 
 
@@ -994,6 +1021,31 @@ class TestPlannerInputs:
         assert [v.check_resolution for v in before] == [0.01, 0.01]
 
 
+class TestEdgeLengths:
+    @pytest.mark.parametrize("name", ["chain4_feasible",
+                                      "torus_band_feasible",
+                                      "se2_bugtrap_feasible",
+                                      "se2_lshape_feasible"])
+    def test_lengths_are_guard_distances(self, name):
+        """Edges from a new guard take their length from its visibility
+        dict: after solves on the benchmark mix's scenarios, every length
+        on every level is space.distance of its guards, bit for bit."""
+        sc = load_scenario(shipped_scenario_dir() / f"{name}.yaml")
+        edges = 0
+        for seed in range(1, 6):
+            p = SmlrPlanner(sc.seq, replace(sc.config, seed=seed))
+            assert p.solve(sc.start, sc.goal).status is Status.FEASIBLE
+            for ls in p.level_states:
+                rm = ls.roadmap
+                for u, v, length in rm.edges:
+                    want = ls.space.distance(rm.guard_state(u),
+                                             rm.guard_state(v))
+                    assert float(length).hex() == want.hex()
+                    assert rm.adjacency[u][v] == rm.adjacency[v][u] == length
+                edges += rm.num_edges
+        assert edges > 0
+
+
 class TestRevalidation:
     @pytest.mark.parametrize("flags, debug", [([], True), (["-O"], False)],
                              ids=["plain", "optimized"])
@@ -1005,6 +1057,8 @@ class TestRevalidation:
         assert out.returncode == 0, out.stderr
         assert out.stdout.startswith(f"raised {debug} solution failed "
                                      "re-validation at half resolution")
+        # every segment fails, so the first one is named
+        assert re.search(r": segment 1 of \d+ on level 1$", out.stdout)
 
 
 class TestHalfResolutionChecker:

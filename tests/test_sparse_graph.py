@@ -164,6 +164,9 @@ class TestAddConditional:
             [rm.space.distance(q, rm.guard_state(g)) for g in (u, w)]
         out = rm.add_conditional(q, visible if precomputed else None)
         assert out is outcome
+        for u, v, length in rm.edges:
+            assert length.hex() == rm.space.distance(
+                rm.guard_state(u), rm.guard_state(v)).hex()
 
 
 class TestShortestPath:
@@ -267,6 +270,10 @@ class TestStores:
 
         lengths = {(u, v): length for u, v, length in rm.edges}
         assert len(lengths) == len(rm.edges)
+        # lengths read from a visibility dict are the guards' distance
+        for (u, v), length in lengths.items():
+            assert length.hex() == rm.space.distance(
+                rm.guard_state(u), rm.guard_state(v)).hex()
         assert all(u < v for u, v in lengths)
         assert sum(map(len, rm.adjacency)) == 2 * len(rm.edges)
         for u, nbrs in enumerate(rm.adjacency):
@@ -279,6 +286,86 @@ class TestStores:
                 ((u, v) in lengths)
             assert (labels[u] == labels[v]) == rm.same_component(u, v)
         assert rm._blocked.isdisjoint(lengths)
+
+
+    def test_guard_store_keeps_admitted_bytes(self):
+        """The guard store grows in place: after 200 admissions its rows
+        are the admitted states byte for byte, and every guard_coords()
+        array taken on the way still holds the guards of its time."""
+        rm = free_world()
+        states = np.random.default_rng(3).random((200, 2))
+        taken = []
+        for i, q in enumerate(states):
+            assert rm.add_guard(q) == i
+            view = rm.guard_coords()
+            taken.append((view, view.tobytes()))
+        assert rm.guard_coords().tobytes() == states.tobytes()
+        for i, (view, was) in enumerate(taken):
+            assert view.shape == (i + 1, 2)
+            assert view.tobytes() == was == states[:i + 1].tobytes()
+
+
+def lattice_world(walled):
+    """Guards on the valid points of the 0.125 lattice of the unit square,
+    so a sample on the half lattice is at one distance from its four
+    nearest guards and one on the lattice at exactly delta = 0.125 from its
+    four neighbours."""
+    rm = walled_world(0.125) if walled else free_world(0.125)
+    ticks = np.arange(9) * 0.125
+    for x in ticks:
+        for y in ticks:
+            if rm.validity.is_valid([x, y]):
+                rm.add_guard(np.array([x, y]))
+    return rm
+
+
+class TestNearOrder:
+    @pytest.mark.parametrize("walled", [False, True],
+                             ids=["unconstrained", "walled"])
+    @pytest.mark.parametrize("kind", ["lattice", "half_lattice", "uniform"])
+    def test_block_values_equal_one_at_a_time(self, walled, kind):
+        """visible_in_order against visible_guard_distances one sample at a
+        time, add_conditional after each: the same near sets in the same
+        order, which is the order of (distance, id) pairs, the same lengths
+        and the same roadmap."""
+        block, single = lattice_world(walled), lattice_world(walled)
+        assert block.validity.unconstrained is not walled
+        rng = np.random.default_rng(11)
+        ties = admitted = 0
+        for _ in range(6):
+            if kind == "uniform":
+                xs = rng.random((16, 2))
+            else:
+                xs = rng.integers(0, 8, (16, 2)) * 0.125
+                if kind == "half_lattice":
+                    xs += 0.0625
+            values = block.visible_in_order(xs)
+            for x in xs:
+                got = next(values)
+                want = single.visible_guard_distances(x)
+                assert (got is None) == (want is None)
+                if got is None:
+                    block.record_failure()
+                    single.record_failure()
+                    continue
+                assert list(got.items()) == list(want.items())
+                d = block.space.distance_many(x, block.guard_coords())
+                near = sorted((d[g], g) for g in range(len(d))
+                              if d[g] <= block.delta)
+                assert list(got) == [
+                    g for _, g in near
+                    if block.validity.motion_valid(x, block.guard_state(g))]
+                lengths = list(got.values())
+                ties += len(lengths) - len(set(lengths))
+                outcome = block.add_conditional(x, got)
+                assert single.add_conditional(x, want) is outcome
+                admitted += outcome is not AddOutcome.REJECTED
+        assert admitted > 0
+        if kind != "uniform":
+            assert ties > 0
+        assert block.guard_coords().tobytes() == \
+            single.guard_coords().tobytes()
+        assert block.edges == single.edges
 
 
 class TestEdgeSampling:

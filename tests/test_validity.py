@@ -251,3 +251,44 @@ class TestPathValid:
                  [[0.3, 0.3]]]
         assert v.paths_valid(paths).tolist() == [True, False, True]
         assert len(calls) == 1
+
+
+class TestUnconstrained:
+    """A level with no obstacle and no workspace box answers every motion
+    check without building a state, with the verdicts of the same level
+    given a box out of reach, whose checks reach valid_mask."""
+
+    @pytest.mark.parametrize("kind", sorted(PATH_SPACES))
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_equals_discretized_verdicts(self, kind, data):
+        v, path = data.draw(polyline_worlds(kind))
+        path = np.array(path)
+        free = LevelValidity(space=v.space, robot=v.robot,
+                             check_resolution=v.check_resolution)
+        far = Box([10.0, 10.0], [11.0, 11.0])
+        boxed = LevelValidity(space=v.space, robot=v.robot, obstacles=[far],
+                              check_resolution=v.check_resolution)
+        walled = LevelValidity(space=v.space, robot=v.robot,
+                               workspace_lo=np.zeros(2),
+                               workspace_hi=np.ones(2))
+        assert free.unconstrained
+        assert not boxed.unconstrained and not walled.unconstrained
+        checked = {}
+        valid_mask = LevelValidity.valid_mask
+
+        def counting(self, coords):
+            checked[id(self)] = checked.get(id(self), 0) + len(coords)
+            return valid_mask(self, coords)
+
+        def verdicts(lv):
+            dists = lv.space.distances(path[0], path)
+            return (lv.motions_valid(path[0], path).tolist(),
+                    lv.motions_valid(path, path[::-1]).tolist(),
+                    list(lv.motions_from(path[0], path, dists)),
+                    lv.paths_valid([path, path[:1]]).tolist())
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(LevelValidity, "valid_mask", counting)
+            got, want = verdicts(free), verdicts(boxed)
+        assert got == want
+        assert id(free) not in checked and checked[id(boxed)] > 0
