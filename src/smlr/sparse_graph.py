@@ -69,8 +69,7 @@ class SparseRoadmap:
         self.validity = validity
         self.delta = delta
         self.stretch_t = stretch_t
-        # rows 0..n-1 are the guards; the capacity doubles when full
-        self._coords = np.empty((2, space.dim))
+        self._coords = np.empty((0, space.dim))   # row i is guard i
         self.adjacency: list[dict[int, float]] = []   # neighbour -> length
         self.edges: list[tuple[int, int, float]] = []  # insertion order
         self._edge_cum: np.ndarray | None = None
@@ -85,19 +84,19 @@ class SparseRoadmap:
 
     @property
     def num_guards(self) -> int:
-        return len(self.adjacency)
+        return len(self._coords)
 
     @property
     def num_edges(self) -> int:
         return len(self.edges)
 
     def guard_state(self, i: int) -> np.ndarray:
-        return self.guard_coords()[i]
+        return self._coords[i]
 
     def guard_coords(self) -> np.ndarray:
-        """The guards as a live (n, dim) view: later admissions never
-        change the rows of a view taken earlier."""
-        return self._coords[:self.num_guards]
+        """The guards as an (n, dim) array.  add_guard replaces it with a
+        longer one, so an array taken earlier keeps its rows."""
+        return self._coords
 
     def same_component(self, u: int, v: int) -> bool:
         return self.components.find(u) == self.components.find(v)
@@ -106,11 +105,8 @@ class SparseRoadmap:
 
     def add_guard(self, q: np.ndarray) -> int:
         gid = self.components.add()
-        if gid == len(self._coords):
-            grown = np.empty((2 * gid, self.space.dim))
-            grown[:gid] = self._coords
-            self._coords = grown
-        self._coords[gid] = q
+        self._coords = np.concatenate(
+            [self._coords, np.asarray(q, dtype=float)[None]])
         self.adjacency.append({})
         return gid
 
@@ -152,12 +148,11 @@ class SparseRoadmap:
         q = np.asarray(q, dtype=float)
         if not self.validity.valid_mask(q[None, :])[0]:
             return None
-        coords = self.guard_coords()
-        dists = self.space.distance_many(q, coords)
+        dists = self.space.distance_many(q, self._coords)
         order, count = self._near_orders(dists)
         near = order[:count]
         lengths = dists[near].tolist()
-        sees = self.validity.motions_from(q, coords[near], lengths)
+        sees = self.validity.motions_from(q, self._coords[near], lengths)
         return {g: d for g, d, ok in zip(near.tolist(), lengths, sees) if ok}
 
     def visible_in_order(self, xs):
@@ -182,7 +177,7 @@ class SparseRoadmap:
         # its distance to guard g and sees[k, g] whether its motion to g
         # is valid, set for every g within delta
         starts = xs[valid]
-        table = self.space.distance_many(starts, self.guard_coords())
+        table = self.space.distance_many(starts, self._coords)
         sees = np.zeros(table.shape, dtype=bool)
         self._check_motions(starts, table, sees, 0)
         order, count = self._near_orders(table)
@@ -192,8 +187,7 @@ class SparseRoadmap:
                 continue
             fetched = table.shape[1]
             if fetched < self.num_guards:
-                new = self.space.distance_many(
-                    starts, self.guard_coords()[fetched:])
+                new = self.space.distance_many(starts, self._coords[fetched:])
                 table = np.hstack([table, new])
                 sees = np.hstack([sees, np.zeros(new.shape, dtype=bool)])
                 self._check_motions(starts, table, sees, fetched)
@@ -291,7 +285,10 @@ class SparseRoadmap:
 
         visible is visible_guard_distances(q) when the caller has it;
         otherwise it is computed here, and an invalid q counts as a failure
-        and is rejected, as in the planner's own step.
+        and is rejected, as in the planner's own step.  Its values become
+        the lengths of the new guard's edges, so a caller's dict must hold
+        the distance_many values that visible_guard_distances and
+        visible_in_order give, which equal space.distance bit for bit.
         """
         q = np.asarray(q, dtype=float)
         if visible is None:

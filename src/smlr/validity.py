@@ -393,7 +393,7 @@ class LevelValidity:
         object.__setattr__(self, "_extent", self.space.max_extent())
         object.__setattr__(self, "_world", CollisionWorld(self.obstacles))
         # no obstacle and no workspace box: every state is valid, so
-        # valid_mask returns all-true and the motion checks build no states
+        # valid_mask and the motion checks return all-true and check none
         object.__setattr__(self, "unconstrained",
                            self._world.empty and self.workspace_lo is None)
 
@@ -407,7 +407,7 @@ class LevelValidity:
         coords = np.asarray(coords, dtype=float)
         if coords.ndim == 1:
             coords = coords[None, :]
-        if self._world.empty and self.workspace_lo is None:
+        if self.unconstrained:
             return np.ones(len(coords), dtype=bool)
         ok = np.empty(len(coords), dtype=bool)
         for i in range(0, len(coords), CHUNK_STATES):

@@ -289,9 +289,9 @@ class TestStores:
 
 
     def test_guard_store_keeps_admitted_bytes(self):
-        """The guard store grows in place: after 200 admissions its rows
-        are the admitted states byte for byte, and every guard_coords()
-        array taken on the way still holds the guards of its time."""
+        """After 200 admissions the guard store's rows are the admitted
+        states byte for byte, and every guard_coords() array taken on the
+        way still holds the guards of its time."""
         rm = free_world()
         states = np.random.default_rng(3).random((200, 2))
         taken = []
