@@ -26,7 +26,9 @@ MAX_ORACLE_DIM = 4
 
 class GridOracle:
     """Regular grid over one level; resolution h is in metric units, so
-    per-coordinate spacing is h / sqrt(w_i)."""
+    per-coordinate spacing is h / sqrt(w_i).  The graph's indices are
+    int32, so a resolution whose cell count times the number of neighbour
+    offsets reaches 2**31 raises ValueError."""
 
     def __init__(self, space: StateSpace, validity: LevelValidity,
                  resolution: float):
@@ -41,8 +43,17 @@ class GridOracle:
         self.h = float(resolution)
         ext = np.where(space.circular, 2.0 * math.pi, space.hi - space.lo)
         metric_ext = ext * np.sqrt(space.weights)
-        self.cells_per_dim = np.maximum(
-            1, np.ceil(metric_ext / self.h).astype(int))
+        # graph() indexes cells and entries in int32; checked in floats,
+        # where a tiny h gives inf, before any array is allocated
+        with np.errstate(over="ignore"):
+            cells_per_dim = np.maximum(1.0, np.ceil(metric_ext / self.h))
+        cells = math.prod(cells_per_dim.tolist())
+        if cells * len(self._neighbor_offsets()) >= 2 ** 31:
+            raise ValueError(
+                f"resolution {resolution} gives {cells:.4g} cells, too "
+                f"many for int32 graph indices (cells x neighbour offsets "
+                f"must be below 2**31)")
+        self.cells_per_dim = cells_per_dim.astype(int)
         self.step = ext / self.cells_per_dim
         self._centers_1d = [
             space.lo[i] + (np.arange(self.cells_per_dim[i]) + 0.5)
@@ -85,43 +96,56 @@ class GridOracle:
                 self.space.interpolate_many(a, b, np.full(len(a), s)))
         return ok
 
-    def _center_differences(self, cells, off):
-        """Centre differences b - a, wrapped as StateSpace._diff wraps
-        them, from each cell a of cells to its neighbour b across off, and
-        from b to a -> two (len(cells), dim) arrays.  Each axis's
-        differences come from a table over its cells_per_dim[i] centres,
-        gathered per cell; an axis off does not move reads 0."""
-        fwd = np.zeros((len(cells), self.space.dim))
-        rev = np.zeros_like(fwd)
-        n = self.cells_per_dim
-        for i in np.flatnonzero(off):
-            c = self._centers_1d[i]
-            nxt = np.roll(c, -off[i])
-            f, r = nxt - c, c - nxt
-            if self.space.circular[i]:
-                f, r = wrap_angle(f), wrap_angle(r)
-            t = cells // int(np.prod(n[i + 1:])) % n[i]
-            fwd[:, i], rev[:, i] = f[t], r[t]
-        return fwd, rev
+    def _offset_weights(self, off):
+        """Centre distances across off on the whole lattice: from each cell
+        a to its neighbour b, and from b to a, as two arrays that broadcast
+        to the grid's shape.
 
-    def _edge_weights(self, src, dst, off):
-        """Weight of the pair src[i]-dst[i], dst[i] the neighbour across
-        off: the smaller center distance over the directions whose motion
-        passes, inf where neither does.  A distance is one matrix product
-        over the differences, which can differ from distance() in the last
+        Along a moved axis the centre differences b - a (wrapped on a
+        circle as StateSpace._diff wraps them) take only a handful of
+        distinct values, so one matrix product over the combinations of
+        those values, both directions stacked, gives every distance, and
+        each cell reads its own through the inverse indices of np.unique.
+        Sharing the product keeps it at two rows or more: a one-row product
+        takes another BLAS path, which can round differently from the
+        many-row one.  A distance can differ from distance() in the last
         bit.
+        """
+        dim = self.space.dim
+        axes = np.flatnonzero(off)
+        tables = []   # per direction: (distinct values, inverse) per axis
+        for sign in (1, -1):
+            values, inverse = [], []
+            for i in axes:
+                c = self._centers_1d[i]
+                nxt = np.roll(c, -off[i])
+                d = nxt - c if sign > 0 else c - nxt
+                if self.space.circular[i]:
+                    d = wrap_angle(d)
+                u, inv = np.unique(d, return_inverse=True)
+                values.append(u)
+                inverse.append(inv.reshape([-1 if j == i else 1
+                                            for j in range(dim)]))
+            tables.append((values, inverse))
+        combos = [np.stack([m.ravel() for m in np.meshgrid(
+            *values, indexing="ij")], axis=-1) for values, _ in tables]
+        diff = np.zeros((len(combos[0]) + len(combos[1]), dim))
+        diff[:, axes] = np.concatenate(combos)
+        w = np.sqrt((diff * diff) @ self.space.weights)
+        return tuple(
+            part.reshape([len(u) for u in values])[tuple(inverse)]
+            for part, (values, inverse)
+            in zip(np.split(w, [len(combos[0])]), tables))
+
+    def _edge_weights(self, src, dst, w_ab, w_ba):
+        """Weight of the pair src[i]-dst[i], of centre distances w_ab[i]
+        from src to dst and w_ba[i] back: the smaller over the directions
+        whose motion passes, inf where neither does.
 
         dst -> src is checked only where src -> dst fails or, on circular
         coordinates, where the two directions' distances differ in the last
         bit; on real coordinates they are always equal.
         """
-        fwd, rev = self._center_differences(src, off)
-        w_ab = np.sqrt((fwd * fwd) @ self.space.weights)
-        w_ba = (np.sqrt((rev * rev) @ self.space.weights)
-                if self.space.circular.any() else w_ab)
-        # one substep has no interior state to check
-        if self._substeps <= 1:
-            return np.minimum(w_ab, w_ba)
         a, b = self.centers[src], self.centers[dst]
         w = np.where(self._edge_valid_mask(a, b), w_ab, np.inf)
         back = np.flatnonzero(np.isinf(w) | (w_ab != w_ba))
@@ -134,41 +158,54 @@ class GridOracle:
 
         Each neighbour pair is one entry, in the row of the cell whose
         offset reaches the other; SciPy reads the graph undirected.  A pair
-        is an edge when its motion passes in either direction.
+        is an edge when its motion passes in either direction.  Each offset
+        is one pass over the whole lattice: the index and free grids
+        rolled by the offset give every cell's neighbour and whether it is
+        free, and _offset_weights every distance.  Indices are int32, which
+        SciPy's csgraph routines use without a copy.
         """
         if self._graph is not None:
             return self._graph
         shape = tuple(self.cells_per_dim)
-        grid_idx = np.arange(self.n_cells).reshape(shape)
-        circ = self.space.circular
+        grid_idx = np.arange(self.n_cells, dtype=np.int32).reshape(shape)
+        free = self.free.reshape(shape)
         offsets = self._neighbor_offsets()
         # column k: each cell's neighbour across offsets[k] and the edge
         # weight, inf where there is no edge
-        nbr = np.empty((self.n_cells, len(offsets)), dtype=grid_idx.dtype)
-        wts = np.full(nbr.shape, np.inf)
+        nbr = np.empty((self.n_cells, len(offsets)), dtype=np.int32)
+        wts = np.empty(nbr.shape)
         for k, off in enumerate(offsets):
-            shifted = grid_idx
-            inside = self.free.reshape(shape).copy()
-            for axis, o in enumerate(off):
-                if o == 0:
-                    continue
-                shifted = np.roll(shifted, -o, axis=axis)
-                if not circ[axis]:
+            axes = tuple(np.flatnonzero(off))
+            shift = tuple(-off[a] for a in axes)
+            nbr[:, k] = np.roll(grid_idx, shift, axis=axes).ravel()
+            edge = free & np.roll(free, shift, axis=axes)
+            for a in axes:
+                if not self.space.circular[a]:
                     sl = [slice(None)] * len(shape)
-                    sl[axis] = slice(-o, None) if o > 0 else slice(None, -o)
-                    inside[tuple(sl)] = False
-            nbr[:, k] = shifted.ravel()
-            src = np.flatnonzero(inside)
-            src = src[self.free[nbr[src, k]]]
-            wts[src, k] = self._edge_weights(src, nbr[src, k], off)
-        # on a circular axis of one or two cells, two offsets can reach the
+                    sl[a] = slice(-off[a], None) if off[a] > 0 \
+                        else slice(None, -off[a])
+                    edge[tuple(sl)] = False
+            w_ab, w_ba = self._offset_weights(off)
+            if self._substeps <= 1:
+                # one substep has no interior state to check
+                wts[:, k] = np.where(edge, np.minimum(w_ab, w_ba),
+                                     np.inf).ravel()
+                continue
+            src = np.flatnonzero(edge)
+            wts[:, k] = np.inf
+            wts[src, k] = self._edge_weights(
+                src, nbr[src, k], np.broadcast_to(w_ab, shape)[edge],
+                np.broadcast_to(w_ba, shape)[edge])
+        # only on an axis of one or two cells can two offsets reach the
         # same neighbour: one entry per (row, col), the lighter one
-        for k, j in itertools.combinations(range(len(offsets)), 2):
-            same = np.flatnonzero(nbr[:, k] == nbr[:, j])
-            wts[same, k] = np.minimum(wts[same, k], wts[same, j])
-            wts[same, j] = np.inf
+        if (self.cells_per_dim <= 2).any():
+            for k, j in itertools.combinations(range(len(offsets)), 2):
+                same = np.flatnonzero(nbr[:, k] == nbr[:, j])
+                wts[same, k] = np.minimum(wts[same, k], wts[same, j])
+                wts[same, j] = np.inf
         edge = np.isfinite(wts)
-        indptr = np.concatenate(([0], np.cumsum(edge.sum(axis=1))))
+        indptr = np.zeros(self.n_cells + 1, dtype=np.int32)
+        np.cumsum(edge.sum(axis=1, dtype=np.int32), out=indptr[1:])
         self._graph = csr_matrix((wts[edge], nbr[edge], indptr),
                                  shape=(self.n_cells, self.n_cells))
         return self._graph

@@ -72,6 +72,27 @@ class TestResolution:
         with pytest.raises(ValueError, match="finite and positive"):
             GridOracle(space, v, h)
 
+    @pytest.mark.parametrize("hi, h, cells", [
+        (1.0, 1e-6, "1e\\+12"),
+        # 2**29 cells and 4 offsets: exactly 2**31 entries
+        (2.0 ** 29, 1.0, "5.369e\\+08"),
+        # the cell count overflows to inf, which once cast to a 1-cell grid
+        (1.0, 1e-320, "inf"),
+    ])
+    def test_rejects_resolution_overflowing_int32_indices(
+            self, monkeypatch, hi, h, cells):
+        space = RealVectorSpace([[0, 1], [0, hi]])
+        v = LevelValidity(space=space, robot=PointRobot(), obstacles=[])
+
+        def allocating(*args, **kwargs):
+            raise AssertionError("grid allocated before the bound check")
+        for name in ("arange", "meshgrid"):
+            monkeypatch.setattr(np, name, allocating)
+        monkeypatch.setattr(LevelValidity, "valid_mask", allocating)
+        with pytest.raises(ValueError,
+                           match=f"resolution {h} gives {cells} cells"):
+            GridOracle(space, v, h)
+
 
 class TestCellOf:
     @pytest.mark.parametrize("x, cell", [
@@ -196,6 +217,22 @@ class TestGraph:
             assert w == pytest.approx(
                 space.distance(one.centers[r], one.centers[c]))
 
+    def test_indices_are_int32(self, monkeypatch):
+        # SciPy keeps int32 index arrays as they are; int64 ones it copies
+        # to int32, which costs time and memory
+        handed = []
+
+        def recording(arg, **kwargs):
+            handed.append(arg)
+            return csr_matrix(arg, **kwargs)
+        monkeypatch.setattr(oracle_module, "csr_matrix", recording)
+        space, v = world([Disc([0.5, 0.5], 0.2)])
+        g = GridOracle(space, v, 0.05).graph()
+        [(_, indices, indptr)] = handed
+        assert indices.dtype == indptr.dtype == np.int32
+        assert np.shares_memory(g.indices, indices)
+        assert np.shares_memory(g.indptr, indptr)
+
 
 def reference_graph(o):
     """The graph built from every offset of every free cell, each motion
@@ -276,8 +313,9 @@ def grid_level(kind, obstacles):
 
 class TestGraphEqualsReference:
     # resolutions from 2-3 cells on an axis (where two offsets reach one
-    # neighbour on a circular axis) to about 30
-    KINDS = {"plane": (1.0, (0.04, 0.4)), "torus": (2 * math.pi, (0.2, 4.0)),
+    # neighbour: the two diagonals on a 2-cell axis, real or circular) to
+    # about 30
+    KINDS = {"plane": (1.0, (0.04, 0.6)), "torus": (2 * math.pi, (0.2, 4.0)),
              "se2": (1.0, (0.07, 0.8))}
 
     @pytest.mark.parametrize("kind", sorted(KINDS))
@@ -305,6 +343,22 @@ class TestGraphEqualsReference:
         assert dijkstra(o.graph(), directed=False, indices=sources) \
             .tobytes() == dijkstra(ref, directed=False,
                                    indices=sources).tobytes()
+        # entry for entry: one per (row, col); each has a mirror pair in
+        # the reference and weighs the lighter of its two directed entries,
+        # and each pair of the reference has an entry
+        lightest = {}
+        r = ref.tocoo()
+        for pair, w in zip(zip(r.row.tolist(), r.col.tolist()),
+                           r.data.tolist()):
+            pair = frozenset(pair)
+            lightest[pair] = min(w, lightest.get(pair, math.inf))
+        g = o.graph().tocoo()
+        entries = list(zip(g.row.tolist(), g.col.tolist()))
+        assert len(set(entries)) == g.nnz
+        pairs = [frozenset(e) for e in entries]
+        assert set(pairs) == set(lightest)
+        assert np.array([lightest[p] for p in pairs]).tobytes() \
+            == g.data.tobytes()
 
 
 class TestDuplicateEntries:
