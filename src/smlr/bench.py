@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .planner import LevelStats, PlannerResult, SmlrPlanner, Status
-from .scenario import Scenario, load_scenario
+from .scenario import Scenario
 
 CSV_HEADER = ["scenario", "planner", "seed", "status", "seconds", "cost",
               "level", "vertices", "edges", "failures", "coverage"]
@@ -58,9 +58,13 @@ class SummaryRow:
 class ResultTable:
     rows: list[RunRecord] = field(default_factory=list)
 
+    def __post_init__(self):
+        self._keys = {r.key() for r in self.rows}
+
     def add(self, row: RunRecord):
-        if any(r.key() == row.key() for r in self.rows):
+        if row.key() in self._keys:
             raise ValueError(f"duplicate run row {row.key()}")
+        self._keys.add(row.key())
         self.rows.append(row)
 
     def summaries(self) -> list[SummaryRow]:
@@ -129,19 +133,16 @@ def run_single(scenario: Scenario, planner: str, seed: int,
 
 
 def _worker(args):
-    path, planner, seed, overrides = args
-    scenario = load_scenario(path)
-    return run_single(scenario, planner, seed, overrides)
+    return run_single(*args)
 
 
-def run_benchmark(scenario_paths, planners, seeds, overrides=None,
+def run_benchmark(scenarios: list[Scenario], planners, seeds, overrides=None,
                   workers: int = 1) -> ResultTable:
-    """Run every (scenario, planner, seed) combination, in
-    min(workers, jobs) processes: the pool starts all of its processes at
-    its first job."""
-    jobs = [(str(p), planner, seed, overrides)
-            for p in scenario_paths for planner in planners
-            for seed in seeds]
+    """Run every (scenario, planner, seed) combination of the loaded
+    scenarios, in min(workers, jobs) processes: the pool starts all of its
+    processes at its first job, and each job gets its scenario pickled."""
+    jobs = [(sc, planner, seed, overrides)
+            for sc in scenarios for planner in planners for seed in seeds]
     workers = min(workers, len(jobs))
     table = ResultTable()
     if workers > 1:

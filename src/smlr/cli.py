@@ -136,13 +136,13 @@ def cmd_bench(args) -> int:
     # results are keyed by scenario name, known only once loaded
     named = {}
     for path in paths:
-        name = load_scenario(path).name
-        if name in named:
-            raise ValueError(f"--scenarios: scenario name '{name}' in both "
-                             f"{named[name]} and {path}")
-        named[name] = path
-    table = run_benchmark(paths, planners, seeds, overrides=overrides,
-                          workers=args.workers)
+        sc = load_scenario(path)
+        if sc.name in named:
+            raise ValueError(f"--scenarios: scenario name '{sc.name}' in "
+                             f"both {named[sc.name][0]} and {path}")
+        named[sc.name] = path, sc
+    table = run_benchmark([sc for _, sc in named.values()], planners, seeds,
+                          overrides=overrides, workers=args.workers)
     out = Path(args.out or os.environ.get("SMLR_OUT_DIR", "out"))
     results, summary = write_results(table, out)
     for s in table.summaries():

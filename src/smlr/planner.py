@@ -28,7 +28,7 @@ N_PATTERNS = 200
 # Subdivide-and-elide rounds of simplify_path.
 SIMPLIFY_ROUNDS = 3
 
-# Samples in the first block of sample_one_level, doubled per block up to
+# Samples in the first block of sample_levels, doubled per block up to
 # MAX_BLOCK.  Small first blocks waste few checks on a query that ends
 # early; a block of 64 checks a sample's states at a few us each instead of
 # one valid_mask call of about 40 us per sample.
@@ -125,24 +125,28 @@ class LevelState:
 
 
 def restriction_sample(level: LevelState, base: LevelState | None,
-                       bundle, cfg: PlannerConfig,
-                       rng: np.random.Generator) -> np.ndarray:
-    """Draw a sample on level's space, biased to the base graph restriction.
+                       bundle, cfg: PlannerConfig, rng: np.random.Generator,
+                       n: int | None = None) -> np.ndarray:
+    """Draw a sample on level's space, biased to the base graph restriction
+    -> (dim,); with n, draw n samples -> (n, dim), the rows that n calls
+    draw in turn.
 
-    Falls back to uniform sampling when there is no base level or the base
-    roadmap has no edges yet.
+    Falls back to uniform sampling, n rows in one draw, when there is no
+    base level or the base roadmap has no edges yet.
     """
-    level.sample_count += 1
-    if base is None:
-        return level.space.sample_uniform(rng)
-    x_base = base.roadmap.sample_edge_point(rng)
-    if x_base is None:
-        return level.space.sample_uniform(rng)
-    delta_bias = smooth_parameter(level.sample_count - 1, base.delta, cfg.eta)
-    if rng.random() < delta_bias / base.delta:
-        x_base = base.space.sample_uniform_near(x_base, delta_bias, rng)
-    x_fiber = bundle.sample_fiber(rng)
-    return bundle.lift(x_base, x_fiber)
+    if base is None or not base.roadmap.edges:
+        level.sample_count += 1 if n is None else n
+        return level.space.sample_uniform(rng, n)
+    xs = np.empty((1 if n is None else n, level.space.dim))
+    for row in xs:
+        level.sample_count += 1
+        x_base = base.roadmap.sample_edge_point(rng)
+        delta_bias = smooth_parameter(level.sample_count - 1, base.delta,
+                                      cfg.eta)
+        if rng.random() < delta_bias / base.delta:
+            x_base = base.space.sample_uniform_near(x_base, delta_bias, rng)
+        row[:] = bundle.lift(x_base, bundle.sample_fiber(rng))
+    return xs[0] if n is None else xs
 
 
 def lift_section(bundle, base_path, start_fiber, goal_fiber) -> np.ndarray:
@@ -218,55 +222,61 @@ def ptc(level: LevelState, cfg: PlannerConfig,
     return None
 
 
+def next_block(active: list[LevelState]) -> tuple[LevelState, float]:
+    """The level of maximum importance (ties: coarser level first), top,
+    and how many failing draws in a row top takes while it stays picked
+    -> (top, lead); lead is inf when top is the only active level."""
+    top = max(active, key=lambda ls: (ls.importance, -ls.index))
+    f = top.roadmap.consecutive_failures
+    # a coarser level o is picked once f reaches f_o, a finer one once f
+    # passes it
+    return top, min([math.inf] + [
+        o.roadmap.consecutive_failures - f + (o.index > top.index)
+        for o in active if o is not top])
+
+
 def sample_levels(active: list[LevelState], seq, cfg: PlannerConfig,
                   rng: np.random.Generator, t0: float) -> Status:
-    """Sample the active levels one sample at a time, each on the level of
-    maximum importance (ties: coarser level first), until ptc on the last
-    of them returns a verdict -> that verdict."""
-    while True:
-        verdict = ptc(active[-1], cfg, time.perf_counter() - t0)
-        if verdict is not None:
-            return verdict
-        top = max(active, key=lambda ls: (ls.importance, -ls.index))
-        bundle = seq.bundles[top.index - 1] if top.index else None
-        base = active[top.index - 1] if top.index else None
-        x = restriction_sample(top, base, bundle, cfg, rng)
-        visible = top.roadmap.visible_guard_distances(x)
-        if visible is None:
-            top.roadmap.record_failure()
-        else:
-            top.roadmap.add_conditional(x, visible)
+    """Sample the active levels, each sample on the level of maximum
+    importance (ties: coarser level first), until ptc on the last of them
+    returns a verdict -> that verdict.
 
-
-def sample_one_level(level: LevelState, cfg: PlannerConfig,
-                     rng: np.random.Generator, t0: float) -> Status:
-    """sample_levels([level], ...) in blocks of FIRST_BLOCK, doubling up to
-    MAX_BLOCK samples.  With one active level every draw is uniform and no
-    admission changes what is drawn next, so a block is drawn at once and
-    checked through SparseRoadmap.visible_in_order, each sample taken in
-    order after its ptc check.  When ptc stops inside a block, the rng is
-    rewound to before the block and the samples used are drawn again: the
-    roadmap, the rng and the counters are left as one-at-a-time sampling
-    leaves them."""
-    space, rm = level.space, level.roadmap
+    Samples come in blocks on that level, top: FIRST_BLOCK samples,
+    doubling up to MAX_BLOCK, cut to the lead of next_block.  An admission
+    only resets top's counter, which keeps top picked, and top's draws read
+    only its base roadmap and its own sample_count, which the block leaves
+    alone.  So a block is drawn at once by restriction_sample and checked
+    through SparseRoadmap.visible_in_order, each sample taken in order,
+    with ptc checked before the first block and after each sample.  When
+    ptc stops before the end of a block, the rng and top's sample_count
+    are rewound to before the block and the samples used are drawn again:
+    the roadmaps, the rng and the counters are left as one-at-a-time
+    sampling leaves them.
+    """
     size = FIRST_BLOCK
-    while True:
-        saved = rng.bit_generator.state
-        xs = space.sample_uniform(rng, size)
+    verdict = ptc(active[-1], cfg, time.perf_counter() - t0)
+    while verdict is None:
+        top, lead = next_block(active)
+        rm = top.roadmap
+        base = active[top.index - 1] if top.index else None
+        bundle = seq.bundles[top.index - 1] if top.index else None
+        saved, count = rng.bit_generator.state, top.sample_count
+        xs = restriction_sample(top, base, bundle, cfg, rng, min(size, lead))
         visible = rm.visible_in_order(xs)
-        for k, x in enumerate(xs):
-            verdict = ptc(level, cfg, time.perf_counter() - t0)
-            if verdict is not None:
-                rng.bit_generator.state = saved
-                space.sample_uniform(rng, k)
-                return verdict
-            level.sample_count += 1
+        for k, x in enumerate(xs, 1):
             vis = next(visible)
             if vis is None:
                 rm.record_failure()
             else:
                 rm.add_conditional(x, vis)
+            verdict = ptc(active[-1], cfg, time.perf_counter() - t0)
+            if verdict is not None:
+                if k < len(xs):
+                    rng.bit_generator.state, top.sample_count = saved, count
+                    restriction_sample(top, base, bundle, cfg, rng, k)
+                break
         size = min(2 * size, MAX_BLOCK)
+    return verdict
 
 
 def _stats(levels: list[LevelState]) -> list[LevelStats]:
@@ -418,10 +428,7 @@ class SmlrPlanner:
                 lift, path = sec
                 _insert_path(levels[cur], path)
                 lifts.append(f"section lift on level {cur + 1}: {lift}")
-            if cur == 0:
-                verdict = sample_one_level(levels[0], cfg, rng, t0)
-            else:
-                verdict = sample_levels(levels[:cur + 1], seq, cfg, rng, t0)
+            verdict = sample_levels(levels[:cur + 1], seq, cfg, rng, t0)
             if verdict is Status.INFEASIBLE:
                 return finish(
                     Status.INFEASIBLE,

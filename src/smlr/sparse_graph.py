@@ -132,33 +132,16 @@ class SparseRoadmap:
         """The guards by increasing distance, ties by smaller id, from one
         stable argsort of each distance_many row of table, and how many of
         them lie within delta -> (order, count): the near guards of row k
-        are order[k, :count[k]], or order[:count] for one row."""
+        are order[k, :count[k]]."""
         return (table.argsort(axis=-1, kind="stable"),
                 (table <= self.delta).sum(axis=-1))
 
-    def visible_guard_distances(self, q) -> dict[int, float] | None:
-        """{id: distance} of the guards within delta of q with a valid
-        straight-line motion, ordered by increasing distance (ties by
-        smaller id); None when q itself is invalid.  q is checked on its
-        own, then its motions in one more valid_mask call
-        (LevelValidity.motions_from), with the lengths read from its
-        distance_many row.  The planner calls this once per sample while
-        more than one level is active; visible_in_order serves the
-        one-level phase."""
-        q = np.asarray(q, dtype=float)
-        if not self.validity.valid_mask(q[None, :])[0]:
-            return None
-        dists = self.space.distance_many(q, self._coords)
-        order, count = self._near_orders(dists)
-        near = order[:count]
-        lengths = dists[near].tolist()
-        sees = self.validity.motions_from(q, self._coords[near], lengths)
-        return {g: d for g, d, ok in zip(near.tolist(), lengths, sees) if ok}
-
     def visible_in_order(self, xs):
-        """visible_guard_distances(x) for each row x of xs in turn, as a
-        generator: each value is what that call would return when the
-        value is taken, with the guards admitted before it.
+        """{id: distance} of the guards within delta of x with a valid
+        straight-line motion, ordered by increasing distance (ties by
+        smaller id), or None when x itself is invalid, for each row x of xs
+        in turn, as a generator: a value taken after admissions counts the
+        admitted guards too.
 
         The rows are checked in one valid_mask call.  One distance_many
         table holds the distances from the valid rows not yet taken to the
@@ -169,7 +152,7 @@ class SparseRoadmap:
         table in one distance_many call, the new motions within delta are
         checked in one more, and the table is sorted again.  Every entry
         equals distance bit for bit, so each row's near set, order and
-        lengths are those of visible_guard_distances.
+        lengths are those of one row checked alone.
         """
         xs = np.asarray(xs, dtype=float)
         valid = self.validity.valid_mask(xs)
@@ -210,8 +193,10 @@ class SparseRoadmap:
                 starts[ks], self._coords[gs], table[ks, gs])
 
     def visible_guards(self, q) -> list[int]:
-        """Ids of visible_guard_distances(q); [] when q is invalid."""
-        return list(self.visible_guard_distances(q) or ())
+        """Ids of the guards visible from q, nearest first; [] when q is
+        invalid."""
+        return list(next(self.visible_in_order(
+            np.asarray(q, dtype=float)[None])) or ())
 
     def _search(self, u: int, v: int, bound: float = math.inf):
         """Dijkstra from u until v is settled, over paths of cost at most
@@ -283,16 +268,16 @@ class SparseRoadmap:
     def add_conditional(self, q, visible=None) -> AddOutcome:
         """Apply the four admission tests in order.
 
-        visible is visible_guard_distances(q) when the caller has it;
+        visible is q's value of visible_in_order when the caller has it;
         otherwise it is computed here, and an invalid q counts as a failure
         and is rejected, as in the planner's own step.  Its values become
         the lengths of the new guard's edges, so a caller's dict must hold
-        the distance_many values that visible_guard_distances and
-        visible_in_order give, which equal space.distance bit for bit.
+        the distance_many values that visible_in_order gives, which equal
+        space.distance bit for bit.
         """
         q = np.asarray(q, dtype=float)
         if visible is None:
-            visible = self.visible_guard_distances(q)
+            visible = next(self.visible_in_order(q[None]))
             if visible is None:
                 self.record_failure()
                 return AddOutcome.REJECTED

@@ -1,5 +1,6 @@
 import csv
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -66,6 +67,10 @@ def walled_path(tmp_path):
     return f
 
 
+def loaded(*paths):
+    return [load_scenario(p) for p in paths]
+
+
 def record(planner, seed, status, seconds, cost, levels):
     return RunRecord("a", planner, PlannerResult(
         status=status, level_stats=[LevelStats(*lv) for lv in levels],
@@ -89,6 +94,13 @@ class TestResultTable:
         with pytest.raises(ValueError):
             t.add(record("smlr", 1, Status.FEASIBLE, 0.1, 1.0,
                          [(1, 0, 0, 0.0)]))
+
+    def test_duplicate_of_an_initial_row_rejected(self):
+        t = ResultTable(rows=sample_table().rows)
+        with pytest.raises(ValueError):
+            t.add(record("flat", 1, Status.FEASIBLE, 0.1, 1.0,
+                         [(1, 0, 0, 0.0)]))
+        assert len(t.rows) == 3
 
     def test_csv_round_trip(self):
         assert sample_table().to_csv() == "".join(f"{row}\r\n" for row in [
@@ -151,8 +163,8 @@ class TestRunSingle:
 
 class TestRunBenchmark:
     def test_row_counts(self, free_path, walled_path, tmp_path):
-        table = run_benchmark([free_path, walled_path], ["smlr", "flat"],
-                              seeds=[1, 2, 3],
+        table = run_benchmark(loaded(free_path, walled_path),
+                              ["smlr", "flat"], seeds=[1, 2, 3],
                               overrides={"max_failures": 150,
                                          "time_limit": 20})
         assert len(table.rows) == 12
@@ -164,16 +176,16 @@ class TestRunBenchmark:
         assert len({tuple(r[:3]) for r in rows}) == 12
 
     def test_infeasible_scenario_never_feasible(self, walled_path):
-        table = run_benchmark([walled_path], ["smlr", "flat"],
+        table = run_benchmark(loaded(walled_path), ["smlr", "flat"],
                               seeds=[1, 2, 3])
         assert all(r.result.status is not Status.FEASIBLE
                    for r in table.rows)
 
     def test_parallel_matches_serial(self, free_path, walled_path):
-        serial = run_benchmark([free_path, walled_path], ["smlr"],
+        serial = run_benchmark(loaded(free_path, walled_path), ["smlr"],
                                seeds=[1, 2],
                                overrides={"max_failures": 150})
-        parallel = run_benchmark([free_path, walled_path], ["smlr"],
+        parallel = run_benchmark(loaded(free_path, walled_path), ["smlr"],
                                  seeds=[1, 2],
                                  overrides={"max_failures": 150}, workers=2)
         skey = sorted(r.key() for r in serial.rows)
@@ -183,6 +195,20 @@ class TestRunBenchmark:
             other = next(x for x in parallel.rows if x.key() == r.key())
             assert r.result.status == other.result.status
             assert r.result.cost == other.result.cost
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_jobs_run_the_loaded_scenarios(self, walled_path, workers):
+        """Each job gets the scenario object it was given, also across
+        processes: the file is gone and the object renamed before the
+        run, so a job that loaded the file again would fail."""
+        sc = replace(load_scenario(walled_path), name="renamed")
+        walled_path.unlink()
+        table = run_benchmark([sc], ["flat"], seeds=[1, 2],
+                              overrides={"max_failures": 20},
+                              workers=workers)
+        assert [r.key() for r in table.rows] == \
+            [("renamed", "flat", 1), ("renamed", "flat", 2)]
+        assert all(r.result.status is Status.INFEASIBLE for r in table.rows)
 
     @pytest.mark.parametrize("workers, jobs, want", [
         (1000, 2, [2]), (3, 4, [3]), (1000, 1, []), (2, 0, [])])
@@ -206,7 +232,8 @@ class TestRunBenchmark:
             def map(self, fn, items):
                 return map(fn, items)
         monkeypatch.setattr(bench, "ProcessPoolExecutor", SerialPool)
-        table = run_benchmark([free_path], ["flat"], seeds=range(1, jobs + 1),
+        table = run_benchmark(loaded(free_path), ["flat"],
+                              seeds=range(1, jobs + 1),
                               overrides={"max_failures": 20},
                               workers=workers)
         assert sizes == want

@@ -28,6 +28,7 @@ from smlr.sparse_graph import AddOutcome, SparseRoadmap
 from smlr.validity import (BOX_MARGIN, CHUNK_STATES, ChainRobot,
                            CollisionWorld, DiscRobot, LevelValidity,
                            PointRobot, PolygonRobot)
+from test_sparse_graph import visible_guard_distances
 
 # -- matrix forms of the segment kernels, as references -----------------------
 
@@ -1039,12 +1040,18 @@ def roadmap_of(v, bs):
     return rm
 
 
+def visible_one(rm, q):
+    """The one-row visibility query: q's value of visible_in_order."""
+    return next(rm.visible_in_order(np.asarray(q, dtype=float)[None]))
+
+
 def assert_same_as_one_by_one(v, q, bs, batches):
-    """visible_guard_distances(q) on the roadmap whose guards are bs equals
-    is_valid(q), and motion_valid(q, b) with the exact distance(q, b) for
-    each b, nearest first (ties by smaller id), from one valid_mask call
-    over [q] and, if q is valid, one over the one-by-one states in that
-    order with each motion's state 0 (byte-equal to q) removed."""
+    """The one-row visibility query on the roadmap whose guards are bs
+    equals is_valid(q), and motion_valid(q, b) with the exact
+    distance(q, b) for each b, nearest first (ties by smaller id), from one
+    valid_mask call over [q] and, if q is valid, one over the one-by-one
+    states in guard order with each motion's state 0 (byte-equal to q)
+    removed."""
     rm = roadmap_of(v, bs)
     batches.clear()
     state = v.is_valid(q)
@@ -1055,7 +1062,7 @@ def assert_same_as_one_by_one(v, q, bs, batches):
     dists = [v.space.distance(q, b) for b in bs]
     order = sorted(range(len(bs)), key=lambda g: (dists[g], g))
     batches.clear()
-    got = rm.visible_guard_distances(q)
+    got = visible_one(rm, q)
     if state:
         assert list(got.items()) == [(g, dists[g]) for g in order
                                      if motions[g]]
@@ -1064,15 +1071,15 @@ def assert_same_as_one_by_one(v, q, bs, batches):
     assert batches[0].tobytes() == q[None, :].tobytes()
     if state and len(bs):
         assert len(batches) == 2
-        expected = np.concatenate([one_by_one[g][1:] for g in order])
+        expected = np.concatenate([m[1:] for m in one_by_one])
         assert batches[1].tobytes() == expected.tobytes()
     else:
         assert len(batches) == 1
 
 
 class TestMotionsValid:
-    """SparseRoadmap.visible_guard_distances, the state check and then the
-    motion check, against is_valid and motion_valid one by one."""
+    """SparseRoadmap.visible_in_order, the state check and then the motion
+    check, against is_valid and motion_valid one by one."""
 
     def test_circle_wrapped_torus(self, batches):
         v = scenario("torus_band_feasible").seq.finest.validity
@@ -1108,7 +1115,7 @@ class TestMotionsValid:
         assert not v.is_valid(q)
         bs = np.array([[1.9, 1.0], [2.6, 1.2], [2.25, 5.5], [2.25, 1.0]])
         assert_same_as_one_by_one(v, q, bs, batches)
-        assert roadmap_of(v, bs).visible_guard_distances(q) is None
+        assert visible_one(roadmap_of(v, bs), q) is None
 
     def test_empty_targets(self, batches):
         v = scenario("torus_band_feasible").seq.finest.validity
@@ -1117,7 +1124,7 @@ class TestMotionsValid:
                 rm = roadmap_of(v, bs)
                 batches.clear()
                 state = v.is_valid(q)
-                assert rm.visible_guard_distances(q) == \
+                assert visible_one(rm, q) == \
                     ({} if state else None)
                 assert len(batches) == 2
 
@@ -1145,7 +1152,7 @@ class TestMotionsValid:
         assert seen > 0
 
     def test_planner_step_builds_the_same_roadmap(self):
-        """The planner's step (one visible_guard_distances call, then
+        """The planner's step (q's value of visible_in_order, then
         add_conditional with it) against is_valid followed by
         add_conditional(q)."""
         level = scenario("se2_lshape_feasible").seq.finest
@@ -1156,7 +1163,7 @@ class TestMotionsValid:
         outcomes = []
         for _ in range(400):
             x = level.space.sample_uniform(rng)
-            visible = fused.visible_guard_distances(x)
+            visible = visible_one(fused, x)
             if visible is None:
                 fused.record_failure()
             else:
@@ -1184,11 +1191,12 @@ class TestMotionsValid:
     ])
     def test_block_values_equal_one_at_a_time(self, batches, name, index):
         """visible_in_order with add_conditional after each value against
-        visible_guard_distances one sample at a time: the same values, in
-        the same order, and the same roadmap.  A block costs one valid_mask
-        call for its rows, one for their motions and at most one per
-        admission before a later row; some rows are taken after an
-        admission in their block, so their table columns were added."""
+        the reference visible_guard_distances one sample at a time: the
+        same values, in the same order, and the same roadmap.  A block
+        costs one valid_mask call for its rows, one for their motions and
+        at most one per admission before a later row; some rows are taken
+        after an admission in their block, so their table columns were
+        added."""
         level = scenario(name).seq.levels[index]
         delta = 0.25 * level.space.max_extent()
         block, single = (SparseRoadmap(level.space, level.validity, delta)
@@ -1204,7 +1212,7 @@ class TestMotionsValid:
                 before = len(batches)
                 got = next(values)
                 calls += len(batches) - before
-                expected = single.visible_guard_distances(x)
+                expected = visible_guard_distances(single, x)
                 assert (got is None) == (expected is None)
                 if got is None:
                     block.record_failure()

@@ -26,6 +26,7 @@ from smlr.spaces import (CircleSpace, ProductSpace, RealVectorSpace,
                          points_to_edge_distance)
 from smlr.validity import (CollisionWorld, LevelValidity, PointRobot,
                            PolygonRobot)
+from test_sparse_graph import visible_guard_distances
 from test_spaces import motion_states
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -248,6 +249,40 @@ class TestSamplesAreNormalized:
             x = restriction_sample(top, base, sc.seq.bundles[0], sc.config,
                                    rng)
         assert x.tobytes() == top.space.normalize(x).tobytes()
+
+
+class TestRestrictionSampleBlocks:
+    """restriction_sample(..., n) against n one-sample calls."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(name=st.sampled_from(["torus_band_feasible",
+                                 "se2_lshape_feasible", "chain4_feasible"]),
+           branch=st.sampled_from(["uniform", "edgeless", "restriction"]),
+           n=st.integers(0, 12), t=st.integers(0, 1100),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_block_equals_calls_in_turn(self, name, branch, n, t, seed):
+        """The same rows, rng state and sample_count; t near eta = 1000
+        lets the delta ramp saturate inside the block."""
+        sc, base, top = grown_levels(name)
+        bundle = sc.seq.bundles[0]
+        if branch == "uniform":
+            base = bundle = None
+        elif branch == "edgeless":
+            base = LevelState(0, base.space, base.validity, sc.config)
+        ends = []
+        for block in (True, False):
+            rng = np.random.default_rng(seed)
+            top.sample_count = t
+            if block:
+                xs = restriction_sample(top, base, bundle, sc.config, rng, n)
+            else:
+                xs = np.array([restriction_sample(top, base, bundle,
+                                                  sc.config, rng)
+                               for _ in range(n)]).reshape(n, top.space.dim)
+            ends.append((xs.shape, xs.tobytes(), rng.bit_generator.state,
+                         top.sample_count))
+        assert ends[0] == ends[1]
+        assert ends[0][-1] == t + n
 
 
 def lift_section_per_vertex(bundle, base_path, start_fiber, goal_fiber):
@@ -616,22 +651,25 @@ class TestPtc:
         assert ptc(ls, cfg, 99.0) is Status.INFEASIBLE
 
 
-def one_level_one_at_a_time(level, cfg, rng, t0):
-    """The one-level phase one sample at a time, as sample_levels runs it
-    on one level: ptc, one uniform draw, visible_guard_distances, then
+def sample_levels_one_at_a_time(active, seq, cfg, rng, t0):
+    """The sampler one sample at a time, kept as the reference for
+    planner.sample_levels: ptc on the last active level, then one
+    restriction_sample on the level of maximum importance (ties: coarser
+    level first), the reference visible_guard_distances, then
     record_failure or add_conditional."""
-    rm = level.roadmap
     while True:
-        verdict = ptc(level, cfg, time.perf_counter() - t0)
+        verdict = ptc(active[-1], cfg, time.perf_counter() - t0)
         if verdict is not None:
             return verdict
-        level.sample_count += 1
-        x = level.space.sample_uniform(rng)
-        visible = rm.visible_guard_distances(x)
+        top = max(active, key=lambda ls: (ls.importance, -ls.index))
+        bundle = seq.bundles[top.index - 1] if top.index else None
+        base = active[top.index - 1] if top.index else None
+        x = restriction_sample(top, base, bundle, cfg, rng)
+        visible = visible_guard_distances(top.roadmap, x)
         if visible is None:
-            rm.record_failure()
+            top.roadmap.record_failure()
         else:
-            rm.add_conditional(x, visible)
+            top.roadmap.add_conditional(x, visible)
 
 
 def roadmap_state(level):
@@ -641,7 +679,7 @@ def roadmap_state(level):
 
 
 def block_ends(limit=10 ** 5) -> set[int]:
-    """Sample counts at which a block of sample_one_level ends."""
+    """Sample counts at which a block of the one-level phase ends."""
     ends, total, size = set(), 0, planner.FIRST_BLOCK
     while total < limit:
         total += size
@@ -657,8 +695,33 @@ def shipped(name, planner_name, seed, max_failures=None):
     return sc, (sc.seq if planner_name == "smlr" else sc.seq.flat()), cfg
 
 
+def seeded_levels(sc, seq, cfg):
+    """A LevelState per level of seq, each with its start and goal
+    guards, as solve sets them up."""
+    levels = [LevelState(k, lvl.space, lvl.validity, cfg)
+              for k, lvl in enumerate(seq.levels)]
+    for ls in levels:
+        for x in (sc.start, sc.goal):
+            ls.roadmap.add_guard(
+                ls.space.normalize(seq.project_to_level(x, ls.index)))
+    return levels
+
+
+def recording_restriction_sample(monkeypatch):
+    """Record (level index, n) of every restriction_sample call the
+    planner makes."""
+    calls = []
+    original = planner.restriction_sample
+
+    def record(level, base, bundle, cfg, rng, n=None):
+        calls.append((level.index, n))
+        return original(level, base, bundle, cfg, rng, n)
+    monkeypatch.setattr(planner, "restriction_sample", record)
+    return calls
+
+
 class TestSampleBlocks:
-    """sample_one_level, in blocks, against one sample at a time."""
+    """planner.sample_levels, in blocks, against one sample at a time."""
 
     @pytest.mark.parametrize("name, planner_name, max_failures, seed, stop", [
         ("se2_lshape_feasible", "flat", None, 1, Status.FEASIBLE),
@@ -671,21 +734,69 @@ class TestSampleBlocks:
     def test_phase_equals_one_at_a_time(self, name, planner_name,
                                         max_failures, seed, stop):
         sc, seq, cfg = shipped(name, planner_name, seed, max_failures)
-        lvl = seq.levels[0]
         ends = []
-        for phase in (planner.sample_one_level, one_level_one_at_a_time):
-            level = LevelState(0, lvl.space, lvl.validity, cfg)
-            for x in (sc.start, sc.goal):
-                level.roadmap.add_guard(
-                    lvl.space.normalize(seq.project_to_level(x, 0)))
+        for phase in (planner.sample_levels, sample_levels_one_at_a_time):
+            level = seeded_levels(sc, seq, cfg)[0]
             rng = np.random.default_rng(seed)
-            verdict = phase(level, cfg, rng, time.perf_counter())
+            verdict = phase([level], seq, cfg, rng, time.perf_counter())
             ends.append((verdict, roadmap_state(level),
                          rng.bit_generator.state))
         assert ends[0] == ends[1]
         assert ends[0][0] is stop
         # ptc stopped inside a block, so the rng was rewound
         assert level.sample_count not in block_ends()
+
+    @pytest.mark.parametrize("name, seed, max_failures, stop", [
+        ("torus_band_feasible", 1, None, Status.FEASIBLE),
+        ("chain4_feasible", 2, None, Status.FEASIBLE),
+        ("se2_lshape_feasible", 1, None, Status.FEASIBLE),
+        ("chain4_infeasible", 3, 50, Status.INFEASIBLE),
+    ])
+    def test_phases_equal_one_at_a_time(self, monkeypatch, name, seed,
+                                        max_failures, stop):
+        """Every phase of a solve without the section test, so the last one
+        samples two levels until ptc stops it: after each phase, the
+        verdict, every level's roadmap and sample_count and the rng equal
+        one sample at a time.  On the feasible scenarios the last phase
+        stops inside a block on level 2, after some of its samples."""
+        sc, seq, cfg = shipped(name, "smlr", seed, max_failures)
+        calls = recording_restriction_sample(monkeypatch)
+        runs = []
+        for phase in (planner.sample_levels, sample_levels_one_at_a_time):
+            levels = seeded_levels(sc, seq, cfg)
+            rng = np.random.default_rng(seed)
+            ends = []
+            for cur in range(seq.depth):
+                verdict = phase(levels[:cur + 1], seq, cfg, rng,
+                                time.perf_counter())
+                ends.append((verdict, [roadmap_state(ls) for ls in levels],
+                             rng.bit_generator.state))
+            runs.append(ends)
+            if phase is planner.sample_levels:
+                blocks = list(calls)
+        assert runs[0] == runs[1]
+        assert [v for v, _, _ in runs[0]] == [Status.FEASIBLE, stop]
+        # both levels were drawn in the last phase, in blocks
+        last = blocks[next(i for i, (k, _) in enumerate(blocks) if k == 1):]
+        assert {k for k, _ in last} == {0, 1}
+        assert max(n for _, n in last) > 1
+        if stop is Status.FEASIBLE:
+            (top, size), (rewound, used) = blocks[-2:]
+            assert top == rewound == 1 and 0 < used < size
+
+    def test_solved_phase_draws_nothing(self, monkeypatch):
+        """A phase whose last level already connects start and goal, as
+        after a section-test hit, returns before any draw."""
+        sc, seq, cfg = shipped("torus_band_feasible", "smlr", 1)
+        levels = seeded_levels(sc, seq, cfg)
+        levels[1].roadmap.add_edge(START_ID, GOAL_ID)
+        calls = recording_restriction_sample(monkeypatch)
+        rng = np.random.default_rng(1)
+        before = rng.bit_generator.state
+        assert planner.sample_levels(levels, seq, cfg, rng,
+                                     time.perf_counter()) is Status.FEASIBLE
+        assert calls == []
+        assert rng.bit_generator.state == before
 
     @pytest.mark.parametrize("name, planner_name, max_failures, seed", [
         ("chain4_infeasible", "smlr", 50, 3),
@@ -706,8 +817,8 @@ class TestSampleBlocks:
                     None if path is None else path.tobytes(),
                     [roadmap_state(ls) for ls in p.level_states])
         blocks = run()
-        monkeypatch.setattr(planner, "sample_one_level",
-                            one_level_one_at_a_time)
+        monkeypatch.setattr(planner, "sample_levels",
+                            sample_levels_one_at_a_time)
         assert run() == blocks
         if name == "chain4_infeasible":
             # the level-2 section test missed, so level 2 was sampled from
@@ -715,6 +826,36 @@ class TestSampleBlocks:
             assert blocks[0] is Status.INFEASIBLE
             assert blocks[1] == "failure bound exceeded on level 2"
             assert blocks[-1][1][-1] > 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(failures=st.lists(st.integers(0, 40), min_size=2, max_size=4))
+def test_block_lead_is_the_run_the_rule_keeps(failures):
+    """next_block's lead against the rule applied draw by draw: the
+    number of failing draws in a row for which max(importance, -index)
+    keeps picking top."""
+    space = RealVectorSpace([[0, 1]])
+    validity = LevelValidity(space=space, robot=PointRobot(), obstacles=[])
+    cfg = PlannerConfig()
+    active = [LevelState(k, space, validity, cfg)
+              for k in range(len(failures))]
+    for ls, f in zip(active, failures):
+        ls.roadmap.consecutive_failures = f
+    top, lead = planner.next_block(active)
+    kept = 0
+    while max(active, key=lambda ls: (ls.importance, -ls.index)) is top:
+        kept += 1
+        top.roadmap.consecutive_failures += 1
+    assert lead == kept
+    assert top.index == min(range(len(failures)),
+                            key=lambda k: (failures[k], k))
+
+
+def test_block_lead_of_one_level_is_unbounded():
+    sc, seq, cfg = shipped("square_wall_feasible", "smlr", 1)
+    level = seeded_levels(sc, seq, cfg)[0]
+    level.roadmap.consecutive_failures = 7
+    assert planner.next_block([level]) == (level, math.inf)
 
 
 def simplify_path_one_at_a_time(path, space, checker, steps=None):
