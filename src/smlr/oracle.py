@@ -4,6 +4,14 @@ and graph-coverage measurement on spaces of dimension <= 4.
 Occupancy is sampled at cell centers, so answers converge to the truth as the
 resolution h goes to zero; circular dimensions wrap periodically.
 
+The graph checks a lattice edge's interior substep states only where a box
+certificate does not decide it: the hull of its two cells' body boxes,
+widened by the robot's pad for the moved axes (0 for a translation, a
+sagitta-type bound for a rotation), contains the body box of every state
+between them.  When that widened hull lies inside the workspace and meets no
+obstacle's bounding box, valid_mask would pass every one of those states, so
+the edge stands without them and the graph is the same.
+
 This is the one module that needs SciPy, and `import smlr` does not import
 it.  SciPy loads at module level, not inside the methods, so a caller that
 imports `smlr.oracle` up front pays for it there and not in its first query.
@@ -19,7 +27,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, dijkstra
 
 from .spaces import StateSpace, points_to_edge_distance, wrap_angle
-from .validity import LevelValidity
+from .validity import CHUNK_STATES, LevelValidity
 
 MAX_ORACLE_DIM = 4
 
@@ -153,6 +161,29 @@ class GridOracle:
         w[back] = np.minimum(w[back], w_ba[back])
         return w
 
+    def _cell_boxes(self):
+        """Every cell centre's body box (RobotModel.body_box), posed
+        CHUNK_STATES centres at a time into one preallocated array; a list
+        of chunks joined by np.concatenate left the heap about 1.4 MB
+        higher at the oracle benchmark's peak -> (lo, hi), each
+        (n_cells, workspace dimension)."""
+        robot = self.validity.robot
+        lo, hi = np.empty((2, self.n_cells, len(robot.position_indices)))
+        for i in range(0, self.n_cells, CHUNK_STATES):
+            c = slice(i, i + CHUNK_STATES)
+            lo[c], hi[c] = robot.body_box(self.centers[c])
+        return lo, hi
+
+    def _certified(self, src, dst, boxes, pad):
+        """Edges src[i]-dst[i] whose two cell boxes' hull, widened by pad,
+        is clear (LevelValidity.boxes_clear) -> (n,) bool.  The body box
+        of every interior state, in either direction, lies in that hull
+        (RobotModel.motion_pad), so valid_mask passes each of them."""
+        lo, hi = boxes
+        return self.validity.boxes_clear(
+            np.minimum(lo[src], lo[dst]) - pad,
+            np.maximum(hi[src], hi[dst]) + pad)
+
     def graph(self):
         """Sparse adjacency over free cells, edge weight = center distance.
 
@@ -161,8 +192,12 @@ class GridOracle:
         is an edge when its motion passes in either direction.  Each offset
         is one pass over the whole lattice: the index and free grids
         rolled by the offset give every cell's neighbour and whether it is
-        free, and _offset_weights every distance.  Indices are int32, which
-        SciPy's csgraph routines use without a copy.
+        free, and _offset_weights every distance.  A pair that _certified
+        clears is an edge of the lighter weight with no substep checked;
+        one whose moved position coordinate crosses a circle's 0/2*pi seam
+        is never certified, since its body jumps across the workspace.
+        Indices are int32, which SciPy's csgraph routines use without a
+        copy.
         """
         if self._graph is not None:
             return self._graph
@@ -170,6 +205,13 @@ class GridOracle:
         grid_idx = np.arange(self.n_cells, dtype=np.int32).reshape(shape)
         free = self.free.reshape(shape)
         offsets = self._neighbor_offsets()
+        robot = self.validity.robot
+        positions = set(robot.position_indices)
+        # one substep has no interior state to check, and an unconstrained
+        # level passes every state
+        checked = self._substeps > 1 and not self.validity.unconstrained
+        if checked:
+            boxes = self._cell_boxes()
         # column k: each cell's neighbour across offsets[k] and the edge
         # weight, inf where there is no edge
         nbr = np.empty((self.n_cells, len(offsets)), dtype=np.int32)
@@ -179,23 +221,37 @@ class GridOracle:
             shift = tuple(-off[a] for a in axes)
             nbr[:, k] = np.roll(grid_idx, shift, axis=axes).ravel()
             edge = free & np.roll(free, shift, axis=axes)
+            seam = np.zeros(shape, dtype=bool) if checked else None
             for a in axes:
+                # the cells whose neighbour across off wraps around axis a
+                sl = [slice(None)] * len(shape)
+                sl[a] = slice(-off[a], None) if off[a] > 0 \
+                    else slice(None, -off[a])
                 if not self.space.circular[a]:
-                    sl = [slice(None)] * len(shape)
-                    sl[a] = slice(-off[a], None) if off[a] > 0 \
-                        else slice(None, -off[a])
                     edge[tuple(sl)] = False
+                elif checked and a in positions:
+                    seam[tuple(sl)] = True
             w_ab, w_ba = self._offset_weights(off)
-            if self._substeps <= 1:
-                # one substep has no interior state to check
+            if not checked:
                 wts[:, k] = np.where(edge, np.minimum(w_ab, w_ba),
                                      np.inf).ravel()
                 continue
             src = np.flatnonzero(edge)
+            dst = nbr[src, k]
+            w_ab = np.broadcast_to(w_ab, shape)[edge]
+            w_ba = np.broadcast_to(w_ba, shape)[edge]
+            w = np.minimum(w_ab, w_ba)
+            # a centre difference along a is at most step[a], up to
+            # rounding that BOX_MARGIN absorbs; the sum has one nonzero term
+            # at most, since an offset moves one axis beyond 2-D and a
+            # robot with an angle has three coordinates or more
+            pad = sum(robot.motion_pad(a, self.step[a]) for a in axes)
+            rest = np.flatnonzero(
+                ~self._certified(src, dst, boxes, pad) | seam.ravel()[src])
+            w[rest] = self._edge_weights(src[rest], dst[rest], w_ab[rest],
+                                         w_ba[rest])
             wts[:, k] = np.inf
-            wts[src, k] = self._edge_weights(
-                src, nbr[src, k], np.broadcast_to(w_ab, shape)[edge],
-                np.broadcast_to(w_ba, shape)[edge])
+            wts[src, k] = w
         # only on an axis of one or two cells can two offsets reach the
         # same neighbour: one entry per (row, col), the lighter one
         if (self.cells_per_dim <= 2).any():

@@ -10,6 +10,7 @@ validated in a single numpy pass.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -209,14 +210,51 @@ def _valid_body(body, r, world, lo, hi, collides):
     return ok
 
 
+def rotation_pad(rho: float, delta: float) -> float:
+    """Bound on how far, along either workspace axis, a point within rho
+    of a pivot strays from the chord between its two end positions while
+    the body turns by delta at a uniform rate: rho (1 - cos(delta/2))
+    across the chord (the sagitta) plus rho (delta/2 - sin(delta/2))
+    along it.  Both are measured from the chord's point at the same
+    fraction of the motion, so the bound still holds when the pivot
+    translates linearly at the same time.  inf beyond a half turn, for
+    which the bound is not derived."""
+    a = abs(delta) / 2.0
+    if a > math.pi / 2.0:
+        return math.inf
+    return rho * ((1.0 - math.cos(a)) + (a - math.sin(a)))
+
+
 class RobotModel:
-    """Maps level states to workspace geometry and tests its validity."""
+    """Maps level states to workspace geometry and tests its validity.
+
+    position_indices are the coordinates that translate the body in the
+    workspace; a body posed at a circular one jumps where the coordinate
+    wraps at 0/2*pi."""
+
+    position_indices: tuple
 
     def valid(self, coords: np.ndarray, world: CollisionWorld,
               lo: np.ndarray | None, hi: np.ndarray | None) -> np.ndarray:
         """Rows of coords whose posed robot lies inside the workspace box
         [lo, hi] (any pose when lo is None) and overlaps no obstacle of
         world; the robot is posed once for the whole batch -> (m,) bool."""
+        raise NotImplementedError
+
+    def body_box(self, coords: np.ndarray):
+        """Workspace box of each row's posed body, its radius included:
+        the box valid tests against the workspace and, for polygon and
+        chain robots, in the broad phase -> (lo, hi), each (m, 2)."""
+        raise NotImplementedError
+
+    def motion_pad(self, axis: int, delta: float) -> float:
+        """Widening that holds the body box of every state of a straight
+        motion inside the hull of its two end boxes, where the motion
+        changes coordinate axis by delta (a shortest-arc difference on a
+        circle) and may translate the body too: 0 for a position (the body
+        translates linearly, unless the coordinate wraps at a circle's
+        seam) or a coordinate the body ignores, rotation_pad for a joint or
+        heading angle.  It is not a bound for two angles moving at once."""
         raise NotImplementedError
 
 
@@ -236,6 +274,13 @@ class PointRobot(RobotModel):
         p = self._pos(coords)
         return _in_workspace(p, p, lo, hi, self.radius) & \
             ~world.near_points(p, self.radius)
+
+    def body_box(self, coords):
+        p = self._pos(coords)
+        return p - self.radius, p + self.radius
+
+    def motion_pad(self, axis, delta):
+        return 0.0
 
 
 @dataclass
@@ -269,9 +314,24 @@ class PolygonRobot(RobotModel):
         theta = coords[:, k]
         return _posed_vertices(self.vertices, xy, theta)
 
+    @property
+    def position_indices(self):
+        return self.pose_indices[:2]
+
     def valid(self, coords, world, lo, hi):
         return _valid_body(self._verts(coords), 0.0, world, lo, hi,
                            self._collides)
+
+    def body_box(self, coords):
+        v = self._verts(coords)
+        return v.min(axis=1), v.max(axis=1)
+
+    def motion_pad(self, axis, delta):
+        """The heading turns the polygon about its pose point, which its
+        farthest vertex is rho away from."""
+        if axis != self.pose_indices[2]:
+            return 0.0
+        return rotation_pad(float(np.hypot(*self.vertices.T).max()), delta)
 
     @staticmethod
     def _collides(a, world, obs):
@@ -332,9 +392,26 @@ class ChainRobot(RobotModel):
         return np.concatenate([base, base + np.cumsum(steps, axis=1)],
                               axis=1).T
 
+    @property
+    def position_indices(self):
+        return self.base_indices
+
     def valid(self, coords, world, lo, hi):
         return _valid_body(self.joints(coords), self.link_radius, world, lo,
                            hi, self._collides)
+
+    def body_box(self, coords):
+        j = self.joints(coords)
+        r = self.link_radius
+        return j.min(axis=1) - r, j.max(axis=1) + r
+
+    def motion_pad(self, axis, delta):
+        """Joint angle j turns the links from j on about joint j; their
+        far ends are at most the sum of those links' lengths away."""
+        if axis not in self.angle_indices:
+            return 0.0
+        j = list(self.angle_indices).index(axis)
+        return rotation_pad(float(sum(self.link_lengths[j:])), delta)
 
     def _collides(self, j, world, obs):
         """Whether the chain posed as j[i] (n, L+1, 2) overlaps obstacle
@@ -414,6 +491,26 @@ class LevelValidity:
             ok[i:i + CHUNK_STATES] = self.robot.valid(
                 coords[i:i + CHUNK_STATES], self._world, self.workspace_lo,
                 self.workspace_hi)
+        return ok
+
+    def boxes_clear(self, lo, hi) -> np.ndarray:
+        """Rows whose workspace box [lo[i], hi[i]], widened by BOX_MARGIN,
+        lies inside the workspace and meets no obstacle's bounding box
+        (itself widened by BOX_MARGIN, as in the broad phase).  A state
+        whose RobotModel.body_box lies in such a box, up to rounding far
+        below the margin, passes valid_mask: no obstacle is near it, and
+        it is inside the workspace -> (m,) bool."""
+        lo = np.asarray(lo, dtype=float) - BOX_MARGIN
+        hi = np.asarray(hi, dtype=float) + BOX_MARGIN
+        ok = _in_workspace(lo, hi, self.workspace_lo, self.workspace_hi, 0.0)
+        # apart from each obstacle's box along some axis; one column at a
+        # time against scalar bounds, 3-4 times faster than comparing the
+        # (m, 2) rows with each bounding box
+        w = self._world
+        for ob_lo, ob_hi in zip(w.aabb_lo.tolist(), w.aabb_hi.tolist()):
+            ok &= np.logical_or.reduce([
+                (h < a) | (l > b)
+                for l, h, a, b in zip(lo.T, hi.T, ob_lo, ob_hi)])
         return ok
 
     def is_valid(self, x) -> bool:

@@ -10,11 +10,12 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, dijkstra
 
 import smlr.oracle as oracle_module
-from smlr.geometry import Box, Disc
+from smlr.geometry import Box, Disc, Polygon
 from smlr.oracle import GridOracle
 from smlr.sparse_graph import SparseRoadmap
 from smlr.spaces import CircleSpace, ProductSpace, RealVectorSpace
-from smlr.validity import DiscRobot, LevelValidity, PointRobot, PolygonRobot
+from smlr.validity import (ChainRobot, DiscRobot, LevelValidity, PointRobot,
+                           PolygonRobot)
 
 
 def world(obstacles, robot=None):
@@ -190,8 +191,15 @@ class TestShortestPath:
         assert cost == pytest.approx(0.4, abs=0.2)
 
 
+def certify_nothing(monkeypatch):
+    """Send every lattice edge through the substep check."""
+    monkeypatch.setattr(GridOracle, "_certified",
+                        lambda self, src, *args: np.zeros(len(src), bool))
+
+
 class TestGraph:
     def test_motion_substeps(self, monkeypatch):
+        certify_nothing(monkeypatch)
         # a wall thinner than a cell, between two columns of free centres
         space, v = world([Box([0.49, 0.0], [0.51, 1.0])])
         # steps of 0.1 and 0.025 of the diameter sqrt(2) split a diagonal
@@ -277,18 +285,28 @@ def reference_graph(o):
 
 
 @st.composite
-def box_and_disc_worlds(draw, scale):
-    """Up to five boxes and discs inside [0, scale]^2."""
+def obstacle_worlds(draw, scale):
+    """Up to five boxes, discs and star-shaped polygons inside
+    [0, scale]^2."""
     coord = st.floats(0.0, scale)
     obstacles = []
-    for kind in draw(st.lists(st.sampled_from(["box", "disc"]),
+    for kind in draw(st.lists(st.sampled_from(["box", "disc", "polygon"]),
                               max_size=5)):
         x, y = draw(coord), draw(coord)
         if kind == "disc":
             obstacles.append(Disc([x, y], draw(st.floats(0.02, 0.2)) * scale))
-        else:
+        elif kind == "box":
             w, h = (draw(st.floats(0.02, 0.5)) * scale for _ in range(2))
             obstacles.append(Box([x, y], [x + w, y + h]))
+        else:
+            # vertices at increasing angles around (x, y): simple and CCW
+            n = draw(st.integers(3, 6))
+            radii = draw(st.lists(st.floats(0.02, 0.2), min_size=n,
+                                  max_size=n))
+            angles = 2 * math.pi * np.arange(n) / n
+            obstacles.append(Polygon(
+                np.array([x, y]) + scale * np.array(radii)[:, None]
+                * np.stack([np.cos(angles), np.sin(angles)], axis=-1)))
     return obstacles
 
 
@@ -298,15 +316,24 @@ SE2_ROBOT = PolygonRobot(vertices=[[-0.025, -0.025], [0.175, -0.025],
 
 
 def grid_level(kind, obstacles):
-    """Validity on R^2 (disc robot), T^2 (point robot) or R^2 x S^1 with
-    weight 0.1 on the angle (L-shaped polygon robot)."""
+    """Validity on R^2 (disc robot), T^2 (point robot), R^2 x S^1 with
+    weight 0.1 on the angle (L-shaped polygon robot) or R^2 x S^1 x
+    [-pi, pi] with weight 0.05 on each joint angle (two-link chain)."""
     if kind == "torus":
         space = ProductSpace([CircleSpace(), CircleSpace()])
         return LevelValidity(space=space, robot=PointRobot(),
                              obstacles=obstacles)
     plane = RealVectorSpace([[0, 1], [0, 1]])
-    space, robot = (plane, DiscRobot(radius=0.03)) if kind == "plane" else (
-        ProductSpace([plane, CircleSpace()], [1.0, 0.1]), SE2_ROBOT)
+    if kind == "plane":
+        space, robot = plane, DiscRobot(radius=0.03)
+    elif kind == "se2":
+        space = ProductSpace([plane, CircleSpace()], [1.0, 0.1])
+        robot = SE2_ROBOT
+    else:
+        space = ProductSpace(
+            [plane, CircleSpace(), RealVectorSpace([[-math.pi, math.pi]])],
+            [1.0, 0.05, 0.05])
+        robot = ChainRobot(link_lengths=(0.15, 0.15), link_radius=0.02)
     return LevelValidity(space=space, robot=robot, obstacles=obstacles,
                          workspace_lo=np.zeros(2), workspace_hi=np.ones(2))
 
@@ -314,9 +341,9 @@ def grid_level(kind, obstacles):
 class TestGraphEqualsReference:
     # resolutions from 2-3 cells on an axis (where two offsets reach one
     # neighbour: the two diagonals on a 2-cell axis, real or circular) to
-    # about 30
+    # about 30; at most about 10 on the chain's four axes
     KINDS = {"plane": (1.0, (0.04, 0.6)), "torus": (2 * math.pi, (0.2, 4.0)),
-             "se2": (1.0, (0.07, 0.8))}
+             "se2": (1.0, (0.07, 0.8)), "chain": (1.0, (0.12, 0.8))}
 
     @pytest.mark.parametrize("kind", sorted(KINDS))
     @settings(max_examples=40, deadline=None)
@@ -325,7 +352,7 @@ class TestGraphEqualsReference:
     def test_same_free_labels_and_distances(self, kind, data, substeps,
                                             seed):
         scale, (h_lo, h_hi) = self.KINDS[kind]
-        v = grid_level(kind, data.draw(box_and_disc_worlds(scale)))
+        v = grid_level(kind, data.draw(obstacle_worlds(scale)))
         h = data.draw(st.floats(h_lo, h_hi))
         # substeps = ceil(h * sqrt(dim) / (check_resolution * extent))
         diagonal = h * math.sqrt(v.space.dim) / v.space.max_extent()
@@ -361,6 +388,43 @@ class TestGraphEqualsReference:
             == g.data.tobytes()
 
 
+class CheckedPairs(GridOracle):
+    """A GridOracle that records the pairs graph() hands to the substep
+    check; every other entry of its graph was certified."""
+
+    def _edge_weights(self, src, dst, w_ab, w_ba):
+        self.checked.update(zip(src.tolist(), dst.tolist()))
+        return super()._edge_weights(src, dst, w_ab, w_ba)
+
+
+class TestEdgeCertificate:
+    # coarse lattices, 2 to about 15 cells on an axis: each edge is long
+    # against the robot, so the rotation pads are wide
+    KINDS = {"plane": (1.0, (0.07, 0.5)), "torus": (2 * math.pi, (0.3, 3.0)),
+             "se2": (1.0, (0.08, 0.5)), "chain": (1.0, (0.15, 0.5))}
+
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), substeps=st.sampled_from([2, 3, 5]))
+    def test_certified_edges_pass_both_ways(self, kind, data, substeps):
+        scale, (h_lo, h_hi) = self.KINDS[kind]
+        v = grid_level(kind, data.draw(obstacle_worlds(scale)))
+        h = data.draw(st.floats(h_lo, h_hi))
+        diagonal = h * math.sqrt(v.space.dim) / v.space.max_extent()
+        v = replace(v, check_resolution=diagonal / (substeps - 0.5))
+        o = CheckedPairs(v.space, v, h)
+        assume(o._substeps == substeps)
+        o.checked = set()
+        g = o.graph().tocoo()
+        certified = np.array([(r, c) for r, c in zip(g.row.tolist(),
+                                                     g.col.tolist())
+                              if (r, c) not in o.checked], dtype=int)
+        assume(len(certified))
+        a, b = o.centers[certified[:, 0]], o.centers[certified[:, 1]]
+        assert o._edge_valid_mask(a, b).all()
+        assert o._edge_valid_mask(b, a).all()
+
+
 class TestDuplicateEntries:
     def test_two_cell_circle(self):
         # offsets +1 and -1 reach the same neighbour
@@ -390,6 +454,7 @@ class TestOneCheckPerPair:
         # only motions towards smaller x pass: every pair across x fails
         # from the cell whose offset reaches the other and passes only
         # backwards, and pairs along y have no edge
+        certify_nothing(monkeypatch)
         space, v = world([])
         o = GridOracle(space, replace(v, check_resolution=0.05), 0.25)
         assert o._substeps > 1
@@ -410,9 +475,17 @@ class TestOneCheckPerPair:
             assert w == pytest.approx(space.distance(o.centers[p],
                                                      o.centers[q]))
 
-    def test_one_motion_check_per_pair(self, monkeypatch):
+    @staticmethod
+    def checked_states(monkeypatch, obstacles):
+        """A 4 x 8 x 2 lattice of 4 substeps in a workspace that holds
+        every cell box, and its 136 neighbour pairs, each an edge, and the
+        number of states valid_mask checked while graph() built it
+        -> (oracle, count)."""
         space = RealVectorSpace([[0, 1], [0, 2], [0, 0.5]])
-        v = LevelValidity(space=space, robot=PointRobot(), obstacles=[])
+        v = LevelValidity(space=space, robot=PointRobot(),
+                          obstacles=obstacles,
+                          workspace_lo=np.array([-1.0, -1.0]),
+                          workspace_hi=np.array([2.0, 3.0]))
         h = 0.25
         diagonal = h * math.sqrt(3) / space.max_extent()
         o = GridOracle(space, replace(v, check_resolution=diagonal / 3.5), h)
@@ -427,9 +500,23 @@ class TestOneCheckPerPair:
             checked.append(len(coords))
             return original(self, coords)
         monkeypatch.setattr(LevelValidity, "valid_mask", valid_mask)
-        o.graph()
-        assert sum(checked) == pairs * 3   # 3 interior states per pair
         assert o.graph().nnz == pairs
+        return o, sum(checked)
+
+    def test_one_motion_check_per_pair(self, monkeypatch):
+        certify_nothing(monkeypatch)
+        _, checked = self.checked_states(monkeypatch, [])
+        assert checked == 136 * 3   # 3 interior states per pair
+
+    def test_cleared_world_checks_no_state(self, monkeypatch):
+        # the one obstacle lies beyond the lattice: every pair is certified
+        o, checked = self.checked_states(monkeypatch,
+                                         [Box([1.5, 1.5], [1.8, 1.8])])
+        assert checked == 0
+        g = o.graph().tocoo()
+        for r, c, w in zip(g.row, g.col, g.data):
+            assert w == pytest.approx(o.space.distance(o.centers[r],
+                                                       o.centers[c]))
 
 
 class TestCoverageFraction:

@@ -151,6 +151,42 @@ class TestChainRobot:
         assert not vfat.is_valid([0.3, 0.45, 0.0, 0.0])
 
 
+# robots and their space dimensions; the chain's angles are coordinates 2-4
+BODIES = {
+    "disc": (DiscRobot(radius=0.05), 2),
+    "polygon": (TestPolygonRobot().lshape(), 3),
+    "chain": (ChainRobot(link_lengths=(0.2, 0.15, 0.1), link_radius=0.02,
+                         angle_indices=(2, 3, 4)), 5),
+}
+
+
+class TestMotionPad:
+    @pytest.mark.parametrize("kind", sorted(BODIES))
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_swept_boxes_in_padded_hull(self, kind, data):
+        # a straight motion that changes one coordinate by at most a half
+        # turn and translates the body at once: every state's body box
+        # lies in the hull of the two end boxes widened by motion_pad
+        robot, dim = BODIES[kind]
+        coord = st.floats(-4.0, 4.0)
+        a = np.array(data.draw(st.lists(coord, min_size=dim, max_size=dim)))
+        axis = data.draw(st.integers(0, dim - 1))
+        delta = data.draw(st.floats(-math.pi, math.pi))
+        b = a.copy()
+        b[axis] += delta
+        b[list(robot.position_indices)] += data.draw(
+            st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=2))
+        s = np.linspace(0.0, 1.0, 257)[:, None]
+        lo, hi = robot.body_box(a + s * (b - a))
+        pad = robot.motion_pad(axis, delta) + 1e-12
+        assert (lo >= np.minimum(lo[0], lo[-1]) - pad).all()
+        assert (hi <= np.maximum(hi[0], hi[-1]) + pad).all()
+        # beyond a half turn an angle's pad is no bound
+        if robot.motion_pad(axis, 1.0) > 0:
+            assert robot.motion_pad(axis, -math.pi - 1e-6) == math.inf
+
+
 class TestAngleSpaceObstacles:
     def test_point_robot_on_circle(self):
         space = CircleSpace()
