@@ -10,7 +10,9 @@ widened by the robot's pad for the moved axes (0 for a translation, a
 sagitta-type bound for a rotation), contains the body box of every state
 between them.  When that widened hull lies inside the workspace and meets no
 obstacle's bounding box, valid_mask would pass every one of those states, so
-the edge stands without them and the graph is the same.
+the edge stands without them and the graph is the same.  Each edge weighs
+StateSpace.distance of its two centres, bit for bit, so an oracle cost is a
+sum of the planner's own metric.
 
 This is the one module that needs SciPy, and `import smlr` does not import
 it.  SciPy loads at module level, not inside the methods, so a caller that
@@ -26,7 +28,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, dijkstra
 
-from .spaces import StateSpace, points_to_edge_distance, wrap_angle
+from .spaces import StateSpace, points_to_edge_distance
 from .validity import CHUNK_STATES, LevelValidity
 
 MAX_ORACLE_DIM = 4
@@ -105,60 +107,37 @@ class GridOracle:
         return ok
 
     def _offset_weights(self, off):
-        """Centre distances across off on the whole lattice: from each cell
-        a to its neighbour b, and from b to a, as two arrays that broadcast
-        to the grid's shape.
+        """Centre distances across off on the whole lattice, from each cell
+        to its neighbour, as an array that broadcasts to the grid's shape.
 
-        Along a moved axis the centre differences b - a (wrapped on a
-        circle as StateSpace._diff wraps them) take only a handful of
-        distinct values, so one matrix product over the combinations of
-        those values, both directions stacked, gives every distance, and
+        Along a moved axis the centre differences b - a take only a handful
+        of distinct values, and a distance depends only on the differences
+        (0 on the other axes).  So StateSpace.distances of one cell pair per
+        combination of distinct values gives every weight, bit for bit, and
         each cell reads its own through the inverse indices of np.unique.
-        Sharing the product keeps it at two rows or more: a one-row product
-        takes another BLAS path, which can round differently from the
-        many-row one.  A distance can differ from distance() in the last
-        bit.
         """
-        dim = self.space.dim
-        axes = np.flatnonzero(off)
-        tables = []   # per direction: (distinct values, inverse) per axis
-        for sign in (1, -1):
-            values, inverse = [], []
-            for i in axes:
-                c = self._centers_1d[i]
-                nxt = np.roll(c, -off[i])
-                d = nxt - c if sign > 0 else c - nxt
-                if self.space.circular[i]:
-                    d = wrap_angle(d)
-                u, inv = np.unique(d, return_inverse=True)
-                values.append(u)
-                inverse.append(inv.reshape([-1 if j == i else 1
-                                            for j in range(dim)]))
-            tables.append((values, inverse))
-        combos = [np.stack([m.ravel() for m in np.meshgrid(
-            *values, indexing="ij")], axis=-1) for values, _ in tables]
-        diff = np.zeros((len(combos[0]) + len(combos[1]), dim))
-        diff[:, axes] = np.concatenate(combos)
-        w = np.sqrt((diff * diff) @ self.space.weights)
-        return tuple(
-            part.reshape([len(u) for u in values])[tuple(inverse)]
-            for part, (values, inverse)
-            in zip(np.split(w, [len(combos[0])]), tables))
+        ends = [(c[:1], c[:1]) for c in self._centers_1d]
+        inverse = [[0]] * self.space.dim
+        for i in np.flatnonzero(off):
+            c = self._centers_1d[i]
+            nxt = np.roll(c, -off[i])
+            _, first, inverse[i] = np.unique(nxt - c, return_index=True,
+                                             return_inverse=True)
+            ends[i] = (c[first], nxt[first])
+        a, b = (np.stack([m.ravel() for m in np.meshgrid(
+            *side, indexing="ij")], axis=-1) for side in zip(*ends))
+        w = np.reshape(self.space.distances(a, b), [len(x) for x, _ in ends])
+        return w[np.ix_(*inverse)]
 
-    def _edge_weights(self, src, dst, w_ab, w_ba):
-        """Weight of the pair src[i]-dst[i], of centre distances w_ab[i]
-        from src to dst and w_ba[i] back: the smaller over the directions
-        whose motion passes, inf where neither does.
-
-        dst -> src is checked only where src -> dst fails or, on circular
-        coordinates, where the two directions' distances differ in the last
-        bit; on real coordinates they are always equal.
-        """
+    def _edge_weights(self, src, dst, w):
+        """Weight w[i] of the pair src[i]-dst[i] where its motion passes in
+        either direction, inf where neither does; dst -> src is checked
+        only where src -> dst fails."""
         a, b = self.centers[src], self.centers[dst]
-        w = np.where(self._edge_valid_mask(a, b), w_ab, np.inf)
-        back = np.flatnonzero(np.isinf(w) | (w_ab != w_ba))
-        back = back[self._edge_valid_mask(b[back], a[back])]
-        w[back] = np.minimum(w[back], w_ba[back])
+        fail = np.flatnonzero(~self._edge_valid_mask(a, b))
+        fail = fail[~self._edge_valid_mask(b[fail], a[fail])]
+        w = w.copy()
+        w[fail] = np.inf
         return w
 
     def _cell_boxes(self):
@@ -185,7 +164,8 @@ class GridOracle:
             np.maximum(hi[src], hi[dst]) + pad)
 
     def graph(self):
-        """Sparse adjacency over free cells, edge weight = center distance.
+        """Sparse adjacency over free cells, edge weight = StateSpace.distance
+        of the two centres, the same in either argument order.
 
         Each neighbour pair is one entry, in the row of the cell whose
         offset reaches the other; SciPy reads the graph undirected.  A pair
@@ -193,11 +173,10 @@ class GridOracle:
         is one pass over the whole lattice: the index and free grids
         rolled by the offset give every cell's neighbour and whether it is
         free, and _offset_weights every distance.  A pair that _certified
-        clears is an edge of the lighter weight with no substep checked;
-        one whose moved position coordinate crosses a circle's 0/2*pi seam
-        is never certified, since its body jumps across the workspace.
-        Indices are int32, which SciPy's csgraph routines use without a
-        copy.
+        clears is an edge with no substep checked; one whose moved position
+        coordinate crosses a circle's 0/2*pi seam is never certified, since
+        its body jumps across the workspace.  Indices are int32, which
+        SciPy's csgraph routines use without a copy.
         """
         if self._graph is not None:
             return self._graph
@@ -231,29 +210,22 @@ class GridOracle:
                     edge[tuple(sl)] = False
                 elif checked and a in positions:
                     seam[tuple(sl)] = True
-            w_ab, w_ba = self._offset_weights(off)
+            wts[:, k] = np.where(edge, self._offset_weights(off),
+                                 np.inf).ravel()
             if not checked:
-                wts[:, k] = np.where(edge, np.minimum(w_ab, w_ba),
-                                     np.inf).ravel()
                 continue
             src = np.flatnonzero(edge)
-            dst = nbr[src, k]
-            w_ab = np.broadcast_to(w_ab, shape)[edge]
-            w_ba = np.broadcast_to(w_ba, shape)[edge]
-            w = np.minimum(w_ab, w_ba)
             # a centre difference along a is at most step[a], up to
             # rounding that BOX_MARGIN absorbs; the sum has one nonzero term
             # at most, since an offset moves one axis beyond 2-D and a
             # robot with an angle has three coordinates or more
             pad = sum(robot.motion_pad(a, self.step[a]) for a in axes)
-            rest = np.flatnonzero(
-                ~self._certified(src, dst, boxes, pad) | seam.ravel()[src])
-            w[rest] = self._edge_weights(src[rest], dst[rest], w_ab[rest],
-                                         w_ba[rest])
-            wts[:, k] = np.inf
-            wts[src, k] = w
+            rest = src[~self._certified(src, nbr[src, k], boxes, pad)
+                       | seam.ravel()[src]]
+            wts[rest, k] = self._edge_weights(rest, nbr[rest, k],
+                                              wts[rest, k])
         # only on an axis of one or two cells can two offsets reach the
-        # same neighbour: one entry per (row, col), the lighter one
+        # same neighbour: one entry per (row, col), an edge if either is
         if (self.cells_per_dim <= 2).any():
             for k, j in itertools.combinations(range(len(offsets)), 2):
                 same = np.flatnonzero(nbr[:, k] == nbr[:, j])

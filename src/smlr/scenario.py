@@ -267,7 +267,7 @@ def load_scenario(path) -> Scenario:
                              f"{where}.robot")
         obstacles = (_obstacle_list(lvl["obstacles"], where)
                      if "obstacles" in lvl else shared_obstacles)
-        pos_dim = len(getattr(robot, "position_indices", (0, 1)))
+        pos_dim = len(robot.position_indices)
         ignore = lvl.get("ignore_workspace", False)
         if not isinstance(ignore, bool):
             raise ScenarioError(f"{where}: ignore_workspace must be true or "

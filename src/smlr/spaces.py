@@ -16,11 +16,6 @@ import numpy as np
 TWO_PI = 2.0 * math.pi
 
 
-def wrap_angle(d):
-    """Angle differences d as the shortest arc, in [-pi, pi)."""
-    return np.mod(d + math.pi, TWO_PI) - math.pi
-
-
 class StateSpace:
     """Base class; concrete spaces fill in the flat per-coordinate arrays.
 
@@ -77,11 +72,12 @@ class StateSpace:
     # -- metric ------------------------------------------------------------
 
     def _diff(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Per-coordinate difference b - a, shortest-arc on circles."""
+        """Per-coordinate difference b - a, shortest-arc on circles, in
+        [-pi, pi)."""
         d = b - a
         c = self._wrap
         if c is not None:
-            d[..., c] = wrap_angle(d[..., c])
+            d[..., c] = np.mod(d[..., c] + math.pi, TWO_PI) - math.pi
         return d
 
     def _absdiff(self, a, b) -> np.ndarray:

@@ -265,6 +265,15 @@ class SparseRoadmap:
         self.consecutive_failures = 0
         self.total_additions += 1
 
+    def _admit(self, q, visible, nbrs, outcome) -> AddOutcome:
+        """Add guard q with an edge of length visible[g] to each g in nbrs,
+        count the success and return outcome."""
+        gid = self.add_guard(q)
+        for g in nbrs:
+            self.add_edge(gid, g, visible[g])
+        self._succeed()
+        return outcome
+
     def add_conditional(self, q, visible=None) -> AddOutcome:
         """Apply the four admission tests in order.
 
@@ -285,9 +294,7 @@ class SparseRoadmap:
 
         # (1) coverage
         if not vis:
-            self.add_guard(q)
-            self._succeed()
-            return AddOutcome.ADDED_COVERAGE
+            return self._admit(q, visible, (), AddOutcome.ADDED_COVERAGE)
 
         # (2) connectivity
         comps: dict[int, int] = {}
@@ -295,11 +302,8 @@ class SparseRoadmap:
             root = self.components.find(g)
             comps.setdefault(root, g)
         if len(comps) >= 2:
-            gid = self.add_guard(q)
-            for g in comps.values():
-                self.add_edge(gid, g, visible[g])
-            self._succeed()
-            return AddOutcome.ADDED_CONNECTIVITY
+            return self._admit(q, visible, comps.values(),
+                               AddOutcome.ADDED_CONNECTIVITY)
 
         # (3) interface
         for i in range(len(vis)):
@@ -319,11 +323,8 @@ class SparseRoadmap:
                     # a witness vertex already bridges this blocked pair;
                     # adding another would grow the graph without bound
                     continue
-                gid = self.add_guard(q)
-                self.add_edge(gid, u, visible[u])
-                self.add_edge(gid, w, visible[w])
-                self._succeed()
-                return AddOutcome.ADDED_INTERFACE_VERTEX
+                return self._admit(q, visible, (u, w),
+                                   AddOutcome.ADDED_INTERFACE_VERTEX)
 
         # (4) quality / shortcut
         for i in range(len(vis)):
@@ -333,11 +334,8 @@ class SparseRoadmap:
                     continue
                 through = visible[u] + visible[w]
                 if self.path_cost_exceeds(u, w, self.stretch_t * through):
-                    gid = self.add_guard(q)
-                    self.add_edge(gid, u, visible[u])
-                    self.add_edge(gid, w, visible[w])
-                    self._succeed()
-                    return AddOutcome.ADDED_QUALITY
+                    return self._admit(q, visible, (u, w),
+                                       AddOutcome.ADDED_QUALITY)
 
         self.record_failure()
         return AddOutcome.REJECTED

@@ -225,6 +225,13 @@ def rotation_pad(rho: float, delta: float) -> float:
     return rho * ((1.0 - math.cos(a)) + (a - math.sin(a)))
 
 
+def _distinct(name, indices):
+    """Reject a coordinate listed twice in indices: the body would read it
+    as two of its own coordinates."""
+    if len(set(indices)) != len(indices):
+        raise ValueError(f"{name} repeat a coordinate, got {list(indices)}")
+
+
 class RobotModel:
     """Maps level states to workspace geometry and tests its validity.
 
@@ -265,6 +272,9 @@ class PointRobot(RobotModel):
     # PointRobot's one positional field stays position_indices
     radius = 0.0
 
+    def __post_init__(self):
+        _distinct("position_indices", self.position_indices)
+
     def _pos(self, coords):
         return coords[:, list(self.position_indices)]
 
@@ -289,6 +299,7 @@ class DiscRobot(PointRobot):
     position_indices: tuple = (0, 1)
 
     def __post_init__(self):
+        super().__post_init__()
         if self.radius <= 0:
             raise ValueError("disc robot radius must be positive")
 
@@ -307,6 +318,7 @@ class PolygonRobot(RobotModel):
             raise ValueError("polygon robot needs >= 3 planar vertices")
         if len(self.pose_indices) != 3:
             raise ValueError("polygon robot needs 3 pose indices")
+        _distinct("pose_indices", self.pose_indices)
 
     def _verts(self, coords):
         i, j, k = self.pose_indices
@@ -379,6 +391,8 @@ class ChainRobot(RobotModel):
             raise ValueError("chain robot needs 2 base indices")
         if len(self.angle_indices) != len(self.link_lengths):
             raise ValueError("one joint angle per link required")
+        _distinct("base_indices and angle_indices",
+                  (*self.base_indices, *self.angle_indices))
         if self.link_radius <= 0 or any(l <= 0 for l in self.link_lengths):
             raise ValueError("link geometry must be positive")
 

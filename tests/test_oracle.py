@@ -222,8 +222,7 @@ class TestGraph:
         assert checked
         g = one.graph().tocoo()
         for r, c, w in zip(g.row, g.col, g.data):
-            assert w == pytest.approx(
-                space.distance(one.centers[r], one.centers[c]))
+            assert w == space.distance(one.centers[r], one.centers[c])
 
     def test_indices_are_int32(self, monkeypatch):
         # SciPy keeps int32 index arrays as they are; int64 ones it copies
@@ -245,8 +244,9 @@ class TestGraph:
 def reference_graph(o):
     """The graph built from every offset of every free cell, each motion
     checked from both ends, as GridOracle.graph built it before it stored
-    each neighbour pair once; where two entries share a (row, col), the
-    lighter one is kept instead of their sum."""
+    each neighbour pair once, each entry weighed by StateSpace.distances;
+    where two entries share a (row, col), one is kept instead of their
+    sum."""
     dim = o.space.dim
     offsets = [sgn * np.eye(dim, dtype=int)[i]
                for i in range(dim) for sgn in (1, -1)]
@@ -275,9 +275,8 @@ def reference_graph(o):
         if o._substeps > 1:
             ok = o._edge_valid_mask(o.centers[src], o.centers[dst])
             src, dst = src[ok], dst[ok]
-        d = o.space._diff(o.centers[src], o.centers[dst])
-        w = np.sqrt((d * d) @ o.space.weights)
-        for r, c, x in zip(src.tolist(), dst.tolist(), w.tolist()):
+        w = o.space.distances(o.centers[src], o.centers[dst])
+        for r, c, x in zip(src.tolist(), dst.tolist(), w):
             lightest[r, c] = min(x, lightest.get((r, c), math.inf))
     rows, cols = np.array(list(lightest), dtype=int).reshape(-1, 2).T
     return csr_matrix((list(lightest.values()), (rows, cols)),
@@ -370,31 +369,28 @@ class TestGraphEqualsReference:
         assert dijkstra(o.graph(), directed=False, indices=sources) \
             .tobytes() == dijkstra(ref, directed=False,
                                    indices=sources).tobytes()
-        # entry for entry: one per (row, col); each has a mirror pair in
-        # the reference and weighs the lighter of its two directed entries,
-        # and each pair of the reference has an entry
-        lightest = {}
+        # entry for entry: one per (row, col), one per pair of the
+        # reference, each weighing the space's distance of its two centres
+        # bit for bit, in either argument order
         r = ref.tocoo()
-        for pair, w in zip(zip(r.row.tolist(), r.col.tolist()),
-                           r.data.tolist()):
-            pair = frozenset(pair)
-            lightest[pair] = min(w, lightest.get(pair, math.inf))
         g = o.graph().tocoo()
         entries = list(zip(g.row.tolist(), g.col.tolist()))
         assert len(set(entries)) == g.nnz
-        pairs = [frozenset(e) for e in entries]
-        assert set(pairs) == set(lightest)
-        assert np.array([lightest[p] for p in pairs]).tobytes() \
-            == g.data.tobytes()
+        assert set(map(frozenset, entries)) == set(
+            map(frozenset, zip(r.row.tolist(), r.col.tolist())))
+        rows, cols = o.centers[g.row], o.centers[g.col]
+        for a, b in ((rows, cols), (cols, rows)):
+            assert np.array(o.space.distances(a, b)).tobytes() \
+                == g.data.tobytes()
 
 
 class CheckedPairs(GridOracle):
     """A GridOracle that records the pairs graph() hands to the substep
     check; every other entry of its graph was certified."""
 
-    def _edge_weights(self, src, dst, w_ab, w_ba):
+    def _edge_weights(self, src, dst, w):
         self.checked.update(zip(src.tolist(), dst.tolist()))
-        return super()._edge_weights(src, dst, w_ab, w_ba)
+        return super()._edge_weights(src, dst, w)
 
 
 class TestEdgeCertificate:
@@ -432,8 +428,9 @@ class TestDuplicateEntries:
         o = GridOracle(space, LevelValidity(space=space, robot=PointRobot(),
                                             obstacles=[]), 4.0)
         assert o.n_cells == 2
-        assert o.shortest_path_cost(o.centers[0], o.centers[1]) == \
-            pytest.approx(math.pi)
+        cost = o.shortest_path_cost(o.centers[0], o.centers[1])
+        assert cost == space.distance(o.centers[0], o.centers[1])
+        assert cost == pytest.approx(math.pi)
 
     def test_two_by_two_torus_diagonal(self):
         # the diagonals (1, -1) and (1, 1) reach the same neighbour
@@ -444,8 +441,7 @@ class TestDuplicateEntries:
         g = o.graph().tocoo()
         assert len(set(zip(g.row, g.col))) == g.nnz
         a, b = o.centers[0], o.centers[3]
-        assert o.shortest_path_cost(a, b) == pytest.approx(
-            t2.distance(a, b))
+        assert o.shortest_path_cost(a, b) == t2.distance(a, b)
         assert t2.distance(a, b) == pytest.approx(math.pi * math.sqrt(2))
 
 
@@ -472,8 +468,7 @@ class TestOneCheckPerPair:
         assert set(edges) == expected
         for pair, w in edges.items():
             p, q = pair
-            assert w == pytest.approx(space.distance(o.centers[p],
-                                                     o.centers[q]))
+            assert w == space.distance(o.centers[p], o.centers[q])
 
     @staticmethod
     def checked_states(monkeypatch, obstacles):
@@ -515,8 +510,7 @@ class TestOneCheckPerPair:
         assert checked == 0
         g = o.graph().tocoo()
         for r, c, w in zip(g.row, g.col, g.data):
-            assert w == pytest.approx(o.space.distance(o.centers[r],
-                                                       o.centers[c]))
+            assert w == o.space.distance(o.centers[r], o.centers[c])
 
 
 class TestCoverageFraction:

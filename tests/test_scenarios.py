@@ -314,6 +314,12 @@ def _boundary_cases():
                               (3, "base_indices", [0, -1]),
                               (3, "angle_indices", [2, 7])):
         yield ("levels", robot, "robot", key), value
+    # a coordinate listed twice, which the body would read as two; the
+    # chain's angle indices overlap its base indices (0, 1)
+    for robot, key, value in ((1, "position_indices", [0, 0]),
+                              (2, "pose_indices", [0, 1, 1]),
+                              (3, "angle_indices", [1, 3])):
+        yield ("levels", robot, "robot", key), value
 
 
 BOUNDARY_CASES = list(_boundary_cases())
@@ -382,6 +388,9 @@ class TestBoundary:
         (("levels", 3, "robot", "base_indices"), [0],
          r"^boundary.levels\[3\].robot: chain robot needs 2 base "
          r"indices$"),
+        (("levels", 3, "robot", "angle_indices"), [1, 3],
+         r"^boundary.levels\[3\].robot: base_indices and angle_indices "
+         r"repeat a coordinate, got \[0, 1, 1, 3\]$"),
         (("planner", "stretch_t"), float("nan"),
          r"^boundary.planner: stretch_t must be a number, got nan$"),
         (("levels", 1, "robot", "radius"), float("inf"),
@@ -419,7 +428,8 @@ class TestBoundary:
          r"got 'false'$"),
     ], ids=["weight_text", "start_text", "workspace_text", "workspace_ragged",
             "link_lengths_number", "radius_list", "index_out_of_range",
-            "pose_indices_two", "chain_base_indices_one", "stretch_t_nan",
+            "pose_indices_two", "chain_base_indices_one",
+            "chain_angle_indices_overlap_base", "stretch_t_nan",
             "radius_inf", "weight_too_large",
             "robot_below_obstacle_dimension", "unknown_top_level_key",
             "unknown_planner_key", "unknown_level_key",
