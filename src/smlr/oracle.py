@@ -29,7 +29,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, dijkstra
 
 from .spaces import StateSpace, points_to_edge_distance
-from .validity import CHUNK_STATES, LevelValidity
+from .validity import ChainRobot, LevelValidity, PolygonRobot
 
 MAX_ORACLE_DIM = 4
 
@@ -71,10 +71,23 @@ class GridOracle:
         mesh = np.meshgrid(*self._centers_1d, indexing="ij")
         self.centers = np.stack([m.ravel() for m in mesh], axis=-1)
         self.n_cells = len(self.centers)
-        self.free = validity.valid_mask(self.centers)
         # neighbor centers are at most h*sqrt(dim) apart
         self._substeps = int(validity.motion_steps(
             self.h * math.sqrt(space.dim)))
+        # graph() certifies edges from the cell boxes where it checks
+        # substeps: one substep has no interior state to check, and an
+        # unconstrained level passes every state
+        self._checked = self._substeps > 1 and not validity.unconstrained
+        # a polygon or chain is posed to be checked, and the boxes come
+        # from that posing; graph() drops them.  A point's box is its
+        # position, which graph() takes itself.
+        self._boxes = None
+        if self._checked and isinstance(validity.robot,
+                                        (PolygonRobot, ChainRobot)):
+            self.free, lo, hi = validity.valid_and_box(self.centers)
+            self._boxes = lo, hi
+        else:
+            self.free = validity.valid_mask(self.centers)
         self._graph = None
         self._labels = None
 
@@ -140,19 +153,6 @@ class GridOracle:
         w[fail] = np.inf
         return w
 
-    def _cell_boxes(self):
-        """Every cell centre's body box (RobotModel.body_box), posed
-        CHUNK_STATES centres at a time into one preallocated array; a list
-        of chunks joined by np.concatenate left the heap about 1.4 MB
-        higher at the oracle benchmark's peak -> (lo, hi), each
-        (n_cells, workspace dimension)."""
-        robot = self.validity.robot
-        lo, hi = np.empty((2, self.n_cells, len(robot.position_indices)))
-        for i in range(0, self.n_cells, CHUNK_STATES):
-            c = slice(i, i + CHUNK_STATES)
-            lo[c], hi[c] = robot.body_box(self.centers[c])
-        return lo, hi
-
     def _certified(self, src, dst, boxes, pad):
         """Edges src[i]-dst[i] whose two cell boxes' hull, widened by pad,
         is clear (LevelValidity.boxes_clear) -> (n,) bool.  The body box
@@ -186,11 +186,10 @@ class GridOracle:
         offsets = self._neighbor_offsets()
         robot = self.validity.robot
         positions = set(robot.position_indices)
-        # one substep has no interior state to check, and an unconstrained
-        # level passes every state
-        checked = self._substeps > 1 and not self.validity.unconstrained
+        checked = self._checked
         if checked:
-            boxes = self._cell_boxes()
+            boxes = self._boxes or robot.body_box(self.centers)
+            self._boxes = None
         # column k: each cell's neighbour across offsets[k] and the edge
         # weight, inf where there is no edge
         nbr = np.empty((self.n_cells, len(offsets)), dtype=np.int32)

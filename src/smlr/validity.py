@@ -38,6 +38,13 @@ def _take(x, rows):
     return x.T.take(rows, axis=-1).T
 
 
+def _take_points(x, rows, cols):
+    """x[rows, cols] of an (n, k, 2) array of points, in column-major
+    order: one take of flat indices, about five times faster than the
+    two fancy indices -> (len(rows), 2)."""
+    return x.T.reshape(2, -1).take(cols * len(x) + rows, axis=1).T
+
+
 class CollisionWorld:
     """An obstacle list compiled into stacked arrays for one-pass tests.
 
@@ -51,7 +58,9 @@ class CollisionWorld:
     robots).  The polygon and chain robots test (pose, obstacle) pairs
     instead: broad_phase pairs each pose with the obstacles whose bounding
     box, widened by BOX_MARGIN, meets the pose's box, and the exact tests
-    run on those pairs only.  Each test uses the same float operations as
+    run on those pairs only, in stages, each on the pairs that the ones
+    before left open; segment_pairs keeps only the body segments whose own
+    box meets the obstacle's.  Each test uses the same float operations as
     the obstacle's own predicate, so results are bit-identical to testing
     the obstacles one by one.
     """
@@ -121,6 +130,24 @@ class CollisionWorld:
         table = self.seg_table[obs]
         pair, col = np.nonzero(table >= 0)
         return pair, table[pair, col]
+
+    def segment_pairs(self, a, b, pad: float, obs):
+        """Rows of the segment test: body segment a[i, e]-b[i, e] of pair
+        i (a and b (n, k, 2)) is kept when its box, widened by pad, meets
+        the bounding box of obstacle obs[i], itself widened by BOX_MARGIN,
+        and becomes one row per boundary segment of that obstacle, grouped
+        by pair and segment -> (pair, edge, seg) int arrays.  Two segments
+        cross or touch (segment_crossing) only where their boxes meet
+        within 1e-12, and lie within pad of each other only where their
+        boxes meet within pad, so no row dropped can hit."""
+        lo = _take(self.aabb_lo, obs)[:, None]
+        hi = _take(self.aabb_hi, obs)[:, None]
+        meets = (np.minimum(a, b) - pad <= hi) & \
+            (np.maximum(a, b) + pad >= lo)
+        pair, edge = np.nonzero(meets[..., 0] & meets[..., 1])
+        table = self.seg_table[obs[pair]]
+        row, col = np.nonzero(table >= 0)
+        return pair[row], edge[row], table[row, col]
 
     def points_near(self, pts, obs, kinds, margin: float,
                     discs: bool = True):
@@ -193,21 +220,23 @@ def _in_workspace(body_lo, body_hi, lo, hi, r):
 
 
 def _valid_body(body, r, world, lo, hi, collides):
-    """Validity of posed bodies (m, k, 2) whose points are widened by r.
-    The workspace test and the broad phase share each pose's box: the poses
-    inside the workspace are paired with the obstacles their box meets, and
-    the exact collides(body[pose], world, obs) runs on those pairs only."""
+    """Validity and box of posed bodies (m, k, 2) whose points are widened
+    by r.  The workspace test and the broad phase share each pose's box:
+    the poses inside the workspace are paired with the obstacles their box
+    meets, and the exact collides(body[pose], world, obs) runs on those
+    pairs only -> (ok, box_lo, box_hi), the box widened by r."""
     body_lo, body_hi = body.min(axis=1), body.max(axis=1)
     ok = _in_workspace(body_lo, body_hi, lo, hi, r)
+    if r:
+        body_lo, body_hi = body_lo - r, body_hi + r
     rows = np.flatnonzero(ok)
-    if not len(rows):
-        return ok
-    pose, obs = world.broad_phase(_take(body_lo, rows) - r,
-                                  _take(body_hi, rows) + r)
-    if len(pose):
-        pose = rows[pose]
-        ok[pose[collides(_take(body, pose), world, obs)]] = False
-    return ok
+    if len(rows):
+        pose, obs = world.broad_phase(_take(body_lo, rows),
+                                      _take(body_hi, rows))
+        if len(pose):
+            pose = rows[pose]
+            ok[pose[collides(_take(body, pose), world, obs)]] = False
+    return ok, body_lo, body_hi
 
 
 def rotation_pad(rho: float, delta: float) -> float:
@@ -246,6 +275,11 @@ class RobotModel:
         """Rows of coords whose posed robot lies inside the workspace box
         [lo, hi] (any pose when lo is None) and overlaps no obstacle of
         world; the robot is posed once for the whole batch -> (m,) bool."""
+        return self.valid_and_box(coords, world, lo, hi)[0]
+
+    def valid_and_box(self, coords, world, lo, hi):
+        """valid and body_box of the rows from one posing of the batch
+        -> (ok, box_lo, box_hi)."""
         raise NotImplementedError
 
     def body_box(self, coords: np.ndarray):
@@ -284,6 +318,9 @@ class PointRobot(RobotModel):
         p = self._pos(coords)
         return _in_workspace(p, p, lo, hi, self.radius) & \
             ~world.near_points(p, self.radius)
+
+    def valid_and_box(self, coords, world, lo, hi):
+        return (self.valid(coords, world, lo, hi), *self.body_box(coords))
 
     def body_box(self, coords):
         p = self._pos(coords)
@@ -330,7 +367,7 @@ class PolygonRobot(RobotModel):
     def position_indices(self):
         return self.pose_indices[:2]
 
-    def valid(self, coords, world, lo, hi):
+    def valid_and_box(self, coords, world, lo, hi):
         return _valid_body(self._verts(coords), 0.0, world, lo, hi,
                            self._collides)
 
@@ -348,29 +385,39 @@ class PolygonRobot(RobotModel):
     @staticmethod
     def _collides(a, world, obs):
         """Whether the posed polygon a[i] (n, nv, 2) overlaps obstacle
-        obs[i]: a vertex inside the obstacle, a disc's centre inside the
-        polygon or within its radius of an edge, an obstacle corner inside
-        the polygon, or an edge crossing an obstacle edge -> (n,) bool."""
+        obs[i], in stages, each on the pairs the ones before left open: a
+        vertex inside the obstacle; a disc's centre inside the polygon or
+        within its radius of an edge, or an obstacle corner inside the
+        polygon; an edge crossing an obstacle edge -> (n,) bool."""
+        hit = world.points_near(a, obs, world.kind_slices(obs), 0.0)
+        live = np.flatnonzero(~hit)
+        a, obs = _take(a, live), obs[live]
         # each vertex's successor: np.roll(a, -1, axis=1), column-major
         b = np.concatenate([a[:, 1:], a[:, :1]], axis=1)
-        kinds = world.kind_slices(obs)
-        hit = world.points_near(a, obs, kinds, 0.0)
-        _, disc, _ = kinds
+        found = np.zeros(len(live), dtype=bool)
+        _, disc, _ = world.kind_slices(obs)
         if disc.stop > disc.start:
             j = obs[disc] - world.first_disc
             c = _take(world.disc_centers, j)[:, None]
             ea, eb = a[disc], b[disc]
             inside = np.logical_xor.reduce(edge_crossings(c, ea, eb), axis=1)
             d = point_segment_dist(c, ea, eb).min(axis=1)
-            hit[disc] |= inside | (d <= world.disc_radii[j])
+            found[disc] = inside | (d <= world.disc_radii[j])
         if world.has_segments:
             pair, seg = world.segment_rows(obs)
             p = _take(world.seg_a, seg)[:, None]
-            q = _take(world.seg_b, seg)[:, None]
-            ea, eb = _take(a, pair), _take(b, pair)
-            inside = np.logical_xor.reduce(edge_crossings(p, ea, eb), axis=1)
-            hit[pair[inside | segment_crossing(ea, eb, p, q).any(axis=1)]] \
-                = True
+            inside = edge_crossings(p, _take(a, pair), _take(b, pair))
+            found[pair[np.logical_xor.reduce(inside, axis=1)]] = True
+            rest = np.flatnonzero(~found)
+            pair, edge, seg = world.segment_pairs(
+                _take(a, rest), _take(b, rest), 0.0, obs[rest])
+            pose = rest[pair]
+            cross = segment_crossing(
+                _take_points(a, pose, edge),
+                _take_points(a, pose, (edge + 1) % a.shape[1]),
+                _take(world.seg_a, seg), _take(world.seg_b, seg))
+            found[pose[cross]] = True
+        hit[live[found]] = True
         return hit
 
 
@@ -410,7 +457,7 @@ class ChainRobot(RobotModel):
     def position_indices(self):
         return self.base_indices
 
-    def valid(self, coords, world, lo, hi):
+    def valid_and_box(self, coords, world, lo, hi):
         return _valid_body(self.joints(coords), self.link_radius, world, lo,
                            hi, self._collides)
 
@@ -429,24 +476,30 @@ class ChainRobot(RobotModel):
 
     def _collides(self, j, world, obs):
         """Whether the chain posed as j[i] (n, L+1, 2) overlaps obstacle
-        obs[i]: a joint within link_radius of a box or polygon, or a link
-        within link_radius of a disc or of an obstacle edge -> (n,) bool."""
-        a, b = j[:, :-1], j[:, 1:]
+        obs[i], in two stages: a joint within link_radius of a box or
+        polygon; then, on the pairs left open, a link within link_radius
+        of a disc or of an obstacle edge -> (n,) bool."""
         r = self.link_radius
-        kinds = world.kind_slices(obs)
-        hit = world.points_near(j, obs, kinds, r, discs=False)
-        _, disc, _ = kinds
+        hit = world.points_near(j, obs, world.kind_slices(obs), r,
+                                discs=False)
+        live = np.flatnonzero(~hit)
+        j, obs = _take(j, live), obs[live]
+        a, b = j[:, :-1], j[:, 1:]
+        found = np.zeros(len(live), dtype=bool)
+        _, disc, _ = world.kind_slices(obs)
         if disc.stop > disc.start:
             k = obs[disc] - world.first_disc
             d = point_segment_dist(_take(world.disc_centers, k)[:, None],
                                    a[disc], b[disc])
-            hit[disc] |= d.min(axis=1) <= world.disc_radii[k] + r
+            found[disc] = d.min(axis=1) <= world.disc_radii[k] + r
         if world.has_segments:
-            pair, seg = world.segment_rows(obs)
-            d = segment_segment_dist(_take(a, pair), _take(b, pair),
-                                     _take(world.seg_a, seg)[:, None],
-                                     _take(world.seg_b, seg)[:, None])
-            hit[pair[(d <= r).any(axis=1)]] = True
+            pair, edge, seg = world.segment_pairs(a, b, r, obs)
+            d = segment_segment_dist(_take_points(j, pair, edge),
+                                     _take_points(j, pair, edge + 1),
+                                     _take(world.seg_a, seg),
+                                     _take(world.seg_b, seg))
+            found[pair[d <= r]] = True
+        hit[live[found]] = True
         return hit
 
 
@@ -506,6 +559,20 @@ class LevelValidity:
                 coords[i:i + CHUNK_STATES], self._world, self.workspace_lo,
                 self.workspace_hi)
         return ok
+
+    def valid_and_box(self, coords):
+        """valid_mask(coords) and each row's RobotModel.body_box, from one
+        posing of each CHUNK_STATES slice into preallocated arrays; every
+        row is posed, also on an unconstrained level -> (ok, lo, hi), the
+        boxes (m, workspace dimension)."""
+        coords = np.asarray(coords, dtype=float)
+        ok = np.empty(len(coords), dtype=bool)
+        lo, hi = np.empty((2, len(coords), len(self.robot.position_indices)))
+        for i in range(0, len(coords), CHUNK_STATES):
+            c = slice(i, i + CHUNK_STATES)
+            ok[c], lo[c], hi[c] = self.robot.valid_and_box(
+                coords[c], self._world, self.workspace_lo, self.workspace_hi)
+        return ok, lo, hi
 
     def boxes_clear(self, lo, hi) -> np.ndarray:
         """Rows whose workspace box [lo[i], hi[i]], widened by BOX_MARGIN,

@@ -267,10 +267,18 @@ class TestWorldEqualsPerObstacle:
     @given(robot=robots(), obstacle_list=obstacles(),
            seed=st.integers(0, 2 ** 32 - 1))
     def test_batch_beyond_chunk_size(self, robot, obstacle_list, seed):
+        """valid_mask, and valid_and_box, which also returns each row's
+        body_box from the same posing, on three chunks."""
         v = validity(robot, obstacle_list, workspace=True)
         x = states(np.random.default_rng(seed), robot,
                    2 * CHUNK_STATES + 7, obstacle_list)
-        np.testing.assert_array_equal(v.valid_mask(x), ref_valid_mask(v, x))
+        want = ref_valid_mask(v, x)
+        np.testing.assert_array_equal(v.valid_mask(x), want)
+        ok, lo, hi = v.valid_and_box(x)
+        assert ok.tobytes() == want.tobytes()
+        box = robot.body_box(x)
+        assert (lo.tobytes(), hi.tobytes()) == (box[0].tobytes(),
+                                                box[1].tobytes())
 
     @settings(max_examples=60, deadline=None)
     @given(robot=robots(), obstacle_list=obstacles(),
@@ -393,6 +401,48 @@ def meeting_pairs(robot, coords, obstacle_list):
     return ((lo[:, None] <= ohi) & (hi[:, None] >= olo)).all(axis=2)
 
 
+def body_segments(robot, body):
+    """Each posed body's segments: a polygon's edges, a chain's links
+    -> (a, b), each (m, k, 2)."""
+    if isinstance(robot, ChainRobot):
+        return body[:, :-1], body[:, 1:]
+    return body, np.roll(body, -1, axis=1)
+
+
+def staged_rows(robot, coords, obstacle_list):
+    """The rows of the segment stage of the exact test, for poses inside
+    the workspace: each pair of a pose and an obstacle with segments whose
+    boxes meet, and that neither a vertex or joint near the obstacle nor
+    (for a polygon robot) an obstacle corner inside the polygon decides;
+    each of the pose's edges or links whose box (widened by the link
+    radius) meets the obstacle's bounding box widened by BOX_MARGIN,
+    against each segment of the obstacle -> list of the four end points'
+    bytes per row."""
+    chain = isinstance(robot, ChainRobot)
+    pad = robot.link_radius if chain else 0.0
+    body = posed_body(robot, coords)
+    a, b = body_segments(robot, body)
+    meets = meeting_pairs(robot, coords, obstacle_list)
+    rows = []
+    for j, o in enumerate(obstacle_list):
+        if o.boundary_segments() is None:
+            continue
+        oa, ob = o.boundary_segments()
+        lo, hi = o.bounding_box()
+        for i in np.flatnonzero(meets[:, j]):
+            if (o.signed_distance(body[i]) <= pad).any() or (
+                    not chain and polygons_contain(body[i][None], oa).any()):
+                continue
+            seg_lo = np.minimum(a[i], b[i]) - pad
+            seg_hi = np.maximum(a[i], b[i]) + pad
+            kept = ((seg_lo <= hi + BOX_MARGIN)
+                    & (seg_hi >= lo - BOX_MARGIN)).all(axis=1)
+            rows += [(a[i, e].tobytes(), b[i, e].tobytes(), p.tobytes(),
+                      q.tobytes())
+                     for e in np.flatnonzero(kept) for p, q in zip(oa, ob)]
+    return rows
+
+
 class TestBroadPhase:
     @pytest.mark.parametrize("robot", TOUCHING_ROBOTS,
                              ids=lambda r: type(r).__name__)
@@ -418,9 +468,9 @@ class TestBroadPhase:
         for name in ("segment_crossing", "segment_segment_dist"):
             original = getattr(validity_module, name)
 
-            def counted(a0, *rest, _original=original):
-                rows.append(a0.shape[:2])
-                return _original(a0, *rest)
+            def counted(*ends, _original=original):
+                rows.extend(zip(*([r.tobytes() for r in e] for e in ends)))
+                return _original(*ends)
             monkeypatch.setattr(validity_module, name, counted)
         v = validity(robot, BOUNDARY_OBSTACLES, workspace=True)
         far = np.zeros((50, robot_dim(robot)))
@@ -429,19 +479,23 @@ class TestBroadPhase:
         assert v.valid_mask(far).all()
         assert rows == []
         touching = poses_around(robot, BOUNDARY_OBSTACLES[0], 0.0)
+        assert ref_in_workspace(robot, touching, v.workspace_lo,
+                                v.workspace_hi).all()
         near = np.concatenate([far, touching])
         np.testing.assert_array_equal(v.valid_mask(near),
                                       ref_valid_mask(v, near))
-        # one row per boundary segment of each obstacle with segments (the
-        # box and the polygon) whose box meets a touching pose's box, each
-        # row holding that pose's links or edges
+        want = staged_rows(robot, touching, BOUNDARY_OBSTACLES)
+        assert sorted(rows) == sorted(want)
+        # the stages drop rows: every boundary segment of each obstacle with
+        # segments (the box and the polygon) whose box meets a touching
+        # pose's box, against each of that pose's links or edges, is more
         per_pose = len(robot.vertices) if isinstance(robot, PolygonRobot) \
             else len(robot.link_lengths)
         meets = meeting_pairs(robot, touching, BOUNDARY_OBSTACLES)
         segments = sum(meets[:, j].sum() * len(o.boundary_segments()[0])
                        for j, o in enumerate(BOUNDARY_OBSTACLES)
                        if o.boundary_segments() is not None)
-        assert rows == [(segments, per_pose)]
+        assert 0 < len(rows) < segments * per_pose
 
     @pytest.mark.parametrize("robot", TOUCHING_ROBOTS,
                              ids=lambda r: type(r).__name__)
@@ -485,6 +539,69 @@ class TestBroadPhase:
         x = states(np.random.default_rng(5), robot, 300, [])
         want = ref_valid_mask(v, x)
         assert 0 < want.sum() < len(x)
+        np.testing.assert_array_equal(v.valid_mask(x), want)
+
+
+def face_robot(kind, side):
+    """A robot and its pose at y = 0 whose long edge or link lies along
+    y = 0, at angle 0, so that its posed coordinates are exact, and spans
+    the x range of BOUNDARY_OBSTACLES' box.  For side +1 (-1) the robot
+    sits above (below) the box: the polygon's bar lies beyond the long
+    edge, away from the box, and an arm 0.0625 or more to the right of
+    the box reaches down (up) across the box's face, so the pose's box
+    meets the box whatever the long segment's gap -> (robot, coords)."""
+    if kind == "polygon":
+        bar = [[0.0, -0.0625], [0.5, -0.0625], [0.5, 0.25], [0.4375, 0.25],
+               [0.4375, 0.0], [0.0, 0.0]]
+        if side > 0:
+            bar = [[x, -y] for x, y in bar[::-1]]
+        return PolygonRobot(vertices=bar), np.array([0.25, 0.0, 0.0])
+    robot = ChainRobot(link_lengths=(0.5, 0.125), link_radius=0.03125,
+                       angle_indices=(2, 3))
+    return robot, np.array([0.25, 0.0, 0.0, -side * math.pi / 2])
+
+
+class TestSegmentBroadPhase:
+    """segment_pairs keeps a body segment exactly when its own box,
+    widened by the link radius, meets the obstacle's bounding box widened
+    by BOX_MARGIN: here one long edge or link of a pose whose box meets
+    the obstacle's through another segment."""
+
+    @pytest.mark.parametrize("kind", ["polygon", "chain"])
+    @pytest.mark.parametrize("side", [1, -1], ids=["above", "below"])
+    def test_segment_box_at_the_margin(self, kind, side):
+        box = BOUNDARY_OBSTACLES[0]
+        robot, pose = face_robot(kind, side)
+        v = validity(robot, [box], workspace=True)
+        pad = robot.link_radius if kind == "chain" else 0.0
+        face = box.bounding_box()[side > 0][1]
+        widened = face + side * BOX_MARGIN
+        # the gap between the long segment's box and the box's face: 0,
+        # half the crossing kernel's 1e-12 touch tolerance, BOX_MARGIN as
+        # the broad phase rounds it, and one ulp beyond that
+        targets = [face, face + side * 5e-13, widened,
+                   np.nextafter(widened, side * np.inf)]
+        x = np.repeat(pose[None], len(targets), axis=0)
+        x[:, 1] = [t + side * pad for t in targets]
+        body = posed_body(robot, x)
+        a, b = body_segments(robot, body)
+        flat = (a[..., 1] == b[..., 1]) & (a[..., 1] == x[:, 1, None])
+        assert (flat.sum(axis=1) == 1).all()
+        long = int(np.flatnonzero(flat[0])[0])
+        near = (np.minimum if side > 0 else np.maximum)(
+            a[:, long, 1], b[:, long, 1]) - side * pad
+        assert near.tolist() == targets
+        assert meeting_pairs(robot, x, [box]).all()
+        assert ref_in_workspace(robot, x, v.workspace_lo,
+                                v.workspace_hi).all()
+        for i in range(len(x)):
+            _, edge, _ = v._world.segment_pairs(
+                a[i:i + 1], b[i:i + 1], pad, np.zeros(1, dtype=int))
+            assert set(edge.tolist()) == ({long} if i < 3 else set())
+        want = ref_valid_mask(v, x)
+        # the touching segment collides; 5e-13 apart only a polygon's edge
+        # does, by the crossing kernel's touch tolerance
+        assert want.tolist() == [False, kind == "chain", True, True]
         np.testing.assert_array_equal(v.valid_mask(x), want)
 
 

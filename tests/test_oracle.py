@@ -421,6 +421,43 @@ class TestEdgeCertificate:
         assert o._edge_valid_mask(b, a).all()
 
 
+class TestOnePosingPerCentre:
+    @pytest.mark.parametrize("kind, h, pose",
+                             [("se2", 0.1, "_verts"), ("chain", 0.25,
+                                                       "joints")])
+    def test_centres_posed_once(self, kind, h, pose, monkeypatch):
+        """The oracle poses each cell centre once, for free and its body
+        box, and graph() poses only the substep states it checks."""
+        v = grid_level(kind, [Box([0.4, 0.4], [0.6, 0.6]),
+                              Disc([0.2, 0.8], 0.1)])
+        robot = v.robot
+        posed, checked = [], []
+        original_pose = getattr(type(robot), pose)
+        original_mask = LevelValidity.valid_mask
+
+        def counted_pose(self, coords):
+            posed.append(len(coords))
+            return original_pose(self, coords)
+
+        def counted_mask(self, coords):
+            checked.append(len(coords))
+            return original_mask(self, coords)
+        monkeypatch.setattr(type(robot), pose, counted_pose)
+        monkeypatch.setattr(LevelValidity, "valid_mask", counted_mask)
+        o = GridOracle(v.space, v, h)
+        assert o._substeps > 1
+        assert sum(posed) == o.n_cells and checked == []
+        lo, hi = o._boxes
+        o.graph()
+        assert o._boxes is None
+        assert sum(checked) > 0
+        assert sum(posed) == o.n_cells + sum(checked)
+        want = robot.body_box(o.centers)
+        assert lo.tobytes() == want[0].tobytes()
+        assert hi.tobytes() == want[1].tobytes()
+        np.testing.assert_array_equal(o.free, v.valid_mask(o.centers))
+
+
 class TestDuplicateEntries:
     def test_two_cell_circle(self):
         # offsets +1 and -1 reach the same neighbour
