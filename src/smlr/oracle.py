@@ -10,9 +10,10 @@ widened by the robot's pad for the moved axes (0 for a translation, a
 sagitta-type bound for a rotation), contains the body box of every state
 between them.  When that widened hull lies inside the workspace and meets no
 obstacle's bounding box, valid_mask would pass every one of those states, so
-the edge stands without them and the graph is the same.  Each edge weighs
-StateSpace.distance of its two centres, bit for bit, so an oracle cost is a
-sum of the planner's own metric.
+the edge stands without them and the graph is the same.  The body boxes come
+from one posing per posture, the coordinates other than the position.  Each
+edge weighs StateSpace.distance of its two centres, bit for bit, so an oracle
+cost is a sum of the planner's own metric.
 
 This is the one module that needs SciPy, and `import smlr` does not import
 it.  SciPy loads at module level, not inside the methods, so a caller that
@@ -29,7 +30,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, dijkstra
 
 from .spaces import StateSpace, points_to_edge_distance
-from .validity import ChainRobot, LevelValidity, PolygonRobot
+from .validity import LevelValidity
 
 MAX_ORACLE_DIM = 4
 
@@ -71,23 +72,10 @@ class GridOracle:
         mesh = np.meshgrid(*self._centers_1d, indexing="ij")
         self.centers = np.stack([m.ravel() for m in mesh], axis=-1)
         self.n_cells = len(self.centers)
+        self.free = validity.valid_mask(self.centers)
         # neighbor centers are at most h*sqrt(dim) apart
         self._substeps = int(validity.motion_steps(
             self.h * math.sqrt(space.dim)))
-        # graph() certifies edges from the cell boxes where it checks
-        # substeps: one substep has no interior state to check, and an
-        # unconstrained level passes every state
-        self._checked = self._substeps > 1 and not validity.unconstrained
-        # a polygon or chain is posed to be checked, and the boxes come
-        # from that posing; graph() drops them.  A point's box is its
-        # position, which graph() takes itself.
-        self._boxes = None
-        if self._checked and isinstance(validity.robot,
-                                        (PolygonRobot, ChainRobot)):
-            self.free, lo, hi = validity.valid_and_box(self.centers)
-            self._boxes = lo, hi
-        else:
-            self.free = validity.valid_mask(self.centers)
         self._graph = None
         self._labels = None
 
@@ -153,6 +141,24 @@ class GridOracle:
         w[fail] = np.inf
         return w
 
+    def _centre_boxes(self):
+        """Every centre's RobotModel.body_box -> (lo, hi), one row per cell.
+        A body moves with its position coordinates, so a centre's box is its
+        position plus the box of its posture (its other coordinates) posed
+        at position 0: one body_box call on the few postures, broadcast over
+        the lattice.  The floats are body_box's own, but for a chain's last
+        bit: body_box takes the link radius off after adding the base, this
+        before, far below the BOX_MARGIN that boxes_clear widens by."""
+        pos = list(self.validity.robot.position_indices)
+        axes = [[0.0] if i in pos else c
+                for i, c in enumerate(self._centers_1d)]
+        mesh = np.meshgrid(*axes, indexing="ij")
+        boxes = self.validity.robot.body_box(
+            np.stack([m.ravel() for m in mesh], axis=-1))
+        at = self.centers[:, pos].reshape(*self.cells_per_dim, len(pos))
+        return tuple((at + b.reshape(*mesh[0].shape, len(pos))).reshape(
+            self.n_cells, len(pos)) for b in boxes)
+
     def _certified(self, src, dst, boxes, pad):
         """Edges src[i]-dst[i] whose two cell boxes' hull, widened by pad,
         is clear (LevelValidity.boxes_clear) -> (n,) bool.  The body box
@@ -186,10 +192,11 @@ class GridOracle:
         offsets = self._neighbor_offsets()
         robot = self.validity.robot
         positions = set(robot.position_indices)
-        checked = self._checked
+        # one substep has no interior state to check, and an unconstrained
+        # level passes every state
+        checked = self._substeps > 1 and not self.validity.unconstrained
         if checked:
-            boxes = self._boxes or robot.body_box(self.centers)
-            self._boxes = None
+            boxes = self._centre_boxes()
         # column k: each cell's neighbour across offsets[k] and the edge
         # weight, inf where there is no edge
         nbr = np.empty((self.n_cells, len(offsets)), dtype=np.int32)

@@ -145,9 +145,8 @@ class CollisionWorld:
         meets = (np.minimum(a, b) - pad <= hi) & \
             (np.maximum(a, b) + pad >= lo)
         pair, edge = np.nonzero(meets[..., 0] & meets[..., 1])
-        table = self.seg_table[obs[pair]]
-        row, col = np.nonzero(table >= 0)
-        return pair[row], edge[row], table[row, col]
+        row, seg = self.segment_rows(obs[pair])
+        return pair[row], edge[row], seg
 
     def points_near(self, pts, obs, kinds, margin: float,
                     discs: bool = True):
@@ -220,23 +219,21 @@ def _in_workspace(body_lo, body_hi, lo, hi, r):
 
 
 def _valid_body(body, r, world, lo, hi, collides):
-    """Validity and box of posed bodies (m, k, 2) whose points are widened
-    by r.  The workspace test and the broad phase share each pose's box:
-    the poses inside the workspace are paired with the obstacles their box
-    meets, and the exact collides(body[pose], world, obs) runs on those
-    pairs only -> (ok, box_lo, box_hi), the box widened by r."""
+    """Validity of posed bodies (m, k, 2) whose points are widened by r.
+    The workspace test and the broad phase share each pose's box: the poses
+    inside the workspace are paired with the obstacles their box meets, and
+    the exact collides(body[pose], world, obs) runs on those pairs only."""
     body_lo, body_hi = body.min(axis=1), body.max(axis=1)
     ok = _in_workspace(body_lo, body_hi, lo, hi, r)
-    if r:
-        body_lo, body_hi = body_lo - r, body_hi + r
     rows = np.flatnonzero(ok)
-    if len(rows):
-        pose, obs = world.broad_phase(_take(body_lo, rows),
-                                      _take(body_hi, rows))
-        if len(pose):
-            pose = rows[pose]
-            ok[pose[collides(_take(body, pose), world, obs)]] = False
-    return ok, body_lo, body_hi
+    if not len(rows):
+        return ok
+    pose, obs = world.broad_phase(_take(body_lo, rows) - r,
+                                  _take(body_hi, rows) + r)
+    if len(pose):
+        pose = rows[pose]
+        ok[pose[collides(_take(body, pose), world, obs)]] = False
+    return ok
 
 
 def rotation_pad(rho: float, delta: float) -> float:
@@ -275,11 +272,6 @@ class RobotModel:
         """Rows of coords whose posed robot lies inside the workspace box
         [lo, hi] (any pose when lo is None) and overlaps no obstacle of
         world; the robot is posed once for the whole batch -> (m,) bool."""
-        return self.valid_and_box(coords, world, lo, hi)[0]
-
-    def valid_and_box(self, coords, world, lo, hi):
-        """valid and body_box of the rows from one posing of the batch
-        -> (ok, box_lo, box_hi)."""
         raise NotImplementedError
 
     def body_box(self, coords: np.ndarray):
@@ -318,9 +310,6 @@ class PointRobot(RobotModel):
         p = self._pos(coords)
         return _in_workspace(p, p, lo, hi, self.radius) & \
             ~world.near_points(p, self.radius)
-
-    def valid_and_box(self, coords, world, lo, hi):
-        return (self.valid(coords, world, lo, hi), *self.body_box(coords))
 
     def body_box(self, coords):
         p = self._pos(coords)
@@ -367,7 +356,7 @@ class PolygonRobot(RobotModel):
     def position_indices(self):
         return self.pose_indices[:2]
 
-    def valid_and_box(self, coords, world, lo, hi):
+    def valid(self, coords, world, lo, hi):
         return _valid_body(self._verts(coords), 0.0, world, lo, hi,
                            self._collides)
 
@@ -457,7 +446,7 @@ class ChainRobot(RobotModel):
     def position_indices(self):
         return self.base_indices
 
-    def valid_and_box(self, coords, world, lo, hi):
+    def valid(self, coords, world, lo, hi):
         return _valid_body(self.joints(coords), self.link_radius, world, lo,
                            hi, self._collides)
 
@@ -559,20 +548,6 @@ class LevelValidity:
                 coords[i:i + CHUNK_STATES], self._world, self.workspace_lo,
                 self.workspace_hi)
         return ok
-
-    def valid_and_box(self, coords):
-        """valid_mask(coords) and each row's RobotModel.body_box, from one
-        posing of each CHUNK_STATES slice into preallocated arrays; every
-        row is posed, also on an unconstrained level -> (ok, lo, hi), the
-        boxes (m, workspace dimension)."""
-        coords = np.asarray(coords, dtype=float)
-        ok = np.empty(len(coords), dtype=bool)
-        lo, hi = np.empty((2, len(coords), len(self.robot.position_indices)))
-        for i in range(0, len(coords), CHUNK_STATES):
-            c = slice(i, i + CHUNK_STATES)
-            ok[c], lo[c], hi[c] = self.robot.valid_and_box(
-                coords[c], self._world, self.workspace_lo, self.workspace_hi)
-        return ok, lo, hi
 
     def boxes_clear(self, lo, hi) -> np.ndarray:
         """Rows whose workspace box [lo[i], hi[i]], widened by BOX_MARGIN,

@@ -267,18 +267,10 @@ class TestWorldEqualsPerObstacle:
     @given(robot=robots(), obstacle_list=obstacles(),
            seed=st.integers(0, 2 ** 32 - 1))
     def test_batch_beyond_chunk_size(self, robot, obstacle_list, seed):
-        """valid_mask, and valid_and_box, which also returns each row's
-        body_box from the same posing, on three chunks."""
         v = validity(robot, obstacle_list, workspace=True)
         x = states(np.random.default_rng(seed), robot,
                    2 * CHUNK_STATES + 7, obstacle_list)
-        want = ref_valid_mask(v, x)
-        np.testing.assert_array_equal(v.valid_mask(x), want)
-        ok, lo, hi = v.valid_and_box(x)
-        assert ok.tobytes() == want.tobytes()
-        box = robot.body_box(x)
-        assert (lo.tobytes(), hi.tobytes()) == (box[0].tobytes(),
-                                                box[1].tobytes())
+        np.testing.assert_array_equal(v.valid_mask(x), ref_valid_mask(v, x))
 
     @settings(max_examples=60, deadline=None)
     @given(robot=robots(), obstacle_list=obstacles(),

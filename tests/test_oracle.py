@@ -426,8 +426,9 @@ class TestOnePosingPerCentre:
                              [("se2", 0.1, "_verts"), ("chain", 0.25,
                                                        "joints")])
     def test_centres_posed_once(self, kind, h, pose, monkeypatch):
-        """The oracle poses each cell centre once, for free and its body
-        box, and graph() poses only the substep states it checks."""
+        """__init__ checks the cell centres in one valid_mask call, and
+        graph() poses only the postures, for the centre boxes, and the
+        substep states it checks."""
         v = grid_level(kind, [Box([0.4, 0.4], [0.6, 0.6]),
                               Disc([0.2, 0.8], 0.1)])
         robot = v.robot
@@ -446,16 +447,44 @@ class TestOnePosingPerCentre:
         monkeypatch.setattr(LevelValidity, "valid_mask", counted_mask)
         o = GridOracle(v.space, v, h)
         assert o._substeps > 1
-        assert sum(posed) == o.n_cells and checked == []
-        lo, hi = o._boxes
+        assert checked == [o.n_cells] and sum(posed) == o.n_cells
+        posed.clear()
+        checked.clear()
         o.graph()
-        assert o._boxes is None
+        cells = o.cells_per_dim[list(robot.position_indices)]
+        postures = o.n_cells // math.prod(cells.tolist())
+        assert 1 < postures < o.n_cells
         assert sum(checked) > 0
-        assert sum(posed) == o.n_cells + sum(checked)
-        want = robot.body_box(o.centers)
-        assert lo.tobytes() == want[0].tobytes()
-        assert hi.tobytes() == want[1].tobytes()
+        assert sum(posed) == postures + sum(checked)
         np.testing.assert_array_equal(o.free, v.valid_mask(o.centers))
+
+    @pytest.mark.parametrize("kind", ["point", "disc", "se2", "chain"])
+    def test_centre_boxes_equal_body_box(self, kind):
+        """A centre's box is its position plus its posture's box at
+        position 0.  That is body_box's own sum for a point, a disc (here
+        on positions (2, 0) of a 3-D space whose axis 1 it ignores) and a
+        polygon.  body_box takes a chain's link radius off after adding
+        the base and _centre_boxes before, so a chain's boxes may differ
+        in the last bit."""
+        if kind == "point":
+            space = RealVectorSpace([[0, 1], [-1, 2]])
+            v = LevelValidity(space=space, robot=PointRobot())
+        elif kind == "disc":
+            space = RealVectorSpace([[0, 1], [-1, 2], [2, 3.5]])
+            v = LevelValidity(space=space, robot=DiscRobot(
+                radius=0.03, position_indices=(2, 0)))
+        else:
+            v = grid_level(kind, [])
+        o = GridOracle(v.space, v, 0.25 if kind == "chain" else 0.1)
+        lo, hi = o._centre_boxes()
+        want_lo, want_hi = v.robot.body_box(o.centers)
+        assert lo.shape == want_lo.shape == (o.n_cells, 2)
+        if kind == "chain":
+            np.testing.assert_allclose(lo, want_lo, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(hi, want_hi, rtol=0, atol=1e-12)
+        else:
+            assert lo.tobytes() == want_lo.tobytes()
+            assert hi.tobytes() == want_hi.tobytes()
 
 
 class TestDuplicateEntries:

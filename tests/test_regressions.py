@@ -4,12 +4,16 @@ now solve; the open defects are strict xfails, which their fixes flip."""
 import re
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from smlr.bench import make_planner
 from smlr.cli import EXIT_OK, main
+from smlr.geometry import Box
 from smlr.planner import RevalidationError, Status
 from smlr.scenario import load_scenario, shipped_scenario_dir
+from smlr.spaces import RealVectorSpace
+from smlr.validity import LevelValidity, PointRobot
 
 
 def solve(name, seed, planner="smlr"):
@@ -67,6 +71,37 @@ def test_square_wall_is_feasible():
 def test_flat_chain_path_revalidates():
     _, res = solve("chain4_feasible", 70, "flat")
     assert res.status is Status.FEASIBLE
+
+
+# Two guard components on the torus level stay just too far apart for a
+# sample to join them.
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="false Infeasible on level 1 (ROADMAP item 19)")
+def test_torus_band_is_feasible():
+    _, res = solve("torus_band_feasible", 424273)
+    assert res.status is Status.FEASIBLE
+
+
+@pytest.mark.xfail(strict=True, raises=RevalidationError,
+                   reason="a roadmap edge fails at half resolution "
+                          "(ROADMAP item 3)")
+def test_chain_path_revalidates():
+    _, res = solve("chain4_feasible", 100089)
+    assert res.status is Status.FEASIBLE
+
+
+# The two motions' middle states differ in the last bit: a -> b stops at
+# x = 0.39999999999999997, short of the box, and b -> a at x = 0.4, on it.
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="motion_valid is not symmetric (ROADMAP item 3)")
+def test_motion_valid_is_symmetric():
+    v = LevelValidity(space=RealVectorSpace([[0, 1], [0, 1]]),
+                      robot=PointRobot(),
+                      obstacles=[Box([0.4, 0.3], [0.6, 0.7])],
+                      check_resolution=0.3)
+    a = np.array([0.10791468550554813, 0.5])
+    b = np.array([0.6920853144944519, 0.5])
+    assert v.motion_valid(a, b) == v.motion_valid(b, a)
 
 
 def test_plan_prints_the_section_lift(capsys):
