@@ -19,6 +19,15 @@ def _as_points(pts) -> np.ndarray:
     return pts
 
 
+def finite_array(name, values) -> np.ndarray:
+    """values as a float array; a NaN or inf entry, which would pass every
+    comparison it should fail, raises a ValueError naming name."""
+    v = np.asarray(values, dtype=float)
+    if not np.isfinite(v).all():
+        raise ValueError(f"{name} must be finite, got {v.tolist()}")
+    return v
+
+
 def polygon_area(vertices: np.ndarray) -> float:
     """Signed area; positive for CCW orientation."""
     v = np.asarray(vertices, dtype=float)
@@ -190,9 +199,9 @@ class Obstacle:
 
 class Disc(Obstacle):
     def __init__(self, center, radius: float):
-        if radius <= 0:
-            raise ValueError("disc radius must be positive")
-        self.center = np.asarray(center, dtype=float)
+        if not 0 < radius < np.inf:
+            raise ValueError("disc radius must be positive and finite")
+        self.center = finite_array("disc center", center)
         self.radius = float(radius)
 
     def signed_distance(self, pts) -> np.ndarray:
@@ -207,8 +216,8 @@ class Box(Obstacle):
     """Axis-aligned box; works in any dimension."""
 
     def __init__(self, lo, hi):
-        self.lo = np.asarray(lo, dtype=float)
-        self.hi = np.asarray(hi, dtype=float)
+        self.lo = finite_array("box lo", lo)
+        self.hi = finite_array("box hi", hi)
         if np.any(self.lo >= self.hi):
             raise ValueError("box lo must be strictly below hi componentwise")
 
@@ -230,7 +239,7 @@ class Polygon(Obstacle):
     """Simple CCW polygon (>= 3 non-collinear vertices)."""
 
     def __init__(self, vertices):
-        v = np.asarray(vertices, dtype=float)
+        v = finite_array("polygon vertices", vertices)
         if v.ndim != 2 or v.shape[0] < 3 or v.shape[1] != 2:
             raise ValueError("polygon needs >= 3 planar vertices")
         area = polygon_area(v)

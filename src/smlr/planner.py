@@ -61,18 +61,22 @@ class PlannerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.max_failures < 1:
+        if not self.max_failures >= 1:   # also rejects nan
             raise ValueError("max_failures must be >= 1")
         if not 0 < self.delta_fraction <= 1:
             raise ValueError("delta_fraction must be in (0, 1]")
-        if self.eta < 1:
+        if not self.eta >= 1:
             raise ValueError("eta must be >= 1")
-        if self.stretch_t <= 1:
+        if not self.stretch_t > 1:
             raise ValueError("stretch_t must exceed 1")
-        if not self.time_limit > 0:   # also rejects nan
+        if not self.time_limit > 0:
             raise ValueError("time_limit must be positive")
-        if self.seed < 0:
+        if not self.seed >= 0:
             raise ValueError("seed must be >= 0")
+        for name in ("max_failures", "eta", "seed"):
+            value = getattr(self, name)
+            if not (isinstance(value, int) or float(value).is_integer()):
+                raise ValueError(f"{name} must be a whole number, got {value}")
 
 
 @dataclass
@@ -174,15 +178,17 @@ def section_test(level: LevelState, bundle, base_path, start, goal,
     "fiber 0" at the zero fiber clipped to the fiber bounds and "fiber i" at
     the i-th of N_PATTERNS fibers drawn from an rng seeded with (seed,
     level.index), apart from the planner's stream.  The detours are one
-    array, checked in slices of 2, 4, 8, ... rows, one valid_mask call per
-    slice; the first passing row wins, as in a one-at-a-time loop, and
-    loses its consecutive duplicate states.
+    array, checked in slices of 2, 4, 8, ... rows, each slice's segments,
+    row after row, in one motions_valid call; the first row whose segments
+    all pass wins, as in a one-at-a-time loop, and loses its consecutive
+    duplicate states.
     """
     if bundle is None or base_path is None:
         return None
     lifted = lift_section(bundle, base_path, bundle.fiber_of(start),
                           bundle.fiber_of(goal))
-    if level.validity.path_valid(lifted):
+    motions_valid = level.validity.motions_valid
+    if motions_valid(lifted[:-1], lifted[1:]).all():
         return "straight", lifted
     fs = bundle.fiber_space
     if fs is None:
@@ -190,8 +196,8 @@ def section_test(level: LevelState, bundle, base_path, start, goal,
     rng = np.random.default_rng([seed, level.index])
     fibers = np.concatenate([np.clip(np.zeros((1, fs.dim)), fs.lo, fs.hi),
                              fs.sample_uniform(rng, N_PATTERNS)])
-    m, n = len(fibers), len(base_path)
-    detours = np.empty((m, n + 2, len(start)))
+    m, n, dim = len(fibers), len(base_path), len(start)
+    detours = np.empty((m, n + 2, dim))
     detours[:, 0] = start
     detours[:, 1:-1] = bundle.lift_many(
         np.tile(base_path, (m, 1)),
@@ -199,7 +205,10 @@ def section_test(level: LevelState, bundle, base_path, start, goal,
     detours[:, -1] = goal
     lo, size = 0, 2
     while lo < m:
-        ok = np.flatnonzero(level.validity.paths_valid(detours[lo:lo + size]))
+        rows = detours[lo:lo + size]
+        ok = np.flatnonzero(motions_valid(
+            rows[:, :-1].reshape(-1, dim), rows[:, 1:].reshape(-1, dim)
+        ).reshape(len(rows), -1).all(axis=1))
         if len(ok):
             path = detours[lo + ok[0]]
             moved = np.any(path[1:] != path[:-1], axis=1)
@@ -306,11 +315,11 @@ def simplify_path(path, space, checker):
     the scan, and keeps the farthest that passes, or i + 1 when none does.
     Verdicts are kept for the call, keyed by the endpoints' bytes (equal
     endpoints give equal states), so no motion is checked twice.  A path of
-    at most two states is returned as it is, with its path_valid verdict as
-    the one entry of valid.
+    at most two states is returned as it is, with the verdict of its motion
+    from first to last state (one state: its own check) as valid.
     """
     if len(path) <= 2:
-        return list(path), [checker.path_valid(path)]
+        return list(path), checker.motions_valid(path[0], path[-1:]).tolist()
     pts = np.array(path, dtype=float)
     seen: dict[tuple[bytes, bytes], bool] = {}
     for _ in range(SIMPLIFY_ROUNDS):

@@ -19,7 +19,7 @@ import numpy as np
 import yaml
 
 from .bundles import FiberBundle, FiberBundleSequence, Level
-from .geometry import Box, Disc, Polygon
+from .geometry import Box, Disc, Polygon, finite_array
 from .planner import PlannerConfig
 from .spaces import CircleSpace, ProductSpace, RealVectorSpace, StateSpace
 from .validity import (ChainRobot, DiscRobot, LevelValidity, PointRobot,
@@ -237,7 +237,7 @@ def load_scenario(path) -> Scenario:
     workspace = doc.get("workspace")
     if workspace is not None:
         with _named(f"{name}.workspace"):
-            workspace = np.asarray(workspace, dtype=float)
+            workspace = finite_array("workspace", workspace)
         if workspace.ndim != 2 or workspace.shape[1] != 2:
             raise ScenarioError(f"{name}: workspace must be [lo, hi] rows")
 

@@ -46,8 +46,8 @@ class StateSpace:
             self._wrap = slice(int(idx[0]), int(idx[-1]) + 1)
         if np.any(self.lo >= self.hi):
             raise ValueError("lower bound must be strictly below upper bound")
-        if np.any(self.weights <= 0):
-            raise ValueError("metric weights must be positive")
+        if not np.all((self.weights > 0) & (self.weights < np.inf)):
+            raise ValueError("metric weights must be positive and finite")
 
     # -- state handling ----------------------------------------------------
 
@@ -178,6 +178,8 @@ class RealVectorSpace(StateSpace):
         bounds = np.asarray(bounds, dtype=float)
         if bounds.ndim != 2 or bounds.shape[1] != 2 or bounds.shape[0] < 1:
             raise ValueError("bounds must be a (n, 2) array of [lo, hi] rows")
+        if not np.isfinite(bounds).all():
+            raise ValueError(f"bounds must be finite, got {bounds.tolist()}")
         n = bounds.shape[0]
         self._init_flat(bounds[:, 0], bounds[:, 1],
                         np.ones(n), np.zeros(n, dtype=bool))

@@ -146,23 +146,23 @@ class SparseRoadmap:
         The rows are checked in one valid_mask call.  One distance_many
         table holds the distances from the valid rows not yet taken to the
         guards, and their motions to the guards within delta are checked
-        in one more call.  The table is sorted once by _near_orders, so
-        each row's near set is a prefix of its order.  When a row is taken
-        after admissions, the admitted guards' columns are added to the
-        table in one distance_many call, the new motions within delta are
-        checked in one more, and the table is sorted again.  Every entry
-        equals distance bit for bit, so each row's near set, order and
-        lengths are those of one row checked alone.
+        in one more call, each blocked motion's entry set to inf.  The
+        table is sorted once by _near_orders, so each row's visible guards
+        are a prefix of its order.  When a row is taken after admissions,
+        the admitted guards' columns are added to the table in one
+        distance_many call, the new motions within delta are checked in one
+        more, and the table is sorted again.  Every finite entry equals
+        distance bit for bit, so each row's visible set, order and lengths
+        are those of one row checked alone.
         """
         xs = np.asarray(xs, dtype=float)
         valid = self.validity.valid_mask(xs)
         # row k of each: the k-th valid row not yet taken; table[k, g] is
-        # its distance to guard g and sees[k, g] whether its motion to g
-        # is valid, set for every g within delta
+        # its distance to guard g, or inf when g is within delta and the
+        # motion to g is blocked
         starts = xs[valid]
         table = self.space.distance_many(starts, self._coords)
-        sees = np.zeros(table.shape, dtype=bool)
-        self._check_motions(starts, table, sees, 0)
+        self._check_motions(starts, table, 0)
         order, count = self._near_orders(table)
         for ok in valid.tolist():
             if not ok:
@@ -170,27 +170,25 @@ class SparseRoadmap:
                 continue
             fetched = table.shape[1]
             if fetched < self.num_guards:
-                new = self.space.distance_many(starts, self._coords[fetched:])
-                table = np.hstack([table, new])
-                sees = np.hstack([sees, np.zeros(new.shape, dtype=bool)])
-                self._check_motions(starts, table, sees, fetched)
+                table = np.hstack([table, self.space.distance_many(
+                    starts, self._coords[fetched:])])
+                self._check_motions(starts, table, fetched)
                 order, count = self._near_orders(table)
             near = order[0, :count[0]]
-            yield {g: d for g, d, v in zip(near.tolist(),
-                                           table[0, near].tolist(),
-                                           sees[0, near].tolist()) if v}
-            starts, table, sees = starts[1:], table[1:], sees[1:]
+            yield dict(zip(near.tolist(), table[0, near].tolist()))
+            starts, table = starts[1:], table[1:]
             order, count = order[1:], count[1:]
 
-    def _check_motions(self, starts, table, sees, first):
-        """Set sees[k, g] for every guard g >= first with table[k, g] <=
-        delta to whether the motion from starts[k] to guard g is valid,
-        from one LevelValidity.motions_from call."""
+    def _check_motions(self, starts, table, first):
+        """Set table[k, g] to inf for every guard g >= first with
+        table[k, g] <= delta whose motion from starts[k] is blocked, from
+        one LevelValidity.motions_from call."""
         ks, gs = np.nonzero(table[:, first:] <= self.delta)
         if len(ks):
             gs += first
-            sees[ks, gs] = self.validity.motions_from(
+            blocked = ~self.validity.motions_from(
                 starts[ks], self._coords[gs], table[ks, gs])
+            table[ks[blocked], gs[blocked]] = np.inf
 
     def visible_guards(self, q) -> list[int]:
         """Ids of the guards visible from q, nearest first; [] when q is
@@ -282,7 +280,9 @@ class SparseRoadmap:
         and is rejected, as in the planner's own step.  Its values become
         the lengths of the new guard's edges, so a caller's dict must hold
         the distance_many values that visible_in_order gives, which equal
-        space.distance bit for bit.
+        space.distance bit for bit.  The interface and shortcut tests walk
+        one list of the visible guard pairs without an edge: neither adds
+        an edge before it returns.
         """
         q = np.asarray(q, dtype=float)
         if visible is None:
@@ -305,37 +305,32 @@ class SparseRoadmap:
             return self._admit(q, visible, comps.values(),
                                AddOutcome.ADDED_CONNECTIVITY)
 
+        pairs = [(u, w) for i, u in enumerate(vis) for w in vis[i + 1:]
+                 if not self.has_edge(u, w)]
+
         # (3) interface
-        for i in range(len(vis)):
-            for j in range(i + 1, len(vis)):
-                u, w = vis[i], vis[j]
-                if self.has_edge(u, w):
-                    continue
-                pair = (min(u, w), max(u, w))
-                if pair not in self._blocked:
-                    if self.validity.motion_valid(self._coords[u],
-                                                  self._coords[w]):
-                        self.add_edge(u, w)
-                        self._succeed()
-                        return AddOutcome.ADDED_INTERFACE_EDGE
-                    self._blocked.add(pair)
-                if not self.adjacency[u].keys().isdisjoint(self.adjacency[w]):
-                    # a witness vertex already bridges this blocked pair;
-                    # adding another would grow the graph without bound
-                    continue
-                return self._admit(q, visible, (u, w),
-                                   AddOutcome.ADDED_INTERFACE_VERTEX)
+        for u, w in pairs:
+            pair = (min(u, w), max(u, w))
+            if pair not in self._blocked:
+                if self.validity.motion_valid(self._coords[u],
+                                              self._coords[w]):
+                    self.add_edge(u, w)
+                    self._succeed()
+                    return AddOutcome.ADDED_INTERFACE_EDGE
+                self._blocked.add(pair)
+            if not self.adjacency[u].keys().isdisjoint(self.adjacency[w]):
+                # a witness vertex already bridges this blocked pair;
+                # adding another would grow the graph without bound
+                continue
+            return self._admit(q, visible, (u, w),
+                               AddOutcome.ADDED_INTERFACE_VERTEX)
 
         # (4) quality / shortcut
-        for i in range(len(vis)):
-            for j in range(i + 1, len(vis)):
-                u, w = vis[i], vis[j]
-                if self.has_edge(u, w):
-                    continue
-                through = visible[u] + visible[w]
-                if self.path_cost_exceeds(u, w, self.stretch_t * through):
-                    return self._admit(q, visible, (u, w),
-                                       AddOutcome.ADDED_QUALITY)
+        for u, w in pairs:
+            through = visible[u] + visible[w]
+            if self.path_cost_exceeds(u, w, self.stretch_t * through):
+                return self._admit(q, visible, (u, w),
+                                   AddOutcome.ADDED_QUALITY)
 
         self.record_failure()
         return AddOutcome.REJECTED

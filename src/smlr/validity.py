@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .geometry import (Box, Disc, Polygon, box_near, disc_signed_distance,
-                       edge_crossings, point_segment_dist,
+                       edge_crossings, finite_array, point_segment_dist,
                        polygon_signed_distance, segment_crossing,
                        segment_segment_dist)
 from .spaces import StateSpace
@@ -326,8 +326,8 @@ class DiscRobot(PointRobot):
 
     def __post_init__(self):
         super().__post_init__()
-        if self.radius <= 0:
-            raise ValueError("disc robot radius must be positive")
+        if not 0 < self.radius < math.inf:
+            raise ValueError("disc robot radius must be positive and finite")
 
 
 @dataclass
@@ -338,8 +338,8 @@ class PolygonRobot(RobotModel):
     pose_indices: tuple = (0, 1, 2)
 
     def __post_init__(self):
-        self.vertices = np.asarray(self.vertices, dtype=float)
-        v = self.vertices
+        v = self.vertices = finite_array("polygon robot vertices",
+                                         self.vertices)
         if v.ndim != 2 or v.shape[0] < 3 or v.shape[1] != 2:
             raise ValueError("polygon robot needs >= 3 planar vertices")
         if len(self.pose_indices) != 3:
@@ -429,7 +429,8 @@ class ChainRobot(RobotModel):
             raise ValueError("one joint angle per link required")
         _distinct("base_indices and angle_indices",
                   (*self.base_indices, *self.angle_indices))
-        if self.link_radius <= 0 or any(l <= 0 for l in self.link_lengths):
+        lengths = finite_array("link_lengths", self.link_lengths)
+        if not 0 < self.link_radius < math.inf or not (lengths > 0).all():
             raise ValueError("link geometry must be positive")
 
     def joints(self, coords):
@@ -523,6 +524,8 @@ class LevelValidity:
     def __post_init__(self):
         if not 0 < self.check_resolution <= 1:
             raise ValueError("check_resolution must be in (0, 1]")
+        if self.workspace_lo is not None:
+            finite_array("workspace", [self.workspace_lo, self.workspace_hi])
         object.__setattr__(self, "_extent", self.space.max_extent())
         object.__setattr__(self, "_world", CollisionWorld(self.obstacles))
         # no obstacle and no workspace box: every state is valid, so
@@ -612,33 +615,14 @@ class LevelValidity:
         b = np.asarray(b, dtype=float)
         return bool(self.motions_valid(a, b[None, :])[0])
 
-    def paths_valid(self, paths) -> np.ndarray:
-        """path_valid of each polyline of paths, from one valid_mask call
-        -> (len(paths),) bool.  A one-state path is its motion to itself,
-        so only that state is checked."""
-        paths = [np.asarray(p, dtype=float) for p in paths]
-        paths = [p if len(p) > 1 else np.concatenate([p, p]) for p in paths]
-        motions = self.motions_valid(np.concatenate([p[:-1] for p in paths]),
-                                     np.concatenate([p[1:] for p in paths]))
-        firsts = np.cumsum([0] + [len(p) - 1 for p in paths[:-1]])
-        return np.logical_and.reduceat(motions, firsts)
-
-    def path_valid(self, path) -> bool:
-        """motion_valid(a, b) for every segment a -> b of the polyline path:
-        states 0..n of each segment, the same states, in one valid_mask
-        call."""
-        return bool(self.paths_valid([path])[0])
-
-    def motions_from(self, a, bs, dists) -> list[bool]:
+    def motions_from(self, a, bs, dists) -> np.ndarray:
         """motion_valid(a, b) for each row b of bs, of length dists[i],
         where a (one state or one per row of bs) is valid: motion_points'
         states 1..n of every motion from one valid_mask call.  Each
         motion's state 0 equals its a byte for byte when a is normalized,
         so it is left to the check of a.  An unconstrained level checks
-        none."""
-        if self.unconstrained:
-            return [True] * len(bs)
-        if not len(bs):
-            return []
+        none -> (len(bs),) bool."""
+        if self.unconstrained or not len(bs):
+            return np.ones(len(bs), dtype=bool)
         pts, starts = self.motion_points(a, bs, dists)
-        return np.logical_and.reduceat(self.valid_mask(pts), starts).tolist()
+        return np.logical_and.reduceat(self.valid_mask(pts), starts)

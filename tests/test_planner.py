@@ -120,10 +120,25 @@ class TestConfigValidation:
         {"time_limit": 0.0},
         {"time_limit": float("nan")},
         {"seed": -1},
+        {"max_failures": float("nan")},
+        {"max_failures": 2.5},
+        {"max_failures": float("inf")},
+        {"delta_fraction": float("nan")},
+        {"eta": float("nan")},
+        {"eta": 1.5},
+        {"stretch_t": float("nan")},
+        {"seed": float("nan")},
+        {"seed": 0.5},
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError, match=next(iter(kwargs))):
             PlannerConfig(**kwargs)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"max_failures": 3.0}, {"eta": 7.0}, {"seed": 2.0},
+        {"seed": 10 ** 400}, {"max_failures": np.int64(5)}])
+    def test_accepts_whole_values(self, kwargs):
+        PlannerConfig(**kwargs)
 
 
 class TestRestrictionSampling:
@@ -400,8 +415,8 @@ class TestSectionTest:
             calls.append(len(coords))
             return valid_mask(self, coords)
         monkeypatch.setattr(LevelValidity, "valid_mask", counting_valid_mask)
-        got = top.validity.path_valid(
-            lift_section(seq.bundles[0], base_path, start[1:], goal[1:]))
+        lifted = lift_section(seq.bundles[0], base_path, start[1:], goal[1:])
+        got = top.validity.motions_valid(lifted[:-1], lifted[1:]).all()
         # the obstacle-free level is unconstrained and checks no state
         assert len(calls) == (collision != "none")
         assert got == (want is not None)
@@ -488,12 +503,18 @@ def candidate_list(bundle, base_path, start, goal, seed, level_index):
     return cands
 
 
+def path_ok(validity, path) -> bool:
+    """Whether every segment of path passes motion_valid, one at a time."""
+    return all(validity.motion_valid(a, b)
+               for a, b in zip(path[:-1], path[1:]))
+
+
 def one_at_a_time(level, bundle, base_path, start, goal, seed):
     """section_test's choice as a plain loop: the first candidate in list
-    order that passes path_valid on its own."""
+    order whose segments pass motion_valid one at a time."""
     for lift, path in candidate_list(bundle, base_path, start, goal, seed,
                                      level.index):
-        if level.validity.path_valid(path):
+        if path_ok(level.validity, path):
             return lift, path
     return None
 
@@ -504,7 +525,7 @@ def straight_only(level, bundle, base_path, start, goal, seed=0):
         return None
     lifted = lift_section(bundle, base_path, bundle.fiber_of(start),
                           bundle.fiber_of(goal))
-    return ("straight", lifted) if level.validity.path_valid(lifted) \
+    return ("straight", lifted) if path_ok(level.validity, lifted) \
         else None
 
 
@@ -515,15 +536,16 @@ class TestSectionPatterns:
             bundle_obstacles=[Box([1.45, 1.4], [1.55, 1.6])])
         top = top_level(seq)
         bundle = seq.bundles[0]
-        assert not top.validity.path_valid(
-            lift_section(bundle, BASE_PATH, START[1:], GOAL[1:]))
+        assert not path_ok(top.validity,
+                           lift_section(bundle, BASE_PATH, START[1:],
+                                        GOAL[1:]))
         lift, path = section_test(top, bundle, BASE_PATH, START, GOAL, seed=3)
         assert lift == "fiber 0"
         np.testing.assert_array_equal(
             path, [START, [0.5, 0.0], [1.5, 0.0], [2.5, 0.0], GOAL])
         assert path[0].tobytes() == START.tobytes()
         assert path[-1].tobytes() == GOAL.tobytes()
-        assert top.validity.path_valid(path)
+        assert path_ok(top.validity, path)
         assert all(np.any(a != b) for a, b in zip(path[:-1], path[1:]))
 
     def test_candidates_hold_the_fiber_along_the_base_path(self):
@@ -949,8 +971,8 @@ class TestSimplifyPath:
     @given(data=st.data())
     def test_valid_is_the_path_check(self, kind, data):
         """valid holds each returned segment's motion_valid verdict, so
-        all(valid) is path_valid of the returned path, and no motion is
-        asked twice to get them."""
+        all(valid) is the returned path's check, and no motion is asked
+        twice to get them."""
         v, path = data.draw(simplify_inputs(kind))
         asked = []
         motions_valid = LevelValidity.motions_valid
@@ -965,7 +987,7 @@ class TestSimplifyPath:
         assert len(set(asked)) == len(asked)
         assert valid == [v.motion_valid(a, b)
                          for a, b in zip(got[:-1], got[1:])]
-        assert all(valid) == v.path_valid(got)
+        assert all(valid) == v.motions_valid(got[:-1], got[1:]).all()
 
     @pytest.mark.parametrize("kind", sorted(SIMPLIFY_SPACES))
     @settings(max_examples=30, deadline=None)
@@ -1030,6 +1052,22 @@ class TestSimplifyPath:
         path = [np.array([0.1, 0.1]), np.array([0.9, 0.9])]
         out, _ = simplify_path(path, lvl.space, lvl.validity)
         assert len(out) == 2
+
+    @pytest.mark.parametrize("path, want", [
+        ([[0.1, 0.5], [0.9, 0.5]], [False]),   # across the wall
+        ([[0.1, 0.9], [0.9, 0.9]], [True]),    # above it
+        ([[0.5, 0.5]], [False]),               # one state, in the wall
+        ([[0.1, 0.5]], [True]),                # one state, free
+    ])
+    def test_short_path_valid_is_its_motion(self, path, want):
+        """A path of at most two states comes back as it is, with the
+        verdict of its motion from first to last state: for one state,
+        the check of that state."""
+        lvl = r2_level([Box([0.45, 0.0], [0.55, 0.7])])
+        path = [np.array(x, dtype=float) for x in path]
+        out, valid = simplify_path(path, lvl.space, lvl.validity)
+        assert [x.tobytes() for x in out] == [x.tobytes() for x in path]
+        assert valid == want
 
 
 class TestSolveFlatWorlds:

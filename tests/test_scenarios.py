@@ -320,6 +320,26 @@ def _boundary_cases():
                               (2, "pose_indices", [0, 1, 1]),
                               (3, "angle_indices", [1, 3])):
         yield ("levels", robot, "robot", key), value
+    yield from NON_FINITE_CASES
+
+
+# a NaN or infinite coordinate, which would load and plan to a plausible
+# wrong answer: through a wall, out of a box, or "start invalid"
+NAN, INF = float("nan"), float("inf")
+NON_FINITE_CASES = [
+    (("workspace",), [[NAN, 1.0], [0.0, 1.0]]),
+    (("workspace",), [[0.0, 1.0], [-INF, 1.0]]),
+    (("obstacles", 0, "lo"), [NAN, 0.0]),
+    (("obstacles", 0, "hi"), [0.55, INF]),
+    (("obstacles", 1, "center"), [NAN, 0.5]),
+    (("obstacles", 2, "vertices"), [[0.1, 0.8], [0.2, NAN], [0.15, 0.9]]),
+    (("levels", 0, "space", 0, "bounds"), [[0.0, INF], [0.0, 1.0]]),
+    (("levels", 2, "space", 0, "bounds"), [[0.0, 1.0], [NAN, 1.0]]),
+    (("levels", 2, "robot", "vertices"),
+     [[-0.02, -0.02], [0.02, NAN], [0.0, 0.03]]),
+    (("levels", 3, "robot", "link_lengths"), [NAN, 0.05]),
+    (("levels", 3, "robot", "link_lengths"), [0.05, INF]),
+]
 
 
 BOUNDARY_CASES = list(_boundary_cases())
@@ -426,6 +446,27 @@ class TestBoundary:
         (("levels", 1, "ignore_workspace"), "false",
          r"^boundary.levels\[1\]: ignore_workspace must be true or false, "
          r"got 'false'$"),
+        (("workspace",), [[NAN, 1.0], [0.0, 1.0]],
+         r"^boundary.workspace: workspace must be finite, "
+         r"got \[\[nan, 1.0\], \[0.0, 1.0\]\]$"),
+        (("obstacles", 0, "lo"), [NAN, 0.0],
+         r"^boundary.obstacles\[0\]: box lo must be finite, "
+         r"got \[nan, 0.0\]$"),
+        (("obstacles", 1, "center"), [NAN, 0.5],
+         r"^boundary.obstacles\[1\]: disc center must be finite, "
+         r"got \[nan, 0.5\]$"),
+        (("obstacles", 2, "vertices"), [[0.1, 0.8], [0.2, NAN], [0.15, 0.9]],
+         r"^boundary.obstacles\[2\]: polygon vertices must be finite, "),
+        (("levels", 0, "space", 0, "bounds"), [[0.0, INF], [0.0, 1.0]],
+         r"^boundary.levels\[0\].space\[0\]: bounds must be finite, "
+         r"got \[\[0.0, inf\], \[0.0, 1.0\]\]$"),
+        (("levels", 2, "robot", "vertices"),
+         [[-0.02, -0.02], [0.02, NAN], [0.0, 0.03]],
+         r"^boundary.levels\[2\].robot: polygon robot vertices must be "
+         r"finite, "),
+        (("levels", 3, "robot", "link_lengths"), [NAN, 0.05],
+         r"^boundary.levels\[3\].robot: link_lengths must be finite, "
+         r"got \[nan, 0.05\]$"),
     ], ids=["weight_text", "start_text", "workspace_text", "workspace_ragged",
             "link_lengths_number", "radius_list", "index_out_of_range",
             "pose_indices_two", "chain_base_indices_one",
@@ -436,7 +477,10 @@ class TestBoundary:
             "base_indices_on_coarsest_level", "unknown_robot_key",
             "key_of_another_robot_type", "key_of_another_space_type",
             "unknown_obstacle_key", "polygon_robot_vertices_3d",
-            "name_list", "name_empty", "ignore_workspace_text"])
+            "name_list", "name_empty", "ignore_workspace_text",
+            "workspace_nan", "box_lo_nan", "disc_center_nan",
+            "polygon_vertex_nan", "real_bounds_inf",
+            "polygon_robot_vertex_nan", "link_length_nan"])
     def test_field_named(self, tmp_path, path, value, match):
         f = write(tmp_path, yaml.safe_dump(_corrupt(path, value)))
         with pytest.raises(ScenarioError, match=match):

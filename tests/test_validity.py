@@ -22,6 +22,36 @@ def point_world(obstacles, res=0.01):
                          check_resolution=res)
 
 
+NAN = float("nan")
+
+# each class that owns a coordinate rejects a NaN or infinite one, which
+# would pass every comparison it should fail
+NON_FINITE = {
+    "box_lo": lambda: Box([NAN, 0.0], [1.0, 1.0]),
+    "box_hi": lambda: Box([0.0, 0.0], [1.0, math.inf]),
+    "disc_center": lambda: Disc([NAN, 0.5], 0.1),
+    "disc_radius": lambda: Disc([0.5, 0.5], math.inf),
+    "polygon": lambda: Polygon([[0.0, 0.0], [1.0, NAN], [0.0, 1.0]]),
+    "real_bounds": lambda: RealVectorSpace([[0.0, math.inf]]),
+    "product_weight": lambda: ProductSpace(
+        [RealVectorSpace(UNIT), CircleSpace()], [1.0, NAN]),
+    "disc_robot": lambda: DiscRobot(radius=NAN),
+    "polygon_robot": lambda: PolygonRobot(
+        vertices=[[0.0, 0.0], [1.0, 0.0], [NAN, 1.0]]),
+    "link_length": lambda: ChainRobot(link_lengths=(NAN, 0.1)),
+    "link_radius": lambda: ChainRobot(link_radius=math.inf),
+    "workspace": lambda: LevelValidity(
+        space=RealVectorSpace(UNIT), robot=PointRobot(),
+        workspace_lo=np.array([NAN, 0.0]), workspace_hi=np.ones(2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_FINITE))
+def test_non_finite_value_rejected(name):
+    with pytest.raises(ValueError, match="finite|positive"):
+        NON_FINITE[name]()
+
+
 class TestIsValid:
     def test_empty_world(self):
         v = point_world([])
@@ -241,22 +271,28 @@ def polyline_worlds(draw, kind):
 
 
 class TestPathValid:
+    """A path's check is motions_valid on its segments, as the section test
+    and simplify_path ask it."""
+
     @pytest.mark.parametrize("kind", sorted(PATH_SPACES))
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_equals_motion_valid_per_segment(self, kind, data):
         v, path = data.draw(polyline_worlds(kind))
-        want = all(v.motion_valid(a, b) for a, b in zip(path[:-1], path[1:]))
-        if len(path) == 1:
-            want = v.is_valid(path[0])
-        assert v.path_valid(path) == want
+        path = np.array(path)
+        # each state to itself: the zero-length motion checks that state
+        assert v.motions_valid(path, path).tolist() == \
+            v.valid_mask(path).tolist()
+        if len(path) > 1:
+            assert v.motions_valid(path[:-1], path[1:]).tolist() == [
+                v.motion_valid(a, b) for a, b in zip(path[:-1], path[1:])]
 
     @pytest.mark.parametrize("kind", sorted(PATH_SPACES))
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_motions_valid_equals_motion_states(self, kind, data):
-        # motions_valid, which motion_valid and paths_valid call, against
-        # the states of each motion checked on their own
+        # motions_valid, which motion_valid calls, against the states of
+        # each motion checked on their own
         v, path = data.draw(polyline_worlds(kind))
         path = np.array(path)
         for a, bs in ((path[0], path), (path, path[::-1])):
@@ -268,11 +304,18 @@ class TestPathValid:
     @settings(max_examples=30, deadline=None)
     @given(data=st.data())
     def test_batch_equals_one_at_a_time(self, kind, data):
+        # paths of one length as the rows of one array, their segments in
+        # one call, row after row, as the section test checks its detours
         v, first = data.draw(polyline_worlds(kind))
         paths = [first] + [data.draw(polyline_worlds(kind))[1]
                            for _ in range(data.draw(st.integers(0, 4)))]
-        batch = v.paths_valid(paths)
-        assert batch.tolist() == [v.path_valid(p) for p in paths]
+        n = max(2, min(map(len, paths)))
+        rows = np.array([(p * n)[:n] for p in paths])
+        dim = rows.shape[-1]
+        batch = v.motions_valid(rows[:, :-1].reshape(-1, dim),
+                                rows[:, 1:].reshape(-1, dim))
+        assert batch.reshape(len(rows), -1).tolist() == [
+            v.motions_valid(p[:-1], p[1:]).tolist() for p in rows]
 
     def test_one_valid_mask_call(self, monkeypatch):
         v = point_world([Box([0.45, 0.0], [0.55, 0.4])])
@@ -283,9 +326,9 @@ class TestPathValid:
             calls.append(len(coords))
             return valid_mask(self, coords)
         monkeypatch.setattr(LevelValidity, "valid_mask", counting)
-        paths = [[[0.2, 0.8], [0.8, 0.8]], [[0.2, 0.2], [0.5, 0.2]],
-                 [[0.3, 0.3]]]
-        assert v.paths_valid(paths).tolist() == [True, False, True]
+        a = np.array([[0.2, 0.8], [0.2, 0.2], [0.3, 0.3]])
+        b = np.array([[0.8, 0.8], [0.5, 0.2], [0.3, 0.3]])
+        assert v.motions_valid(a, b).tolist() == [True, False, True]
         assert len(calls) == 1
 
 
@@ -321,8 +364,8 @@ class TestUnconstrained:
             dists = lv.space.distances(path[0], path)
             return (lv.motions_valid(path[0], path).tolist(),
                     lv.motions_valid(path, path[::-1]).tolist(),
-                    list(lv.motions_from(path[0], path, dists)),
-                    lv.paths_valid([path, path[:1]]).tolist())
+                    lv.motions_from(path[0], path, dists).tolist(),
+                    lv.motions_valid(path[:1], path[:1]).tolist())
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(LevelValidity, "valid_mask", counting)
             got, want = verdicts(free), verdicts(boxed)
