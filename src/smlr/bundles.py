@@ -89,10 +89,17 @@ class FiberBundle:
 
 @dataclass
 class Level:
-    """One abstraction level: its space and constraint function."""
+    """One abstraction level: its space and constraint function, built on
+    that same space."""
 
     space: StateSpace
     validity: LevelValidity
+
+    def __post_init__(self):
+        # the planner takes delta, sampling and the metric from space and
+        # the motion checks from validity.space
+        if self.validity.space is not self.space:
+            raise ValueError("level validity is built on another space")
 
 
 @dataclass

@@ -2,21 +2,14 @@
 
 Each predicate is one elementwise kernel that broadcasts over leading axes,
 so one call tests whole batches of points, segments and obstacles; the
-matrix forms (m points or segments against k) are broadcast calls of those
-kernels.  Obstacles are discs, axis-aligned boxes and simple (possibly
+collision world calls them on gathered (point or segment, obstacle) pairs.
+Obstacles are discs, axis-aligned boxes and simple (possibly
 non-convex) polygons; polygons are stored CCW.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-
-def _as_points(pts) -> np.ndarray:
-    pts = np.asarray(pts, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[None, :]
-    return pts
 
 
 def finite_array(name, values) -> np.ndarray:
@@ -129,20 +122,13 @@ def segment_segment_dist(a0, a1, b0, b1) -> np.ndarray:
     return np.where(segment_crossing(a0, a1, b0, b1), 0.0, np.sqrt(sq))
 
 
-def box_signed_distance(p, lo, hi) -> np.ndarray:
-    """Signed distance from p to the box [lo, hi], in any dimension."""
-    outside = np.maximum(np.maximum(lo - p, p - hi), 0.0)
-    dist_out = np.linalg.norm(outside, axis=-1)
-    inside_margin = np.minimum(p - lo, hi - p).min(axis=-1)
-    return np.where(dist_out > 0, dist_out, -inside_margin)
-
-
 def box_near(p, lo, hi, margin: float) -> np.ndarray:
-    """box_signed_distance(p, lo, hi) <= margin for a margin >= 0, from
-    the floats the verdict needs: closed containment lo <= p <= hi at
-    margin 0, the distance outside the box against the margin above it.
-    (The two differ only where a distance outside the box below 1e-154
-    squares to 0 and the margin is smaller still.)"""
+    """Whether the signed distance from p to the box [lo, hi] is <= margin,
+    for a margin >= 0, from the floats the verdict needs: closed
+    containment lo <= p <= hi at margin 0, the distance outside the box
+    against the margin above it.  (A distance outside the box below
+    1e-154 squares to 0, so a point that close counts as near at any
+    positive margin.)"""
     if margin == 0:
         return ((lo <= p) & (p <= hi)).all(axis=-1)
     outside = np.maximum(np.maximum(lo - p, p - hi), 0.0)
@@ -161,31 +147,9 @@ def polygon_signed_distance(dist, odd) -> np.ndarray:
     return np.where(odd | (dist <= 1e-12), -dist, dist)
 
 
-# -- matrix forms ------------------------------------------------------------
-
-
-def polygons_contain(polygons, pts) -> np.ndarray:
-    """Even-odd containment of points (p, 2) in each of m polygons
-    (m, nv, 2) -> (m, p); a point on an edge may count either way."""
-    a = polygons[:, None]
-    b = np.roll(polygons, -1, axis=1)[:, None]
-    crossings = np.sum(edge_crossings(pts[None, :, None, :], a, b), axis=2)
-    return (crossings % 2) == 1
-
-
-def points_to_segments_dist(pts, seg_a, seg_b) -> np.ndarray:
-    """Distance matrix (m, k) from m points to k segments."""
-    pts = _as_points(pts)
-    a = np.asarray(seg_a, dtype=float)
-    b = np.asarray(seg_b, dtype=float)
-    return point_segment_dist(pts[:, None, :], a[None], b[None])
-
-
 class Obstacle:
-    """Static workspace obstacle with a signed distance field for points."""
-
-    def signed_distance(self, pts) -> np.ndarray:
-        raise NotImplementedError
+    """Static workspace obstacle, tested through the compiled
+    CollisionWorld."""
 
     def boundary_segments(self):
         """(seg_a, seg_b) arrays for edge-based tests; None for discs."""
@@ -193,8 +157,8 @@ class Obstacle:
 
     def bounding_box(self):
         """(lo, hi) corners of the axis-aligned box that holds the
-        obstacle; None when unknown."""
-        return None
+        obstacle."""
+        raise NotImplementedError
 
 
 class Disc(Obstacle):
@@ -203,10 +167,6 @@ class Disc(Obstacle):
             raise ValueError("disc radius must be positive and finite")
         self.center = finite_array("disc center", center)
         self.radius = float(radius)
-
-    def signed_distance(self, pts) -> np.ndarray:
-        return disc_signed_distance(_as_points(pts), self.center,
-                                    self.radius)
 
     def bounding_box(self):
         return self.center - self.radius, self.center + self.radius
@@ -220,9 +180,6 @@ class Box(Obstacle):
         self.hi = finite_array("box hi", hi)
         if np.any(self.lo >= self.hi):
             raise ValueError("box lo must be strictly below hi componentwise")
-
-    def signed_distance(self, pts) -> np.ndarray:
-        return box_signed_distance(_as_points(pts), self.lo, self.hi)
 
     def bounding_box(self):
         return self.lo, self.hi
@@ -248,12 +205,6 @@ class Polygon(Obstacle):
         if area < 0:
             raise ValueError("polygon vertices must be ordered CCW")
         self.vertices = v
-
-    def signed_distance(self, pts) -> np.ndarray:
-        pts = _as_points(pts)
-        a, b = self.boundary_segments()
-        d = points_to_segments_dist(pts, a, b).min(axis=1)
-        return polygon_signed_distance(d, polygons_contain(a[None], pts)[0])
 
     def bounding_box(self):
         return self.vertices.min(axis=0), self.vertices.max(axis=0)

@@ -181,8 +181,10 @@ class GridOracle:
         free, and _offset_weights every distance.  A pair that _certified
         clears is an edge with no substep checked; one whose moved position
         coordinate crosses a circle's 0/2*pi seam is never certified, since
-        its body jumps across the workspace.  Indices are int32, which
-        SciPy's csgraph routines use without a copy.
+        its body jumps across the workspace, nor is any pair across a
+        circular position axis of two cells, whose centres are pi apart
+        both ways.  Indices are int32, which SciPy's csgraph routines use
+        without a copy.
         """
         if self._graph is not None:
             return self._graph
@@ -215,6 +217,10 @@ class GridOracle:
                 if not self.space.circular[a]:
                     edge[tuple(sl)] = False
                 elif checked and a in positions:
+                    # two cells are pi apart both ways, a tie that the
+                    # shortest arc may break across the seam: every pair
+                    if shape[a] == 2:
+                        sl[a] = slice(None)
                     seam[tuple(sl)] = True
             wts[:, k] = np.where(edge, self._offset_weights(off),
                                  np.inf).ravel()

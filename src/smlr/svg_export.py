@@ -17,6 +17,8 @@ from .geometry import Box, Disc, Polygon
 from .spaces import StateSpace
 
 TWO_PI = 2.0 * math.pi
+# the drawing's longer side, in SVG user units (pixels)
+SIZE = 640
 
 
 def write_graph_files(roadmap, out_prefix) -> tuple[Path, Path]:
@@ -50,11 +52,11 @@ def _plane_of(space: StateSpace):
 
 
 def export_svg(space: StateSpace, out_path, roadmap=None, obstacles=(),
-               start=None, goal=None, solution=None, size: int = 640):
+               start=None, goal=None, solution=None):
     """Render obstacles, guards, edges, start/goal and solution path."""
     lo, hi, wrap = _plane_of(space)
     span = hi - lo
-    scale = size / max(span)
+    scale = SIZE / max(span)
 
     def pt(p):
         return ((p[0] - lo[0]) * scale,

@@ -54,15 +54,16 @@ class CollisionWorld:
     boxes and polygons) form one (ns, 2) pair; row j of seg_table lists
     obstacle j's seg_count[j] segments, padded with -1.
 
-    near_points tests points against every obstacle at once (point and disc
-    robots).  The polygon and chain robots test (pose, obstacle) pairs
-    instead: broad_phase pairs each pose with the obstacles whose bounding
-    box, widened by BOX_MARGIN, meets the pose's box, and the exact tests
-    run on those pairs only, in stages, each on the pairs that the ones
-    before left open; segment_pairs keeps only the body segments whose own
-    box meets the obstacle's.  Each test uses the same float operations as
-    the obstacle's own predicate, so results are bit-identical to testing
-    the obstacles one by one.
+    near_points tests points against every obstacle (point and disc
+    robots): every box and disc at once, each polygon through points_near
+    on every (point, polygon) pair.  The polygon and chain robots test
+    (pose, obstacle) pairs instead: broad_phase pairs each pose with the
+    obstacles whose bounding box, widened by BOX_MARGIN, meets the pose's
+    box, and the exact tests run on those pairs only, in stages, each on
+    the pairs that the ones before left open; segment_pairs keeps only the
+    body segments whose own box meets the obstacle's.  Each test uses the
+    same float operations as the obstacle's own predicate, so results are
+    bit-identical to testing the obstacles one by one.
     """
 
     def __init__(self, obstacles):
@@ -71,7 +72,7 @@ class CollisionWorld:
                 raise TypeError(f"unsupported obstacle {type(o).__name__}")
         boxes = [o for o in obstacles if isinstance(o, Box)]
         discs = [o for o in obstacles if isinstance(o, Disc)]
-        self.polygons = [o for o in obstacles if isinstance(o, Polygon)]
+        polygons = [o for o in obstacles if isinstance(o, Polygon)]
         for kind, group in (("box obstacles", boxes),
                             ("disc obstacles", discs),
                             ("obstacles", obstacles)):
@@ -86,9 +87,10 @@ class CollisionWorld:
         if discs:
             self.disc_centers = np.stack([d.center for d in discs])
             self.disc_radii = np.array([d.radius for d in discs])
-        ordered = boxes + discs + self.polygons
-        # the numbers of the first disc and the first polygon
+        ordered = boxes + discs + polygons
+        # the numbers of the first disc and of every polygon
         self.first_disc = len(boxes)
+        self.polygon_ids = np.arange(len(boxes) + len(discs), len(ordered))
         self._kind_starts = np.array([len(boxes), len(boxes) + len(discs)])
         segs = [o.boundary_segments() for o in ordered]
         self.seg_count = np.array([0 if s is None else len(s[0])
@@ -180,21 +182,20 @@ class CollisionWorld:
 
     def near_points(self, pts, margin: float):
         """Rows of pts (m, d) whose signed distance to some obstacle is
-        <= margin, every obstacle tested -> (m,) bool."""
+        <= margin, every obstacle tested: boxes and discs all at once, and
+        each (row, polygon) pair through points_near -> (m,) bool."""
         p = pts[:, None, :]
-        hits = []
-        if self.has_boxes:
-            hits.append(box_near(p, self.box_lo, self.box_hi,
-                                 margin).any(axis=1))
+        hit = (box_near(p, self.box_lo, self.box_hi, margin).any(axis=1)
+               if self.has_boxes else np.zeros(len(pts), dtype=bool))
         if self.has_discs:
             sd = disc_signed_distance(p, self.disc_centers, self.disc_radii)
-            hits.append((sd <= margin).any(axis=1))
-        hits += [o.signed_distance(pts) <= margin for o in self.polygons]
-        if not hits:
-            return np.zeros(len(pts), dtype=bool)
-        hit = hits[0]
-        for h in hits[1:]:
-            hit |= h
+            hit |= (sd <= margin).any(axis=1)
+        if len(self.polygon_ids):
+            obs = np.repeat(self.polygon_ids, len(pts))
+            row = np.tile(np.arange(len(pts)), len(self.polygon_ids))
+            near = self.points_near(_take(p, row), obs, self.kind_slices(obs),
+                                    margin)
+            hit |= near.reshape(len(self.polygon_ids), -1).any(axis=0)
         return hit
 
 
@@ -216,24 +217,6 @@ def _in_workspace(body_lo, body_hi, lo, hi, r):
     if lo is None:
         return np.ones(len(body_lo), dtype=bool)
     return ((body_lo >= lo + r) & (body_hi <= hi - r)).all(axis=1)
-
-
-def _valid_body(body, r, world, lo, hi, collides):
-    """Validity of posed bodies (m, k, 2) whose points are widened by r.
-    The workspace test and the broad phase share each pose's box: the poses
-    inside the workspace are paired with the obstacles their box meets, and
-    the exact collides(body[pose], world, obs) runs on those pairs only."""
-    body_lo, body_hi = body.min(axis=1), body.max(axis=1)
-    ok = _in_workspace(body_lo, body_hi, lo, hi, r)
-    rows = np.flatnonzero(ok)
-    if not len(rows):
-        return ok
-    pose, obs = world.broad_phase(_take(body_lo, rows) - r,
-                                  _take(body_hi, rows) + r)
-    if len(pose):
-        pose = rows[pose]
-        ok[pose[collides(_take(body, pose), world, obs)]] = False
-    return ok
 
 
 def rotation_pad(rho: float, delta: float) -> float:
@@ -261,23 +244,54 @@ def _distinct(name, indices):
 class RobotModel:
     """Maps level states to workspace geometry and tests its validity.
 
-    position_indices are the coordinates that translate the body in the
-    workspace; a body posed at a circular one jumps where the coordinate
-    wraps at 0/2*pi."""
+    A robot is described once: body(coords) poses its points, and radius
+    widens each of them (0 for a point or polygon, the link radius for a
+    chain).  body_box and the planar valid follow from the two; a planar
+    robot adds its exact test of posed bodies against obstacles,
+    _collides, and motion_pad.  position_indices are the coordinates that
+    translate the body in the workspace; a body posed at a circular one
+    jumps where the coordinate wraps at 0/2*pi."""
 
     position_indices: tuple
+    radius = 0.0
 
-    def valid(self, coords: np.ndarray, world: CollisionWorld,
-              lo: np.ndarray | None, hi: np.ndarray | None) -> np.ndarray:
-        """Rows of coords whose posed robot lies inside the workspace box
-        [lo, hi] (any pose when lo is None) and overlaps no obstacle of
-        world; the robot is posed once for the whole batch -> (m,) bool."""
+    def body(self, coords: np.ndarray) -> np.ndarray:
+        """The posed body points of each row -> (m, k, 2), column-major
+        (a point robot's one point has as many coordinates as its
+        position)."""
         raise NotImplementedError
 
     def body_box(self, coords: np.ndarray):
         """Workspace box of each row's posed body, its radius included:
         the box valid tests against the workspace and, for polygon and
         chain robots, in the broad phase -> (lo, hi), each (m, 2)."""
+        body = self.body(coords)
+        return body.min(axis=1) - self.radius, body.max(axis=1) + self.radius
+
+    def valid(self, coords: np.ndarray, world: CollisionWorld,
+              lo: np.ndarray | None, hi: np.ndarray | None) -> np.ndarray:
+        """Rows of coords whose posed robot lies inside the workspace box
+        [lo, hi] (any pose when lo is None) and overlaps no obstacle of
+        world; the robot is posed once for the whole batch -> (m,) bool.
+        The workspace test and the broad phase share each pose's box: the
+        poses inside the workspace are paired with the obstacles their box
+        meets, and the exact _collides runs on those pairs only."""
+        body, r = self.body(coords), self.radius
+        body_lo, body_hi = body.min(axis=1), body.max(axis=1)
+        ok = _in_workspace(body_lo, body_hi, lo, hi, r)
+        rows = np.flatnonzero(ok)
+        if not len(rows):
+            return ok
+        pose, obs = world.broad_phase(_take(body_lo, rows) - r,
+                                      _take(body_hi, rows) + r)
+        if len(pose):
+            pose = rows[pose]
+            ok[pose[self._collides(_take(body, pose), world, obs)]] = False
+        return ok
+
+    def _collides(self, body, world: CollisionWorld, obs) -> np.ndarray:
+        """Whether the posed body[i] (n, k, 2), its points widened by
+        radius, overlaps obstacle obs[i] of world -> (n,) bool."""
         raise NotImplementedError
 
     def motion_pad(self, axis: int, delta: float) -> float:
@@ -293,10 +307,9 @@ class RobotModel:
 
 @dataclass
 class PointRobot(RobotModel):
-    position_indices: tuple = (0, 1)
-    # a point is a disc of radius 0: a class attribute, not a field, so
+    # a point is a disc of radius 0: RobotModel.radius, not a field, so
     # PointRobot's one positional field stays position_indices
-    radius = 0.0
+    position_indices: tuple = (0, 1)
 
     def __post_init__(self):
         _distinct("position_indices", self.position_indices)
@@ -304,16 +317,15 @@ class PointRobot(RobotModel):
     def _pos(self, coords):
         return coords[:, list(self.position_indices)]
 
+    def body(self, coords):
+        return self._pos(coords)[:, None]
+
     def valid(self, coords, world, lo, hi):
         # every row, not only those inside the workspace: a row gather
         # costs about as much as the obstacle test it would save
         p = self._pos(coords)
         return _in_workspace(p, p, lo, hi, self.radius) & \
             ~world.near_points(p, self.radius)
-
-    def body_box(self, coords):
-        p = self._pos(coords)
-        return p - self.radius, p + self.radius
 
     def motion_pad(self, axis, delta):
         return 0.0
@@ -346,7 +358,8 @@ class PolygonRobot(RobotModel):
             raise ValueError("polygon robot needs 3 pose indices")
         _distinct("pose_indices", self.pose_indices)
 
-    def _verts(self, coords):
+    def body(self, coords):
+        """The posed vertices."""
         i, j, k = self.pose_indices
         xy = coords[:, [i, j]]
         theta = coords[:, k]
@@ -355,14 +368,6 @@ class PolygonRobot(RobotModel):
     @property
     def position_indices(self):
         return self.pose_indices[:2]
-
-    def valid(self, coords, world, lo, hi):
-        return _valid_body(self._verts(coords), 0.0, world, lo, hi,
-                           self._collides)
-
-    def body_box(self, coords):
-        v = self._verts(coords)
-        return v.min(axis=1), v.max(axis=1)
 
     def motion_pad(self, axis, delta):
         """The heading turns the polygon about its pose point, which its
@@ -433,9 +438,8 @@ class ChainRobot(RobotModel):
         if not 0 < self.link_radius < math.inf or not (lengths > 0).all():
             raise ValueError("link geometry must be positive")
 
-    def joints(self, coords):
-        """Joint positions including the base -> (m, L+1, 2),
-        column-major."""
+    def body(self, coords):
+        """The joint positions, the base first -> (m, L+1, 2)."""
         base = coords[:, list(self.base_indices)].T[:, None, :]
         angles = np.cumsum(coords[:, list(self.angle_indices)].T, axis=0)
         lengths = np.asarray(self.link_lengths, dtype=float)[:, None]
@@ -447,14 +451,9 @@ class ChainRobot(RobotModel):
     def position_indices(self):
         return self.base_indices
 
-    def valid(self, coords, world, lo, hi):
-        return _valid_body(self.joints(coords), self.link_radius, world, lo,
-                           hi, self._collides)
-
-    def body_box(self, coords):
-        j = self.joints(coords)
-        r = self.link_radius
-        return j.min(axis=1) - r, j.max(axis=1) + r
+    @property
+    def radius(self):
+        return self.link_radius
 
     def motion_pad(self, axis, delta):
         """Joint angle j turns the links from j on about joint j; their
@@ -587,9 +586,11 @@ class LevelValidity:
         of each motion's first state -> (points, starts).  Motion i has
         n = motion_steps(dists[i]) steps; state k lies at s = k * (1 / n),
         exactly 1.0 at k = n: np.linspace(0, 1, n + 1)[k].  State 0 is the
-        start itself, by default left to the caller."""
+        start itself, by default left to the caller.  No motions give no
+        states."""
         n = self.motion_steps(dists)
-        svals = np.concatenate([_fractions(k)[first:] for k in n.tolist()])
+        svals = np.concatenate([_fractions(k)[first:] for k in n.tolist()]
+                               or [np.empty(0)])
         count = n + (1 - first)
         a = np.asarray(a, dtype=float)
         if a.ndim == 2:
@@ -622,7 +623,7 @@ class LevelValidity:
         motion's state 0 equals its a byte for byte when a is normalized,
         so it is left to the check of a.  An unconstrained level checks
         none -> (len(bs),) bool."""
-        if self.unconstrained or not len(bs):
+        if self.unconstrained:
             return np.ones(len(bs), dtype=bool)
         pts, starts = self.motion_points(a, bs, dists)
         return np.logical_and.reduceat(self.valid_mask(pts), starts)

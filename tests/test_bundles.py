@@ -182,3 +182,20 @@ class TestSequence:
                              base_indices=[0])
         with pytest.raises(ValueError):
             FiberBundleSequence(levels=levels, bundles=[bundle])
+
+    def test_validity_on_another_space_rejected(self):
+        """The planner takes delta, sampling and the metric from the
+        level's space and motion checks from its validity's: one level, one
+        space object."""
+        space = RealVectorSpace.unit(2)
+        other = RealVectorSpace([[0, 10], [0, 10]])
+        with pytest.raises(ValueError, match="another space"):
+            Level(space=space, validity=LevelValidity(space=other,
+                                                      robot=PointRobot()))
+        # an equal space that is another object is rejected too
+        with pytest.raises(ValueError, match="another space"):
+            Level(space=space, validity=LevelValidity(
+                space=RealVectorSpace.unit(2), robot=PointRobot()))
+        level = Level(space=space, validity=LevelValidity(space=space,
+                                                          robot=PointRobot()))
+        assert FiberBundleSequence(levels=[level]).finest is level

@@ -17,10 +17,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import smlr.validity as validity_module
-from smlr.geometry import (Box, Disc, Polygon, box_near, box_signed_distance,
-                           disc_signed_distance, edge_crossings,
-                           point_segment_dist, points_to_segments_dist,
-                           polygons_contain, segment_crossing,
+from smlr.geometry import (Box, Disc, Polygon, box_near, disc_signed_distance,
+                           edge_crossings, point_segment_dist,
+                           polygon_signed_distance, segment_crossing,
                            segment_segment_dist)
 from smlr.scenario import load_scenario, shipped_scenario_dir
 from smlr.spaces import CircleSpace, ProductSpace, RealVectorSpace
@@ -52,7 +51,46 @@ def segments_to_segments_dist(a0, a1, b0, b1) -> np.ndarray:
                                 np.asarray(b1, float)[None, :, :])
 
 
+def points_to_segments_dist(pts, seg_a, seg_b) -> np.ndarray:
+    """Distance matrix (m, k) from m points to k segments."""
+    return point_segment_dist(np.asarray(pts, float)[:, None, :],
+                              np.asarray(seg_a, float)[None],
+                              np.asarray(seg_b, float)[None])
+
+
+def polygons_contain(polygons, pts) -> np.ndarray:
+    """Even-odd containment of points (p, 2) in each of m polygons
+    (m, nv, 2) -> (m, p); a point on an edge may count either way."""
+    a = polygons[:, None]
+    b = np.roll(polygons, -1, axis=1)[:, None]
+    crossings = np.sum(edge_crossings(pts[None, :, None, :], a, b), axis=2)
+    return (crossings % 2) == 1
+
+
 # -- per-obstacle reference ---------------------------------------------------
+
+
+def box_signed_distance(p, lo, hi) -> np.ndarray:
+    """Signed distance from p to the box [lo, hi], in any dimension."""
+    outside = np.maximum(np.maximum(lo - p, p - hi), 0.0)
+    dist_out = np.linalg.norm(outside, axis=-1)
+    inside_margin = np.minimum(p - lo, hi - p).min(axis=-1)
+    return np.where(dist_out > 0, dist_out, -inside_margin)
+
+
+def signed_distance(obstacle, pts) -> np.ndarray:
+    """Signed distance from each point of pts (m, d) to one obstacle, the
+    obstacle on its own: negative inside, and for a polygon a point within
+    1e-12 of the boundary counts as inside.  The compiled world's verdicts
+    must equal these compared with the robot's margin."""
+    pts = np.asarray(pts, dtype=float)
+    if isinstance(obstacle, Box):
+        return box_signed_distance(pts, obstacle.lo, obstacle.hi)
+    if isinstance(obstacle, Disc):
+        return disc_signed_distance(pts, obstacle.center, obstacle.radius)
+    a, b = obstacle.boundary_segments()
+    d = points_to_segments_dist(pts, a, b).min(axis=1)
+    return polygon_signed_distance(d, polygons_contain(a[None], pts)[0])
 
 
 def _ref_edges_point_dist(verts, point):
@@ -69,10 +107,10 @@ def _ref_edges_point_dist(verts, point):
 
 
 def _ref_polygon(robot, coords, obstacle):
-    verts = robot._verts(coords)
+    verts = robot.body(coords)
     m, nv, _ = verts.shape
     flat = verts.reshape(m * nv, 2)
-    hit = (obstacle.signed_distance(flat) <= 0.0).reshape(m, nv).any(axis=1)
+    hit = (signed_distance(obstacle, flat) <= 0.0).reshape(m, nv).any(axis=1)
     if isinstance(obstacle, Disc):
         center_in = polygons_contain(verts, obstacle.center[None, :])[:, 0]
         near = _ref_edges_point_dist(verts, obstacle.center) \
@@ -90,7 +128,7 @@ def _ref_polygon(robot, coords, obstacle):
 
 
 def _ref_chain(robot, coords, obstacle):
-    j = robot.joints(coords)
+    j = robot.body(coords)
     a, b = j[:, :-1, :], j[:, 1:, :]
     m, L, _ = a.shape
     fa, fb = a.reshape(m * L, 2), b.reshape(m * L, 2)
@@ -98,8 +136,8 @@ def _ref_chain(robot, coords, obstacle):
         d = points_to_segments_dist(obstacle.center[None, :], fa, fb)
         d = d.reshape(m, L).min(axis=1)
         return d <= obstacle.radius + robot.link_radius
-    near_end = (obstacle.signed_distance(fa) <= robot.link_radius) | \
-               (obstacle.signed_distance(fb) <= robot.link_radius)
+    near_end = (signed_distance(obstacle, fa) <= robot.link_radius) | \
+               (signed_distance(obstacle, fb) <= robot.link_radius)
     near_end = near_end.reshape(m, L).any(axis=1)
     seg = obstacle.boundary_segments()
     if seg is None:
@@ -115,26 +153,14 @@ def ref_collides(robot, coords, obstacle):
         return _ref_polygon(robot, coords, obstacle)
     if isinstance(robot, ChainRobot):
         return _ref_chain(robot, coords, obstacle)
-    p = robot._pos(coords)
-    margin = robot.radius if isinstance(robot, DiscRobot) else 0.0
-    return obstacle.signed_distance(p) <= margin
+    return signed_distance(obstacle, robot._pos(coords)) <= robot.radius
 
 
 def ref_in_workspace(robot, coords, lo, hi):
     """Every posed vertex, joint or position inside [lo, hi], shrunk by the
-    disc radius or link radius."""
-    if isinstance(robot, PolygonRobot):
-        verts = robot._verts(coords)
-        return np.all((verts >= lo) & (verts <= hi), axis=(1, 2))
-    if isinstance(robot, ChainRobot):
-        j = robot.joints(coords)
-        r = robot.link_radius
-        return np.all((j >= lo + r) & (j <= hi - r), axis=(1, 2))
-    p = robot._pos(coords)
-    if isinstance(robot, DiscRobot):
-        return np.all((p >= lo + robot.radius) & (p <= hi - robot.radius),
-                      axis=1)
-    return np.all((p >= lo) & (p <= hi), axis=1)
+    robot's radius (0 for a point or polygon)."""
+    body, r = robot.body(coords), robot.radius
+    return np.all((body >= lo + r) & (body <= hi - r), axis=(1, 2))
 
 
 def ref_valid_mask(v: LevelValidity, coords):
@@ -358,10 +384,9 @@ def poses_around(robot, obstacle, gap):
     zero angles cos and sin are exact, so with these dyadic shapes every
     posed coordinate is exact too."""
     zero = np.zeros((1, robot_dim(robot)))
-    body = (robot._verts(zero) if isinstance(robot, PolygonRobot)
-            else robot.joints(zero))[0]
-    pad = robot.link_radius if isinstance(robot, ChainRobot) else 0.0
-    body_lo, body_hi = body.min(axis=0) - pad, body.max(axis=0) + pad
+    body = robot.body(zero)[0]
+    body_lo = body.min(axis=0) - robot.radius
+    body_hi = body.max(axis=0) + robot.radius
     lo, hi = obstacle.bounding_box()
     poses = []
     for side in ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1),
@@ -376,17 +401,10 @@ def poses_around(robot, obstacle, gap):
     return np.array(poses)
 
 
-def posed_body(robot, coords):
-    """Posed vertices or joints -> (m, k, 2)."""
-    return robot._verts(coords) if isinstance(robot, PolygonRobot) \
-        else robot.joints(coords)
-
-
 def meeting_pairs(robot, coords, obstacle_list):
     """(m, n) whether pose i's box (widened by the link radius) meets
     obstacle j's bounding box widened by BOX_MARGIN."""
-    body = posed_body(robot, coords)
-    pad = robot.link_radius if isinstance(robot, ChainRobot) else 0.0
+    body, pad = robot.body(coords), robot.radius
     lo, hi = body.min(axis=1) - pad, body.max(axis=1) + pad
     olo = np.array([o.bounding_box()[0] for o in obstacle_list]) - BOX_MARGIN
     ohi = np.array([o.bounding_box()[1] for o in obstacle_list]) + BOX_MARGIN
@@ -411,8 +429,8 @@ def staged_rows(robot, coords, obstacle_list):
     against each segment of the obstacle -> list of the four end points'
     bytes per row."""
     chain = isinstance(robot, ChainRobot)
-    pad = robot.link_radius if chain else 0.0
-    body = posed_body(robot, coords)
+    pad = robot.radius
+    body = robot.body(coords)
     a, b = body_segments(robot, body)
     meets = meeting_pairs(robot, coords, obstacle_list)
     rows = []
@@ -422,7 +440,7 @@ def staged_rows(robot, coords, obstacle_list):
         oa, ob = o.boundary_segments()
         lo, hi = o.bounding_box()
         for i in np.flatnonzero(meets[:, j]):
-            if (o.signed_distance(body[i]) <= pad).any() or (
+            if (signed_distance(o, body[i]) <= pad).any() or (
                     not chain and polygons_contain(body[i][None], oa).any()):
                 continue
             seg_lo = np.minimum(a[i], b[i]) - pad
@@ -511,7 +529,7 @@ class TestBroadPhase:
         np.testing.assert_array_equal(v.valid_mask(x), ref_valid_mask(v, x))
         inside = ref_in_workspace(robot, x, v.workspace_lo, v.workspace_hi)
         meets = meeting_pairs(robot, x, BOUNDARY_OBSTACLES) & inside[:, None]
-        body = posed_body(robot, x)
+        body = robot.body(x)
         want = [(body[i].tobytes(), int(j))
                 for i, j in zip(*np.nonzero(meets))]
         assert sorted(seen) == sorted(want)
@@ -565,7 +583,7 @@ class TestSegmentBroadPhase:
         box = BOUNDARY_OBSTACLES[0]
         robot, pose = face_robot(kind, side)
         v = validity(robot, [box], workspace=True)
-        pad = robot.link_radius if kind == "chain" else 0.0
+        pad = robot.radius
         face = box.bounding_box()[side > 0][1]
         widened = face + side * BOX_MARGIN
         # the gap between the long segment's box and the box's face: 0,
@@ -575,8 +593,7 @@ class TestSegmentBroadPhase:
                    np.nextafter(widened, side * np.inf)]
         x = np.repeat(pose[None], len(targets), axis=0)
         x[:, 1] = [t + side * pad for t in targets]
-        body = posed_body(robot, x)
-        a, b = body_segments(robot, body)
+        a, b = body_segments(robot, robot.body(x))
         flat = (a[..., 1] == b[..., 1]) & (a[..., 1] == x[:, 1, None])
         assert (flat.sum(axis=1) == 1).all()
         long = int(np.flatnonzero(flat[0])[0])
@@ -608,14 +625,13 @@ class TestOnePosedPass:
         small = states(rng, robot, CHUNK_STATES, BOUNDARY_OBSTACLES)
         large = states(rng, robot, 2 * CHUNK_STATES + 7, BOUNDARY_OBSTACLES)
         want = [ref_valid_mask(v, x) for x in (small, large)]
-        name = "_verts" if isinstance(robot, PolygonRobot) else "joints"
         posed = []
-        original = getattr(type(robot), name)
+        original = type(robot).body
 
         def counted(self, coords):
             posed.append(len(coords))
             return original(self, coords)
-        monkeypatch.setattr(type(robot), name, counted)
+        monkeypatch.setattr(type(robot), "body", counted)
         np.testing.assert_array_equal(v.valid_mask(small), want[0])
         assert posed == [CHUNK_STATES]
         posed.clear()
@@ -642,7 +658,7 @@ def body_points(robot, coords, rng, n=200):
         return np.stack([c * local[..., 0] - sn * local[..., 1] + x,
                          sn * local[..., 0] + c * local[..., 1] + y],
                         axis=-1)
-    j = robot.joints(coords)
+    j = robot.body(coords)
     link = rng.integers(0, len(j[0]) - 1, (m, n))
     a = np.take_along_axis(j, link[..., None], axis=1)
     b = np.take_along_axis(j, link[..., None] + 1, axis=1)
@@ -668,7 +684,7 @@ class TestDenseReference:
         pts = body_points(robot, x, rng)
         deep = np.zeros(len(x), dtype=bool)
         for o in obstacle_list:
-            sd = o.signed_distance(pts.reshape(-1, 2)).reshape(len(x), -1)
+            sd = signed_distance(o, pts.reshape(-1, 2)).reshape(len(x), -1)
             deep |= (sd < -1e-9).any(axis=1)
         assert not (v.valid_mask(x) & deep).any()
 
@@ -827,8 +843,8 @@ class TestKernelsEqualMatrixForms:
     @given(p=point_batch(), corners=lattice_segments(), data=st.data(),
            layout=layouts)
     def test_box_and_disc_signed_distance(self, p, corners, data, layout):
-        """Against Box.signed_distance and Disc.signed_distance, and the
-        broadcast form of near_points."""
+        """Against each obstacle's signed_distance, and the broadcast form
+        of near_points."""
         lo = np.minimum(*corners)
         hi = np.maximum(*corners) + 0.25
         radii = hi[:, 0] - lo[:, 0]
@@ -837,9 +853,9 @@ class TestKernelsEqualMatrixForms:
         boxes = box_signed_distance(q, gathered(lo, j, layout),
                                     gathered(hi, j, layout))
         discs = disc_signed_distance(q, gathered(lo, j, layout), radii[j])
-        box_matrix = np.stack([Box(a, b).signed_distance(p)
+        box_matrix = np.stack([signed_distance(Box(a, b), p)
                                for a, b in zip(lo, hi)], axis=1)
-        disc_matrix = np.stack([Disc(c, r).signed_distance(p)
+        disc_matrix = np.stack([signed_distance(Disc(c, r), p)
                                 for c, r in zip(lo, radii)], axis=1)
         assert boxes.tobytes() == box_matrix[i, j].tobytes()
         assert discs.tobytes() == disc_matrix[i, j].tobytes()
@@ -986,9 +1002,6 @@ class TestVerdictKernels:
         want = box_signed_distance(pts[:, None], lo, hi) <= margin
         got = box_near(pts[:, None], lo, hi, margin)
         assert got.tobytes() == want.tobytes()
-        for j in range(len(lo)):
-            assert Box(lo[j], hi[j]).signed_distance(pts).tobytes() == \
-                box_signed_distance(pts, lo[j], hi[j]).tobytes()
 
     def test_box_near_one_ulp_outside_a_face_at_zero(self):
         """Outside by a subnormal, whose square is 0: not near at margin 0

@@ -422,10 +422,8 @@ class TestEdgeCertificate:
 
 
 class TestOnePosingPerCentre:
-    @pytest.mark.parametrize("kind, h, pose",
-                             [("se2", 0.1, "_verts"), ("chain", 0.25,
-                                                       "joints")])
-    def test_centres_posed_once(self, kind, h, pose, monkeypatch):
+    @pytest.mark.parametrize("kind, h", [("se2", 0.1), ("chain", 0.25)])
+    def test_centres_posed_once(self, kind, h, monkeypatch):
         """__init__ checks the cell centres in one valid_mask call, and
         graph() poses only the postures, for the centre boxes, and the
         substep states it checks."""
@@ -433,7 +431,7 @@ class TestOnePosingPerCentre:
                               Disc([0.2, 0.8], 0.1)])
         robot = v.robot
         posed, checked = [], []
-        original_pose = getattr(type(robot), pose)
+        original_pose = type(robot).body
         original_mask = LevelValidity.valid_mask
 
         def counted_pose(self, coords):
@@ -443,7 +441,7 @@ class TestOnePosingPerCentre:
         def counted_mask(self, coords):
             checked.append(len(coords))
             return original_mask(self, coords)
-        monkeypatch.setattr(type(robot), pose, counted_pose)
+        monkeypatch.setattr(type(robot), "body", counted_pose)
         monkeypatch.setattr(LevelValidity, "valid_mask", counted_mask)
         o = GridOracle(v.space, v, h)
         assert o._substeps > 1
@@ -509,6 +507,30 @@ class TestDuplicateEntries:
         a, b = o.centers[0], o.centers[3]
         assert o.shortest_path_cost(a, b) == t2.distance(a, b)
         assert t2.distance(a, b) == pytest.approx(math.pi * math.sqrt(2))
+
+    def test_two_by_two_torus_diagonal_not_certified(self):
+        """Cells 1 and 2 are pi apart on both axes, so each direction's
+        motion wraps one axis at the seam, and both pass through the
+        polygon near (6.2, 1.6) that the two cells' box hull misses: no
+        box certifies the pair, and it is no edge."""
+        t2 = ProductSpace([CircleSpace(), CircleSpace()])
+        obstacles = [
+            Box([2.3355, 5.2137], [3.6015, 8.0451]),
+            Polygon([[6.1165, 1.9166], [6.1181, 2.4421], [5.1496, 2.4962],
+                     [5.0436, 1.26], [6.3007, 0.8291]])]
+        v = LevelValidity(space=t2, robot=PointRobot(), obstacles=obstacles)
+        h = 4.0
+        v = replace(v, check_resolution=h * math.sqrt(2) / (
+            t2.max_extent() * 3.5))
+        o = GridOracle(t2, v, h)
+        assert o._substeps == 4 and o.free.all()
+        a, b = o.centers[1], o.centers[2]
+        assert not o._edge_valid_mask(a[None], b[None])[0]
+        assert not o._edge_valid_mask(b[None], a[None])[0]
+        g, ref = o.graph().tocoo(), reference_graph(o).tocoo()
+        assert set(map(frozenset, zip(g.row.tolist(), g.col.tolist()))) == \
+            set(map(frozenset, zip(ref.row.tolist(), ref.col.tolist())))
+        assert o.graph()[1, 2] == o.graph()[2, 1] == 0
 
 
 class TestOneCheckPerPair:

@@ -159,7 +159,7 @@ class TestChainRobot:
 
     def test_joints_forward_kinematics(self):
         robot = ChainRobot(link_lengths=(0.2, 0.2), link_radius=0.02)
-        j = robot.joints(np.array([[0.5, 0.5, 0.0, math.pi / 2]]))
+        j = robot.body(np.array([[0.5, 0.5, 0.0, math.pi / 2]]))
         assert np.allclose(j[0, 0], [0.5, 0.5])
         assert np.allclose(j[0, 1], [0.7, 0.5])
         assert np.allclose(j[0, 2], [0.7, 0.7])
@@ -188,6 +188,24 @@ BODIES = {
     "chain": (ChainRobot(link_lengths=(0.2, 0.15, 0.1), link_radius=0.02,
                          angle_indices=(2, 3, 4)), 5),
 }
+
+
+class TestBody:
+    """Each robot states its body once: body_box is the posed body points'
+    box widened by radius, bit for bit."""
+
+    @pytest.mark.parametrize("kind, radius, points", [
+        ("point", 0.0, 1), ("disc", 0.05, 1), ("polygon", 0.0, 6),
+        ("chain", 0.02, 4)], ids=["point", "disc", "polygon", "chain"])
+    def test_body_box_is_body_widened_by_radius(self, kind, radius, points):
+        robot, dim = BODIES.get(kind, (PointRobot(), 2))
+        x = np.random.default_rng(3).uniform(-4.0, 4.0, (50, dim))
+        body = robot.body(x)
+        assert robot.radius == radius
+        assert body.shape == (len(x), points, 2)
+        lo, hi = robot.body_box(x)
+        assert lo.tobytes() == (body.min(1) - robot.radius).tobytes()
+        assert hi.tobytes() == (body.max(1) + robot.radius).tobytes()
 
 
 class TestMotionPad:
@@ -283,9 +301,20 @@ class TestPathValid:
         # each state to itself: the zero-length motion checks that state
         assert v.motions_valid(path, path).tolist() == \
             v.valid_mask(path).tolist()
-        if len(path) > 1:
-            assert v.motions_valid(path[:-1], path[1:]).tolist() == [
-                v.motion_valid(a, b) for a, b in zip(path[:-1], path[1:])]
+        # a one-state path has no segment and checks none
+        assert v.motions_valid(path[:-1], path[1:]).tolist() == [
+            v.motion_valid(a, b) for a, b in zip(path[:-1], path[1:])]
+
+    def test_no_motions(self):
+        """motions_valid and motions_from answer no motions with an empty
+        bool array, from one or no start."""
+        v = point_world([Box([0.4, 0.4], [0.6, 0.6])])
+        none = np.empty((0, 2))
+        got = [v.motions_valid(none, none), v.motions_valid([0.1, 0.1], none),
+               v.motions_from(none, none, np.empty(0)),
+               v.motions_from([0.1, 0.1], none, np.empty(0))]
+        for mask in got:
+            assert mask.dtype == bool and mask.shape == (0,)
 
     @pytest.mark.parametrize("kind", sorted(PATH_SPACES))
     @settings(max_examples=60, deadline=None)
