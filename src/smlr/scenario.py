@@ -288,8 +288,9 @@ def load_scenario(path) -> Scenario:
         if k > 0:
             base = levels[k - 1].space
             with _named(f"{where}.base_indices"):
-                bundles.append(FiberBundle(space, base, lvl.get(
-                    "base_indices", range(base.dim))))
+                bundles.append(FiberBundle(space, base, _indices(
+                    lvl, "base_indices", range(base.dim), dim=space.dim,
+                    where=where)))
 
     with _named(name):
         seq = FiberBundleSequence(levels=levels, bundles=bundles)

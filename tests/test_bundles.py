@@ -93,6 +93,49 @@ class TestProjectLift:
             assert db <= dx + 1e-9
 
 
+def se2():
+    return ProductSpace([RealVectorSpace.unit(2), CircleSpace()], [1.0, 0.1])
+
+
+def planar_chain():
+    return ProductSpace([RealVectorSpace.unit(2),
+                         RealVectorSpace([[-3.1416, 3.1416]] * 2)],
+                        [1.0, 0.05])
+
+
+class TestIndices:
+    """The bundle's own checks of base_indices, and the fiber indices of
+    the shipped bundle shapes."""
+
+    @pytest.mark.parametrize("indices, match", [
+        ([0, 0], r"^base_indices repeat a coordinate, got \[0, 0\]$"),
+        ([0], "base index count must match base dimension"),
+        ([0, 1, 2], "base index count must match base dimension"),
+        ([0, 3], "base indices out of range for bundle space"),
+        ([-1, 1], "base indices out of range for bundle space"),
+    ], ids=["repeated", "too_few", "too_many", "above_range",
+            "below_range"])
+    def test_bad_indices_rejected(self, indices, match):
+        with pytest.raises(ValueError, match=match):
+            FiberBundle(bundle_space=se2(), base_space=RealVectorSpace.unit(2),
+                        base_indices=indices)
+
+    @pytest.mark.parametrize("bundle_space, base_space, base, fiber", [
+        (ProductSpace([CircleSpace(), CircleSpace()]), CircleSpace(), [0],
+         [1]),
+        (se2(), RealVectorSpace.unit(2), [0, 1], [2]),
+        (planar_chain(), RealVectorSpace.unit(2), [0, 1], [2, 3]),
+    ], ids=["torus", "se2", "chain"])
+    def test_fiber_indices_of_shipped_shapes(self, bundle_space, base_space,
+                                             base, fiber):
+        bundle = FiberBundle(bundle_space=bundle_space,
+                             base_space=base_space, base_indices=base)
+        assert bundle.base_indices.tolist() == base
+        assert bundle.fiber_indices.tolist() == fiber
+        assert bundle.fiber_indices.dtype == np.dtype(int)
+        assert bundle.fiber_space.dim == len(fiber)
+
+
 class TestSampleFiber:
     def test_containment_and_determinism(self):
         bundle = torus_over_circle()

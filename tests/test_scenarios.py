@@ -320,6 +320,10 @@ def _boundary_cases():
                               (2, "pose_indices", [0, 1, 1]),
                               (3, "angle_indices", [1, 3])):
         yield ("levels", robot, "robot", key), value
+    # bundle indices that a cast to int would read as other coordinates
+    # ([0, 1] and [1, 1]), and a coordinate listed twice
+    for value in ([0.5, 1], [0, 1.9], [True, 1], [0, 0]):
+        yield ("levels", 1, "base_indices"), value
     yield from NON_FINITE_CASES
 
 
@@ -467,6 +471,15 @@ class TestBoundary:
         (("levels", 3, "robot", "link_lengths"), [NAN, 0.05],
          r"^boundary.levels\[3\].robot: link_lengths must be finite, "
          r"got \[nan, 0.05\]$"),
+        (("levels", 1, "base_indices"), [0.5, 1],
+         r"^boundary.levels\[1\]: base_indices must be indices in 0..1, "
+         r"got \[0.5, 1\]$"),
+        (("levels", 1, "base_indices"), [True, 1],
+         r"^boundary.levels\[1\]: base_indices must be indices in 0..1, "
+         r"got \[True, 1\]$"),
+        (("levels", 1, "base_indices"), [0, 0],
+         r"^boundary.levels\[1\].base_indices: base_indices repeat a "
+         r"coordinate, got \[0, 0\]$"),
     ], ids=["weight_text", "start_text", "workspace_text", "workspace_ragged",
             "link_lengths_number", "radius_list", "index_out_of_range",
             "pose_indices_two", "chain_base_indices_one",
@@ -480,7 +493,9 @@ class TestBoundary:
             "name_list", "name_empty", "ignore_workspace_text",
             "workspace_nan", "box_lo_nan", "disc_center_nan",
             "polygon_vertex_nan", "real_bounds_inf",
-            "polygon_robot_vertex_nan", "link_length_nan"])
+            "polygon_robot_vertex_nan", "link_length_nan",
+            "base_indices_fraction", "base_indices_bool",
+            "base_indices_repeated"])
     def test_field_named(self, tmp_path, path, value, match):
         f = write(tmp_path, yaml.safe_dump(_corrupt(path, value)))
         with pytest.raises(ScenarioError, match=match):
