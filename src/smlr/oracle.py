@@ -100,12 +100,17 @@ class GridOracle:
 
     def _edge_valid_mask(self, a, b):
         """Motion check of the edges a[i] -> b[i] at their interior
-        substep states, one substep at a time over all edges."""
-        ok = np.ones(len(a), dtype=bool)
-        for s in np.linspace(0.0, 1.0, self._substeps + 1)[1:-1]:
-            ok &= self.validity.valid_mask(
-                self.space.interpolate_many(a, b, np.full(len(a), s)))
-        return ok
+        substep states, all from one valid_mask call: the states stacked
+        substep-major, and an edge passes where all of its states pass.
+        No edge checks no state."""
+        if not len(a):
+            return np.ones(0, dtype=bool)
+        s = np.linspace(0.0, 1.0, self._substeps + 1)[1:-1]
+        k = (len(s), 1)
+        states = self.space.interpolate_many(np.tile(a, k), np.tile(b, k),
+                                             np.repeat(s, len(a)))
+        return self.validity.valid_mask(states).reshape(len(s), -1).all(
+            axis=0)
 
     def _offset_weights(self, off):
         """Centre distances across off on the whole lattice, from each cell
@@ -145,19 +150,21 @@ class GridOracle:
         """Every centre's RobotModel.body_box -> (lo, hi), one row per cell.
         A body moves with its position coordinates, so a centre's box is its
         position plus the box of its posture (its other coordinates) posed
-        at position 0: one body_box call on the few postures, broadcast over
-        the lattice.  The floats are body_box's own, but for a chain's last
-        bit: body_box takes the link radius off after adding the base, this
-        before, far below the BOX_MARGIN that boxes_clear widens by."""
-        pos = list(self.validity.robot.position_indices)
+        at position 0: one posing of the few postures, broadcast over the
+        lattice.  The posture's body min and max get the position added
+        before the radius, as body_box adds and subtracts them, so the
+        floats are body_box's own."""
+        robot = self.validity.robot
+        pos = list(robot.position_indices)
         axes = [[0.0] if i in pos else c
                 for i, c in enumerate(self._centers_1d)]
         mesh = np.meshgrid(*axes, indexing="ij")
-        boxes = self.validity.robot.body_box(
-            np.stack([m.ravel() for m in mesh], axis=-1))
+        body = robot.body(np.stack([m.ravel() for m in mesh], axis=-1))
         at = self.centers[:, pos].reshape(*self.cells_per_dim, len(pos))
-        return tuple((at + b.reshape(*mesh[0].shape, len(pos))).reshape(
-            self.n_cells, len(pos)) for b in boxes)
+        lo, hi = ((at + b.reshape(*mesh[0].shape, len(pos))).reshape(
+            self.n_cells, len(pos)) for b in (body.min(axis=1),
+                                              body.max(axis=1)))
+        return lo - robot.radius, hi + robot.radius
 
     def _certified(self, src, dst, boxes, pad):
         """Edges src[i]-dst[i] whose two cell boxes' hull, widened by pad,

@@ -24,7 +24,7 @@ from smlr.geometry import (Box, Disc, Polygon, box_near, disc_signed_distance,
 from smlr.scenario import load_scenario, shipped_scenario_dir
 from smlr.spaces import CircleSpace, ProductSpace, RealVectorSpace
 from smlr.sparse_graph import AddOutcome, SparseRoadmap
-from smlr.validity import (BOX_MARGIN, CHUNK_STATES, ChainRobot,
+from smlr.validity import (BOX_MARGIN, PASS_SIZE, ChainRobot,
                            CollisionWorld, DiscRobot, LevelValidity,
                            PointRobot, PolygonRobot)
 from test_sparse_graph import visible_guard_distances
@@ -218,9 +218,9 @@ def polygons(draw):
         return Box([0.1, 0.1], [0.2, 0.2])
 
 
-def obstacles(dim=2):
+def obstacles(dim=2, max_size=6):
     kinds = [boxes(dim), discs(dim)] + ([polygons()] if dim == 2 else [])
-    return st.lists(st.one_of(kinds), max_size=6)
+    return st.lists(st.one_of(kinds), max_size=max_size)
 
 
 @st.composite
@@ -295,7 +295,7 @@ class TestWorldEqualsPerObstacle:
     def test_batch_beyond_chunk_size(self, robot, obstacle_list, seed):
         v = validity(robot, obstacle_list, workspace=True)
         x = states(np.random.default_rng(seed), robot,
-                   2 * CHUNK_STATES + 7, obstacle_list)
+                   2 * PASS_SIZE + 7, obstacle_list)
         np.testing.assert_array_equal(v.valid_mask(x), ref_valid_mask(v, x))
 
     @settings(max_examples=60, deadline=None)
@@ -619,11 +619,14 @@ class TestOnePosedPass:
                              ids=lambda r: type(r).__name__)
     def test_each_chunk_posed_once(self, robot, monkeypatch):
         """The workspace test and the collision test share one pose of
-        each chunk of CHUNK_STATES states."""
+        each slice of pass_states states, PASS_SIZE for a polygon or a
+        chain."""
         v = validity(robot, BOUNDARY_OBSTACLES, workspace=True)
+        n = robot.pass_states(v._world)
+        assert n == PASS_SIZE
         rng = np.random.default_rng(2)
-        small = states(rng, robot, CHUNK_STATES, BOUNDARY_OBSTACLES)
-        large = states(rng, robot, 2 * CHUNK_STATES + 7, BOUNDARY_OBSTACLES)
+        small = states(rng, robot, n, BOUNDARY_OBSTACLES)
+        large = states(rng, robot, 2 * n + 7, BOUNDARY_OBSTACLES)
         want = [ref_valid_mask(v, x) for x in (small, large)]
         posed = []
         original = type(robot).body
@@ -633,10 +636,108 @@ class TestOnePosedPass:
             return original(self, coords)
         monkeypatch.setattr(type(robot), "body", counted)
         np.testing.assert_array_equal(v.valid_mask(small), want[0])
-        assert posed == [CHUNK_STATES]
+        assert posed == [n]
         posed.clear()
         np.testing.assert_array_equal(v.valid_mask(large), want[1])
-        assert posed == [CHUNK_STATES, CHUNK_STATES, 7]
+        assert posed == [n, n, 7]
+
+    @pytest.mark.parametrize("robot", TOUCHING_ROBOTS,
+                             ids=lambda r: type(r).__name__)
+    def test_small_batch_in_one_pass(self, robot, monkeypatch):
+        """A planner-sized batch, 256 states whose pairs fit in one run,
+        is posed once and tested by one _collides call."""
+        v = validity(robot, BOUNDARY_OBSTACLES, workspace=True)
+        x = states(np.random.default_rng(3), robot, 256, BOUNDARY_OBSTACLES)
+        want = ref_valid_mask(v, x)
+        posed, pairs = count_passes(robot, monkeypatch)
+        np.testing.assert_array_equal(v.valid_mask(x), want)
+        assert posed == [256]
+        assert len(pairs) == 1 and 0 < pairs[0] <= PASS_SIZE
+
+
+def count_passes(robot, monkeypatch):
+    """Record the rows of every body call of robot's class and the pairs
+    of every _collides call of robot -> (posed, pairs) lists."""
+    posed, pairs = [], []
+    body, collides = type(robot).body, robot._collides
+
+    def counted_body(self, coords):
+        posed.append(len(coords))
+        return body(self, coords)
+
+    def counted_collides(b, world, obs):
+        pairs.append(len(obs))
+        return collides(b, world, obs)
+    monkeypatch.setattr(type(robot), "body", counted_body)
+    monkeypatch.setattr(robot, "_collides", counted_collides)
+    return posed, pairs
+
+
+def scattered_obstacles(rng, n):
+    """n boxes, discs and triangles of 0.05-0.25 across the unit square."""
+    out = []
+    for kind, (x, y), size in zip(rng.integers(0, 3, n), rng.random((n, 2)),
+                                  rng.uniform(0.05, 0.25, n)):
+        if kind == 0:
+            out.append(Box([x, y], [x + size, y + size]))
+        elif kind == 1:
+            out.append(Disc([x, y], size / 2))
+        else:
+            out.append(Polygon([[x, y], [x + size, y],
+                                [x + size / 3, y + size]]))
+    return out
+
+
+class TestPassBound:
+    """Each collision pass holds at most PASS_SIZE states, (pose,
+    obstacle) pairs or (point, obstacle) entries, and the bound changes
+    no verdict."""
+
+    @pytest.mark.parametrize("size", [1, 2, 7])
+    @settings(max_examples=25, deadline=None)
+    @given(robot=robots(), obstacle_list=obstacles(max_size=40),
+           workspace=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_any_bound_gives_the_same_masks(self, size, robot,
+                                            obstacle_list, workspace, seed):
+        v = validity(robot, obstacle_list, workspace)
+        x = states(np.random.default_rng(seed), robot, 30, obstacle_list)
+        want = ref_valid_mask(v, x)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(validity_module, "PASS_SIZE", size)
+            assert v.valid_mask(x).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("robot", [PointRobot(), DiscRobot(radius=0.02)]
+                             + TOUCHING_ROBOTS,
+                             ids=lambda r: type(r).__name__)
+    def test_no_pass_exceeds_the_bound(self, robot, monkeypatch):
+        """10,000 states among 40 obstacles: more work than one pass
+        holds, cut into passes of at most PASS_SIZE pairs (polygon,
+        chain) or (state, obstacle) entries (point, disc), the largest
+        of them full."""
+        rng = np.random.default_rng(5)
+        obstacle_list = scattered_obstacles(rng, 40)
+        v = validity(robot, obstacle_list, workspace=True)
+        x = states(rng, robot, 10_000, obstacle_list)
+        want = ref_valid_mask(v, x)
+        if isinstance(robot, PointRobot):
+            world, entries = v._world, []
+            near_points = world.near_points
+
+            def counted(pts, margin):
+                entries.append(len(pts) * world.count)
+                return near_points(pts, margin)
+            monkeypatch.setattr(world, "near_points", counted)
+            posed = None
+        else:
+            posed, entries = count_passes(robot, monkeypatch)
+        assert v.valid_mask(x).tobytes() == want.tobytes()
+        assert len(entries) > 1
+        assert max(entries) <= PASS_SIZE
+        if posed is None:
+            assert max(entries) > PASS_SIZE - len(obstacle_list)
+        else:
+            assert posed == [PASS_SIZE, 10_000 - PASS_SIZE]
+            assert max(entries) == PASS_SIZE
 
 
 # -- dense point-sampled reference --------------------------------------------

@@ -421,6 +421,63 @@ class TestEdgeCertificate:
         assert o._edge_valid_mask(b, a).all()
 
 
+def per_substep_mask(o, a, b):
+    """The motion check of the edges a[i] -> b[i] as _edge_valid_mask
+    once made it: one valid_mask call per interior substep over all
+    edges, the masks ANDed."""
+    ok = np.ones(len(a), dtype=bool)
+    for s in np.linspace(0.0, 1.0, o._substeps + 1)[1:-1]:
+        ok &= o.validity.valid_mask(
+            o.space.interpolate_many(a, b, np.full(len(a), s)))
+    return ok
+
+
+def counted_masks(monkeypatch):
+    """Record the rows of every valid_mask call -> list."""
+    checked = []
+    original = LevelValidity.valid_mask
+
+    def valid_mask(self, coords):
+        checked.append(len(coords))
+        return original(self, coords)
+    monkeypatch.setattr(LevelValidity, "valid_mask", valid_mask)
+    return checked
+
+
+class TestEdgeMaskInOneCall:
+    @pytest.mark.parametrize("kind", sorted(TestEdgeCertificate.KINDS))
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data(), substeps=st.sampled_from([2, 3, 5]))
+    def test_equals_per_substep_loop(self, kind, data, substeps):
+        """Random edges between cell centres: the one-call mask equals
+        the per-substep loop, byte for byte, from one valid_mask call of
+        every edge's interior states."""
+        scale, (h_lo, h_hi) = TestEdgeCertificate.KINDS[kind]
+        v = grid_level(kind, data.draw(obstacle_worlds(scale)))
+        h = data.draw(st.floats(h_lo, h_hi))
+        diagonal = h * math.sqrt(v.space.dim) / v.space.max_extent()
+        v = replace(v, check_resolution=diagonal / (substeps - 0.5))
+        o = GridOracle(v.space, v, h)
+        assume(o._substeps == substeps)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        a, b = (o.centers[rng.integers(0, o.n_cells, 50)] for _ in "ab")
+        want = per_substep_mask(o, a, b)
+        with pytest.MonkeyPatch.context() as mp:
+            checked = counted_masks(mp)
+            got = o._edge_valid_mask(a, b)
+        assert checked == [50 * (substeps - 1)]
+        assert got.tobytes() == want.tobytes()
+
+    def test_no_edge_checks_nothing(self, monkeypatch):
+        space, v = world([Box([0.4, 0.4], [0.6, 0.6])])
+        o = GridOracle(space, replace(v, check_resolution=0.02), 0.1)
+        assert o._substeps > 1
+        checked = counted_masks(monkeypatch)
+        none = np.empty((0, 2))
+        assert o._edge_valid_mask(none, none).shape == (0,)
+        assert checked == []
+
+
 class TestOnePosingPerCentre:
     @pytest.mark.parametrize("kind, h", [("se2", 0.1), ("chain", 0.25)])
     def test_centres_posed_once(self, kind, h, monkeypatch):
@@ -459,11 +516,10 @@ class TestOnePosingPerCentre:
     @pytest.mark.parametrize("kind", ["point", "disc", "se2", "chain"])
     def test_centre_boxes_equal_body_box(self, kind):
         """A centre's box is its position plus its posture's box at
-        position 0.  That is body_box's own sum for a point, a disc (here
-        on positions (2, 0) of a 3-D space whose axis 1 it ignores) and a
-        polygon.  body_box takes a chain's link radius off after adding
-        the base and _centre_boxes before, so a chain's boxes may differ
-        in the last bit."""
+        position 0, in body_box's own float operations: the posed body's
+        min and max plus the position, then minus and plus the radius.
+        Byte-equal for a point, a disc (here on positions (2, 0) of a 3-D
+        space whose axis 1 it ignores), a polygon and a chain."""
         if kind == "point":
             space = RealVectorSpace([[0, 1], [-1, 2]])
             v = LevelValidity(space=space, robot=PointRobot())
@@ -477,12 +533,8 @@ class TestOnePosingPerCentre:
         lo, hi = o._centre_boxes()
         want_lo, want_hi = v.robot.body_box(o.centers)
         assert lo.shape == want_lo.shape == (o.n_cells, 2)
-        if kind == "chain":
-            np.testing.assert_allclose(lo, want_lo, rtol=0, atol=1e-12)
-            np.testing.assert_allclose(hi, want_hi, rtol=0, atol=1e-12)
-        else:
-            assert lo.tobytes() == want_lo.tobytes()
-            assert hi.tobytes() == want_hi.tobytes()
+        assert lo.tobytes() == want_lo.tobytes()
+        assert hi.tobytes() == want_hi.tobytes()
 
 
 class TestDuplicateEntries:
