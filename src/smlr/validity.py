@@ -21,28 +21,18 @@ from .geometry import (Box, Disc, Polygon, box_near, disc_signed_distance,
                        segment_segment_dist)
 from .spaces import StateSpace
 
-# The work one collision pass holds: at most this many states posed and
-# broad-phased at once, (pose, obstacle) pairs in one exact test, or (point,
-# obstacle) entries in one point-robot test.  It caps the temporaries of a
-# pass, which grow with those counts (the exact tests' with the pairs'
-# obstacle edges), on the grid oracle's batches of 1e4-1e5 states.
+# States one collision pass poses and tests: valid_mask cuts the grid
+# oracle's batches of 1e4-1e5 states into passes of at most this many.  A
+# pass's temporaries grow with its states times the world's obstacles: the
+# broad phase's (state, obstacle) box tests, the point robots' near_points
+# entries, and the exact test's (pose, obstacle) pairs with their obstacle
+# edges, which the broad phase leaves to the obstacles a pose's box meets.
 PASS_SIZE = 8192
 
 # Widening of each obstacle's bounding box in the broad phase, far above the
 # 1e-12 touch tolerance of the segment and containment kernels and the
 # rounding of the exact tests, so a pair they find touching is a candidate.
 BOX_MARGIN = 1e-9
-
-
-def _by_pass(f, size, *rows):
-    """f(*rows) when the rows number size or fewer, else f on each run of
-    at most size consecutive rows of every array of rows, concatenated.
-    f is row-wise, so the verdicts are the same -> (n,) bool."""
-    n = len(rows[0])
-    if n <= size:
-        return f(*rows)
-    return np.concatenate([f(*(r[i:i + size] for r in rows))
-                           for i in range(0, n, size)])
 
 
 def _take(x, rows):
@@ -117,7 +107,7 @@ class CollisionWorld:
         first = np.cumsum(self.seg_count) - self.seg_count
         self.seg_table = np.where(cols < self.seg_count[:, None],
                                   first[:, None] + cols, -1)
-        self.count = len(obstacles)
+        self.empty = not obstacles
         bounds = (np.array([o.bounding_box() for o in ordered]) if ordered
                   else np.empty((0, 2, 2)))
         self.aabb_lo = bounds[:, 0] - BOX_MARGIN
@@ -282,12 +272,6 @@ class RobotModel:
         body = self.body(coords)
         return body.min(axis=1) - self.radius, body.max(axis=1) + self.radius
 
-    def pass_states(self, world: CollisionWorld) -> int:
-        """The most states valid takes at once (LevelValidity.valid_mask
-        slices larger batches): PASS_SIZE, since valid itself cuts its
-        (pose, obstacle) pairs into runs of PASS_SIZE."""
-        return PASS_SIZE
-
     def valid(self, coords: np.ndarray, world: CollisionWorld,
               lo: np.ndarray | None, hi: np.ndarray | None) -> np.ndarray:
         """Rows of coords whose posed robot lies inside the workspace box
@@ -295,9 +279,7 @@ class RobotModel:
         world; the robot is posed once for the whole batch -> (m,) bool.
         The workspace test and the broad phase share each pose's box: the
         poses inside the workspace are paired with the obstacles their box
-        meets, and the exact _collides runs on those pairs only, on runs
-        of at most PASS_SIZE consecutive pairs.  The pairs are sorted by
-        obstacle, so a run is too, as kind_slices needs."""
+        meets, and the exact _collides runs on those pairs only."""
         body, r = self.body(coords), self.radius
         body_lo, body_hi = body.min(axis=1), body.max(axis=1)
         ok = _in_workspace(body_lo, body_hi, lo, hi, r)
@@ -308,10 +290,7 @@ class RobotModel:
                                       _take(body_hi, rows) + r)
         if len(pose):
             pose = rows[pose]
-            hit = _by_pass(
-                lambda p, o: self._collides(_take(body, p), world, o),
-                PASS_SIZE, pose, obs)
-            ok[pose[hit]] = False
+            ok[pose[self._collides(_take(body, pose), world, obs)]] = False
         return ok
 
     def _collides(self, body, world: CollisionWorld, obs) -> np.ndarray:
@@ -344,11 +323,6 @@ class PointRobot(RobotModel):
 
     def body(self, coords):
         return self._pos(coords)[:, None]
-
-    def pass_states(self, world):
-        """near_points tests every state against every obstacle, so a
-        pass of this many states holds at most PASS_SIZE entries."""
-        return max(1, PASS_SIZE // max(1, world.count))
 
     def valid(self, coords, world, lo, hi):
         # every row, not only those inside the workspace: a row gather
@@ -560,8 +534,7 @@ class LevelValidity:
         # no obstacle and no workspace box: every state is valid, so
         # valid_mask and the motion checks return all-true and check none
         object.__setattr__(self, "unconstrained",
-                           not self._world.count
-                           and self.workspace_lo is None)
+                           self._world.empty and self.workspace_lo is None)
 
     @functools.cached_property
     def half_resolution(self) -> LevelValidity:
@@ -575,11 +548,12 @@ class LevelValidity:
             coords = coords[None, :]
         if self.unconstrained:
             return np.ones(len(coords), dtype=bool)
-        robot, world = self.robot, self._world
-        return _by_pass(functools.partial(robot.valid, world=world,
-                                          lo=self.workspace_lo,
-                                          hi=self.workspace_hi),
-                        robot.pass_states(world), coords)
+        ok = np.empty(len(coords), dtype=bool)
+        for i in range(0, len(coords), PASS_SIZE):
+            ok[i:i + PASS_SIZE] = self.robot.valid(
+                coords[i:i + PASS_SIZE], self._world, self.workspace_lo,
+                self.workspace_hi)
+        return ok
 
     def boxes_clear(self, lo, hi) -> np.ndarray:
         """Rows whose workspace box [lo[i], hi[i]], widened by BOX_MARGIN,

@@ -619,11 +619,9 @@ class TestOnePosedPass:
                              ids=lambda r: type(r).__name__)
     def test_each_chunk_posed_once(self, robot, monkeypatch):
         """The workspace test and the collision test share one pose of
-        each slice of pass_states states, PASS_SIZE for a polygon or a
-        chain."""
+        each slice of PASS_SIZE states."""
         v = validity(robot, BOUNDARY_OBSTACLES, workspace=True)
-        n = robot.pass_states(v._world)
-        assert n == PASS_SIZE
+        n = PASS_SIZE
         rng = np.random.default_rng(2)
         small = states(rng, robot, n, BOUNDARY_OBSTACLES)
         large = states(rng, robot, 2 * n + 7, BOUNDARY_OBSTACLES)
@@ -644,15 +642,15 @@ class TestOnePosedPass:
     @pytest.mark.parametrize("robot", TOUCHING_ROBOTS,
                              ids=lambda r: type(r).__name__)
     def test_small_batch_in_one_pass(self, robot, monkeypatch):
-        """A planner-sized batch, 256 states whose pairs fit in one run,
-        is posed once and tested by one _collides call."""
+        """A planner-sized batch, 256 states, is posed once and tested by
+        one _collides call."""
         v = validity(robot, BOUNDARY_OBSTACLES, workspace=True)
         x = states(np.random.default_rng(3), robot, 256, BOUNDARY_OBSTACLES)
         want = ref_valid_mask(v, x)
         posed, pairs = count_passes(robot, monkeypatch)
         np.testing.assert_array_equal(v.valid_mask(x), want)
         assert posed == [256]
-        assert len(pairs) == 1 and 0 < pairs[0] <= PASS_SIZE
+        assert len(pairs) == 1 and pairs[0] > 0
 
 
 def count_passes(robot, monkeypatch):
@@ -689,9 +687,8 @@ def scattered_obstacles(rng, n):
 
 
 class TestPassBound:
-    """Each collision pass holds at most PASS_SIZE states, (pose,
-    obstacle) pairs or (point, obstacle) entries, and the bound changes
-    no verdict."""
+    """Each collision pass poses and tests at most PASS_SIZE states, and
+    the bound changes no verdict."""
 
     @pytest.mark.parametrize("size", [1, 2, 7])
     @settings(max_examples=25, deadline=None)
@@ -706,38 +703,26 @@ class TestPassBound:
             mp.setattr(validity_module, "PASS_SIZE", size)
             assert v.valid_mask(x).tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("robot", [PointRobot(), DiscRobot(radius=0.02)]
-                             + TOUCHING_ROBOTS,
+    @pytest.mark.parametrize("robot", [PointRobot(), DiscRobot(radius=0.02)],
                              ids=lambda r: type(r).__name__)
     def test_no_pass_exceeds_the_bound(self, robot, monkeypatch):
-        """10,000 states among 40 obstacles: more work than one pass
-        holds, cut into passes of at most PASS_SIZE pairs (polygon,
-        chain) or (state, obstacle) entries (point, disc), the largest
-        of them full."""
+        """10,000 states among 40 obstacles: a point or a disc tests them
+        against the obstacles in two passes, of PASS_SIZE states and of
+        the rest (TestOnePosedPass counts a polygon's and a chain's)."""
         rng = np.random.default_rng(5)
         obstacle_list = scattered_obstacles(rng, 40)
         v = validity(robot, obstacle_list, workspace=True)
         x = states(rng, robot, 10_000, obstacle_list)
         want = ref_valid_mask(v, x)
-        if isinstance(robot, PointRobot):
-            world, entries = v._world, []
-            near_points = world.near_points
+        world, tested = v._world, []
+        near_points = world.near_points
 
-            def counted(pts, margin):
-                entries.append(len(pts) * world.count)
-                return near_points(pts, margin)
-            monkeypatch.setattr(world, "near_points", counted)
-            posed = None
-        else:
-            posed, entries = count_passes(robot, monkeypatch)
+        def counted(pts, margin):
+            tested.append(len(pts))
+            return near_points(pts, margin)
+        monkeypatch.setattr(world, "near_points", counted)
         assert v.valid_mask(x).tobytes() == want.tobytes()
-        assert len(entries) > 1
-        assert max(entries) <= PASS_SIZE
-        if posed is None:
-            assert max(entries) > PASS_SIZE - len(obstacle_list)
-        else:
-            assert posed == [PASS_SIZE, 10_000 - PASS_SIZE]
-            assert max(entries) == PASS_SIZE
+        assert tested == [PASS_SIZE, 10_000 - PASS_SIZE]
 
 
 # -- dense point-sampled reference --------------------------------------------
