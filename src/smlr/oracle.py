@@ -2,7 +2,10 @@
 and graph-coverage measurement on spaces of dimension <= 4.
 
 Occupancy is sampled at cell centers, so answers converge to the truth as the
-resolution h goes to zero; circular dimensions wrap periodically.
+resolution h goes to zero; circular dimensions wrap periodically.  A circle
+has three cells or more, so a neighbour is less than pi away along it and the
+lattice is a simple graph: no offset reaches its own cell, and no two reach
+one neighbour.
 
 The graph checks a lattice edge's interior substep states only where a box
 certificate does not decide it: the hull of its two cells' body boxes,
@@ -22,7 +25,6 @@ imports `smlr.oracle` up front pays for it there and not in its first query.
 
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
@@ -37,7 +39,8 @@ MAX_ORACLE_DIM = 4
 
 class GridOracle:
     """Regular grid over one level; resolution h is in metric units, so
-    per-coordinate spacing is h / sqrt(w_i).  The graph's indices are
+    per-coordinate spacing is at most h / sqrt(w_i), and a circular axis
+    has at least three cells however coarse h is.  The graph's indices are
     int32, so a resolution whose cell count times the number of neighbour
     offsets reaches 2**31 raises ValueError."""
 
@@ -57,7 +60,8 @@ class GridOracle:
         # graph() indexes cells and entries in int32; checked in floats,
         # where a tiny h gives inf, before any array is allocated
         with np.errstate(over="ignore"):
-            cells_per_dim = np.maximum(1.0, np.ceil(metric_ext / self.h))
+            cells_per_dim = np.maximum(np.where(space.circular, 3.0, 1.0),
+                                       np.ceil(metric_ext / self.h))
         cells = math.prod(cells_per_dim.tolist())
         if cells * len(self._neighbor_offsets()) >= 2 ** 31:
             raise ValueError(
@@ -181,17 +185,17 @@ class GridOracle:
         of the two centres, the same in either argument order.
 
         Each neighbour pair is one entry, in the row of the cell whose
-        offset reaches the other; SciPy reads the graph undirected.  A pair
-        is an edge when its motion passes in either direction.  Each offset
-        is one pass over the whole lattice: the index and free grids
-        rolled by the offset give every cell's neighbour and whether it is
-        free, and _offset_weights every distance.  A pair that _certified
+        offset reaches the other, and no cell is its own neighbour, since
+        a circle has three cells or more; SciPy reads the graph
+        undirected.  A pair is an edge when its motion passes in either
+        direction.  Each offset is one pass over the whole lattice: the
+        index and free grids rolled by the offset give every cell's
+        neighbour and whether it is free, and _offset_weights every
+        distance.  A pair that _certified
         clears is an edge with no substep checked; one whose moved position
         coordinate crosses a circle's 0/2*pi seam is never certified, since
-        its body jumps across the workspace, nor is any pair across a
-        circular position axis of two cells, whose centres are pi apart
-        both ways.  Indices are int32, which SciPy's csgraph routines use
-        without a copy.
+        its body jumps across the workspace.  Indices are int32, which
+        SciPy's csgraph routines use without a copy.
         """
         if self._graph is not None:
             return self._graph
@@ -224,10 +228,6 @@ class GridOracle:
                 if not self.space.circular[a]:
                     edge[tuple(sl)] = False
                 elif checked and a in positions:
-                    # two cells are pi apart both ways, a tie that the
-                    # shortest arc may break across the seam: every pair
-                    if shape[a] == 2:
-                        sl[a] = slice(None)
                     seam[tuple(sl)] = True
             wts[:, k] = np.where(edge, self._offset_weights(off),
                                  np.inf).ravel()
@@ -243,13 +243,6 @@ class GridOracle:
                        | seam.ravel()[src]]
             wts[rest, k] = self._edge_weights(rest, nbr[rest, k],
                                               wts[rest, k])
-        # only on an axis of one or two cells can two offsets reach the
-        # same neighbour: one entry per (row, col), an edge if either is
-        if (self.cells_per_dim <= 2).any():
-            for k, j in itertools.combinations(range(len(offsets)), 2):
-                same = np.flatnonzero(nbr[:, k] == nbr[:, j])
-                wts[same, k] = np.minimum(wts[same, k], wts[same, j])
-                wts[same, j] = np.inf
         edge = np.isfinite(wts)
         indptr = np.zeros(self.n_cells + 1, dtype=np.int32)
         np.cumsum(edge.sum(axis=1, dtype=np.int32), out=indptr[1:])
@@ -280,8 +273,6 @@ class GridOracle:
     def shortest_path_cost(self, start, goal) -> float | None:
         cs = self._endpoint_cell(start, "start")
         cg = self._endpoint_cell(goal, "goal")
-        if cs == cg:
-            return 0.0
         # undirected Dijkstra reaches exactly the cells of cs's component
         labels = self._component_labels()
         if labels[cs] != labels[cg]:

@@ -226,8 +226,6 @@ class SparseRoadmap:
         n = self.num_guards
         if not (0 <= u < n and 0 <= v < n):
             raise ValueError("unknown guard id")
-        if u == v:
-            return [u], 0.0
         found = self.same_component(u, v) and self._search(u, v)
         if not found:
             return None

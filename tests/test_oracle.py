@@ -338,9 +338,9 @@ def grid_level(kind, obstacles):
 
 
 class TestGraphEqualsReference:
-    # resolutions from 2-3 cells on an axis (where two offsets reach one
-    # neighbour: the two diagonals on a 2-cell axis, real or circular) to
-    # about 30; at most about 10 on the chain's four axes
+    # resolutions from 1-3 cells on an axis to about 30; at most about 10
+    # on the chain's four axes.  The coarse torus and chain resolutions ask
+    # for one or two cells on a circle and get the floor of three
     KINDS = {"plane": (1.0, (0.04, 0.6)), "torus": (2 * math.pi, (0.2, 4.0)),
              "se2": (1.0, (0.07, 0.8)), "chain": (1.0, (0.12, 0.8))}
 
@@ -369,13 +369,15 @@ class TestGraphEqualsReference:
         assert dijkstra(o.graph(), directed=False, indices=sources) \
             .tobytes() == dijkstra(ref, directed=False,
                                    indices=sources).tobytes()
-        # entry for entry: one per (row, col), one per pair of the
-        # reference, each weighing the space's distance of its two centres
-        # bit for bit, in either argument order
+        # entry for entry: a simple graph, with no self-loop and one entry
+        # per unordered pair, one per pair of the reference, each weighing
+        # the space's distance of its two centres bit for bit, in either
+        # argument order
         r = ref.tocoo()
         g = o.graph().tocoo()
         entries = list(zip(g.row.tolist(), g.col.tolist()))
-        assert len(set(entries)) == g.nnz
+        assert all(row != col for row, col in entries)
+        assert len(set(map(frozenset, entries))) == g.nnz
         assert set(map(frozenset, entries)) == set(
             map(frozenset, zip(r.row.tolist(), r.col.tolist())))
         rows, cols = o.centers[g.row], o.centers[g.col]
@@ -394,8 +396,9 @@ class CheckedPairs(GridOracle):
 
 
 class TestEdgeCertificate:
-    # coarse lattices, 2 to about 15 cells on an axis: each edge is long
-    # against the robot, so the rotation pads are wide
+    # coarse lattices, 2 to about 15 cells on a real axis and 3 or more on
+    # a circle: each edge is long against the robot, so the rotation pads
+    # are wide
     KINDS = {"plane": (1.0, (0.07, 0.5)), "torus": (2 * math.pi, (0.3, 3.0)),
              "se2": (1.0, (0.08, 0.5)), "chain": (1.0, (0.15, 0.5))}
 
@@ -537,34 +540,76 @@ class TestOnePosingPerCentre:
         assert hi.tobytes() == want_hi.tobytes()
 
 
+class TestCircleFloor:
+    """A circular axis gets three cells or more however coarse h is, and
+    every axis a spacing of at most h / sqrt(w_i) in the metric, so the
+    lattice is a simple graph: no self-loop, one entry per cell pair."""
+
+    @pytest.mark.parametrize("kind, h", [
+        *(("circle", h) for h in (1.3, 2.5, 4.0, 7.0, 100.0)),
+        *(("torus", h) for h in (1.3, 2.5, 4.0, 7.0, 100.0)),
+        *(("se2", h) for h in (0.3, 0.7, 1.3, 2.5)),
+        *(("chain", h) for h in (0.3, 0.5, 0.8, 2.5))])
+    def test_three_cells_per_circle(self, kind, h):
+        if kind == "circle":
+            space = CircleSpace()
+            v = LevelValidity(space=space, robot=PointRobot(), obstacles=[])
+        else:
+            v = grid_level(kind, [Box([0.4, 0.4], [0.6, 0.6])])
+        o = GridOracle(v.space, v, h)
+        circular = o.space.circular
+        assert circular.any()
+        assert (o.cells_per_dim[circular] >= 3).all()
+        assert (o.step * np.sqrt(o.space.weights) <= h).all()
+        g = o.graph().tocoo()
+        entries = list(zip(g.row.tolist(), g.col.tolist()))
+        assert all(row != col for row, col in entries)
+        assert len(set(map(frozenset, entries))) == g.nnz
+
+
 class TestDuplicateEntries:
     def test_two_cell_circle(self):
-        # offsets +1 and -1 reach the same neighbour
+        # h = 4.0 asks for two cells and gets three, 2*pi/3 apart: three
+        # entries, one per pair, each the centres' distance
         space = CircleSpace()
         o = GridOracle(space, LevelValidity(space=space, robot=PointRobot(),
                                             obstacles=[]), 4.0)
-        assert o.n_cells == 2
-        cost = o.shortest_path_cost(o.centers[0], o.centers[1])
-        assert cost == space.distance(o.centers[0], o.centers[1])
-        assert cost == pytest.approx(math.pi)
+        assert o.n_cells == 3
+        assert o.graph().nnz == 3
+        for a, b in itertools.combinations(o.centers, 2):
+            cost = o.shortest_path_cost(a, b)
+            assert cost == space.distance(a, b)
+            assert cost == pytest.approx(2 * math.pi / 3)
 
     def test_two_by_two_torus_diagonal(self):
-        # the diagonals (1, -1) and (1, 1) reach the same neighbour
+        # h = 4.0 asks for 2 x 2 cells and gets 3 x 3: each cell's eight
+        # neighbours are the other eight cells, so the 36 entries are the
+        # 36 cell pairs, each once
         t2 = ProductSpace([CircleSpace(), CircleSpace()])
         o = GridOracle(t2, LevelValidity(space=t2, robot=PointRobot(),
                                          obstacles=[]), 4.0)
-        assert o.n_cells == 4
+        assert o.n_cells == 9
         g = o.graph().tocoo()
-        assert len(set(zip(g.row, g.col))) == g.nnz
-        a, b = o.centers[0], o.centers[3]
-        assert o.shortest_path_cost(a, b) == t2.distance(a, b)
-        assert t2.distance(a, b) == pytest.approx(math.pi * math.sqrt(2))
+        assert g.nnz == 36
+        assert set(map(frozenset, zip(g.row.tolist(), g.col.tolist()))) \
+            == set(map(frozenset, itertools.combinations(range(9), 2)))
+        cells = [np.unravel_index(c, o.cells_per_dim) for c in range(9)]
+        diagonals = [(p, q) for p, q in itertools.combinations(range(9), 2)
+                     if cells[p][0] != cells[q][0]
+                     and cells[p][1] != cells[q][1]]
+        assert len(diagonals) == 18
+        for p, q in diagonals:
+            a, b = o.centers[p], o.centers[q]
+            assert o.shortest_path_cost(a, b) == t2.distance(a, b)
+            assert t2.distance(a, b) == pytest.approx(
+                2 * math.pi / 3 * math.sqrt(2))
 
     def test_two_by_two_torus_diagonal_not_certified(self):
-        """Cells 1 and 2 are pi apart on both axes, so each direction's
-        motion wraps one axis at the seam, and both pass through the
-        polygon near (6.2, 1.6) that the two cells' box hull misses: no
-        box certifies the pair, and it is no edge."""
+        """The box and polygon that once blocked both motions between the
+        two cells pi apart of a 2 x 2 torus, now on its 3 x 3 floor: the
+        graph equals the reference pair for pair, and every pair whose
+        moved position coordinate crosses the 0/2*pi seam goes to the
+        substep check, however clear its box hull."""
         t2 = ProductSpace([CircleSpace(), CircleSpace()])
         obstacles = [
             Box([2.3355, 5.2137], [3.6015, 8.0451]),
@@ -574,15 +619,22 @@ class TestDuplicateEntries:
         h = 4.0
         v = replace(v, check_resolution=h * math.sqrt(2) / (
             t2.max_extent() * 3.5))
-        o = GridOracle(t2, v, h)
-        assert o._substeps == 4 and o.free.all()
-        a, b = o.centers[1], o.centers[2]
-        assert not o._edge_valid_mask(a[None], b[None])[0]
-        assert not o._edge_valid_mask(b[None], a[None])[0]
+        o = CheckedPairs(t2, v, h)
+        o.checked = set()
+        assert o._substeps == 4 and o.n_cells == 9
         g, ref = o.graph().tocoo(), reference_graph(o).tocoo()
         assert set(map(frozenset, zip(g.row.tolist(), g.col.tolist()))) == \
             set(map(frozenset, zip(ref.row.tolist(), ref.col.tolist())))
-        assert o.graph()[1, 2] == o.graph()[2, 1] == 0
+        seam = set()
+        n = o.cells_per_dim
+        for p in np.flatnonzero(o.free):
+            cell = np.array(np.unravel_index(p, n))
+            for off in o._neighbor_offsets():
+                moved = cell + off
+                q = np.ravel_multi_index(moved % n, n)
+                if o.free[q] and ((moved < 0) | (moved >= n)).any():
+                    seam.add((int(p), int(q)))
+        assert seam and seam <= o.checked
 
 
 class TestOneCheckPerPair:
