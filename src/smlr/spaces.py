@@ -16,6 +16,15 @@ import numpy as np
 TWO_PI = 2.0 * math.pi
 
 
+def _wrap_angles(x: np.ndarray) -> np.ndarray:
+    """Angles x wrapped into [0, 2*pi).  np.mod rounds an angle just below
+    a multiple of 2*pi (by less than half an ulp of 2*pi) up to 2*pi
+    itself; that value is 0.0 here."""
+    x = np.mod(x, TWO_PI)
+    x[x == TWO_PI] = 0.0
+    return x
+
+
 class StateSpace:
     """Base class; concrete spaces fill in the flat per-coordinate arrays.
 
@@ -62,7 +71,7 @@ class StateSpace:
     def normalize(self, x) -> np.ndarray:
         """Return a copy with circular coordinates wrapped into [0, 2*pi)."""
         x = self._check(x).copy()
-        x[self.circular] = np.mod(x[self.circular], TWO_PI)
+        x[self.circular] = _wrap_angles(x[self.circular])
         return x
 
     def contains(self, x, atol: float = 1e-9) -> bool:
@@ -135,7 +144,7 @@ class StateSpace:
         x += a
         c = self._wrap
         if c is not None:
-            x[:, c] = np.mod(x[:, c], TWO_PI)
+            x[:, c] = _wrap_angles(x[:, c])
         return x
 
     # -- sampling ----------------------------------------------------------
@@ -153,14 +162,14 @@ class StateSpace:
         clamped to bounds (wrapped on circles); guarantees
         distance(center, result) <= radius."""
         center = self._check(center)
-        if radius < 0:
-            raise ValueError("radius must be nonnegative")
+        if not 0 <= radius < math.inf:
+            raise ValueError("radius must be nonnegative and finite")
         if radius == 0.0:
             return center.copy()
         half = radius / np.sqrt(self.dim * self.weights)
         half = np.where(self.circular, np.minimum(half, math.pi), half)
         x = center + rng.uniform(-half, half)
-        x[self.circular] = np.mod(x[self.circular], TWO_PI)
+        x[self.circular] = _wrap_angles(x[self.circular])
         nc = ~self.circular
         x[nc] = np.clip(x[nc], self.lo[nc], self.hi[nc])
         return x

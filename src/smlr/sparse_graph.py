@@ -61,9 +61,9 @@ class SparseRoadmap:
 
     def __init__(self, space: StateSpace, validity: LevelValidity,
                  delta: float, stretch_t: float = 3.0):
-        if delta <= 0:
+        if not delta > 0:
             raise ValueError("visibility radius delta must be positive")
-        if stretch_t <= 1:
+        if not stretch_t > 1:
             raise ValueError("stretch factor must exceed 1")
         self.space = space
         self.validity = validity
@@ -182,11 +182,12 @@ class SparseRoadmap:
     def _check_motions(self, starts, table, first):
         """Set table[k, g] to inf for every guard g >= first with
         table[k, g] <= delta whose motion from starts[k] is blocked, from
-        one LevelValidity.motions_from call."""
+        one LevelValidity.motions_valid call given the table's entries as
+        the motions' lengths."""
         ks, gs = np.nonzero(table[:, first:] <= self.delta)
         if len(ks):
             gs += first
-            blocked = ~self.validity.motions_from(
+            blocked = ~self.validity.motions_valid(
                 starts[ks], self._coords[gs], table[ks, gs])
             table[ks[blocked], gs[blocked]] = np.inf
 

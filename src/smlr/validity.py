@@ -77,12 +77,9 @@ class CollisionWorld:
         boxes = [o for o in obstacles if isinstance(o, Box)]
         discs = [o for o in obstacles if isinstance(o, Disc)]
         polygons = [o for o in obstacles if isinstance(o, Polygon)]
-        for kind, group in (("box obstacles", boxes),
-                            ("disc obstacles", discs),
-                            ("obstacles", obstacles)):
-            dims = {len(o.bounding_box()[0]) for o in group}
-            if len(dims) > 1:
-                raise ValueError(f"{kind} mix dimensions {sorted(dims)}")
+        dims = {len(o.bounding_box()[0]) for o in obstacles}
+        if len(dims) > 1:
+            raise ValueError(f"obstacles mix dimensions {sorted(dims)}")
         self.has_boxes = bool(boxes)
         if boxes:
             self.box_lo = np.stack([b.lo for b in boxes])
@@ -584,18 +581,17 @@ class LevelValidity:
         step = self.check_resolution * self._extent
         return np.maximum(1, np.ceil(np.asarray(lengths) / step)).astype(int)
 
-    def motion_points(self, a, bs, dists, first: int = 1):
-        """States first..n of each motion a[i] -> bs[i] (a is one state or
-        one per row of bs) of length dists[i], concatenated, and the index
-        of each motion's first state -> (points, starts).  Motion i has
+    def motion_points(self, a, bs, dists):
+        """States 0..n of each motion a[i] -> bs[i] (a is one state or one
+        per row of bs) of length dists[i], concatenated, and the index of
+        each motion's state 0 -> (points, starts).  Motion i has
         n = motion_steps(dists[i]) steps; state k lies at s = k * (1 / n),
-        exactly 1.0 at k = n: np.linspace(0, 1, n + 1)[k].  State 0 is the
-        start itself, by default left to the caller.  No motions give no
-        states."""
+        exactly 1.0 at k = n: np.linspace(0, 1, n + 1)[k].  No motions
+        give no states."""
         n = self.motion_steps(dists)
-        svals = np.concatenate([_fractions(k)[first:] for k in n.tolist()]
+        svals = np.concatenate([_fractions(k) for k in n.tolist()]
                                or [np.empty(0)])
-        count = n + (1 - first)
+        count = n + 1
         a = np.asarray(a, dtype=float)
         if a.ndim == 2:
             a = np.repeat(a, count, axis=0)
@@ -603,31 +599,22 @@ class LevelValidity:
             a, np.repeat(np.asarray(bs, dtype=float), count, axis=0), svals)
         return pts, np.cumsum(count) - count
 
-    def motions_valid(self, a, bs) -> np.ndarray:
+    def motions_valid(self, a, bs, dists=None) -> np.ndarray:
         """motion_valid(a[i], bs[i]) for each row pair (a is one state or
         one per row of bs): states 0..n of every motion, as motion_points
         discretizes it, from one valid_mask call, or none on an
-        unconstrained level -> (len(bs),) bool."""
+        unconstrained level -> (len(bs),) bool.  dists holds the motions'
+        lengths, space.distances(a, bs) bit for bit, when the caller
+        already has them."""
         a = np.asarray(a, dtype=float)
         bs = np.asarray(bs, dtype=float)
         if self.unconstrained:
             return np.ones(len(bs), dtype=bool)
-        pts, starts = self.motion_points(a, bs, self.space.distances(a, bs),
-                                         first=0)
+        if dists is None:
+            dists = self.space.distances(a, bs)
+        pts, starts = self.motion_points(a, bs, dists)
         return np.logical_and.reduceat(self.valid_mask(pts), starts)
 
     def motion_valid(self, a, b) -> bool:
         b = np.asarray(b, dtype=float)
         return bool(self.motions_valid(a, b[None, :])[0])
-
-    def motions_from(self, a, bs, dists) -> np.ndarray:
-        """motion_valid(a, b) for each row b of bs, of length dists[i],
-        where a (one state or one per row of bs) is valid: motion_points'
-        states 1..n of every motion from one valid_mask call.  Each
-        motion's state 0 equals its a byte for byte when a is normalized,
-        so it is left to the check of a.  An unconstrained level checks
-        none -> (len(bs),) bool."""
-        if self.unconstrained:
-            return np.ones(len(bs), dtype=bool)
-        pts, starts = self.motion_points(a, bs, dists)
-        return np.logical_and.reduceat(self.valid_mask(pts), starts)

@@ -351,7 +351,8 @@ class TestWorldEqualsPerObstacle:
         np.testing.assert_array_equal(ref_valid_mask(v, x), [False, True])
 
     def test_mixed_box_dimensions_rejected(self):
-        with pytest.raises(ValueError, match="box obstacles mix dimensions"):
+        with pytest.raises(ValueError,
+                           match=r"^obstacles mix dimensions \[1, 2\]$"):
             LevelValidity(space=RealVectorSpace([[0, 1], [0, 1]]),
                           robot=PointRobot(),
                           obstacles=[Box([0.1, 0.1], [0.2, 0.2]),
@@ -1258,15 +1259,13 @@ def assert_same_as_one_by_one(v, q, bs, batches):
     equals is_valid(q), and motion_valid(q, b) with the exact
     distance(q, b) for each b, nearest first (ties by smaller id), from one
     valid_mask call over [q] and, if q is valid, one over the one-by-one
-    states in guard order with each motion's state 0 (byte-equal to q)
-    removed."""
+    states 0..n of every motion in guard order."""
     rm = roadmap_of(v, bs)
     batches.clear()
     state = v.is_valid(q)
     motions = [v.motion_valid(q, b) for b in bs]
     one_by_one = batches[1:]
     assert len(one_by_one) == len(bs)
-    assert all(m[0].tobytes() == q.tobytes() for m in one_by_one)
     dists = [v.space.distance(q, b) for b in bs]
     order = sorted(range(len(bs)), key=lambda g: (dists[g], g))
     batches.clear()
@@ -1279,7 +1278,7 @@ def assert_same_as_one_by_one(v, q, bs, batches):
     assert batches[0].tobytes() == q[None, :].tobytes()
     if state and len(bs):
         assert len(batches) == 2
-        expected = np.concatenate([m[1:] for m in one_by_one])
+        expected = np.concatenate(one_by_one)
         assert batches[1].tobytes() == expected.tobytes()
     else:
         assert len(batches) == 1
@@ -1288,6 +1287,35 @@ def assert_same_as_one_by_one(v, q, bs, batches):
 class TestMotionsValid:
     """SparseRoadmap.visible_in_order, the state check and then the motion
     check, against is_valid and motion_valid one by one."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(robot=robots(), obstacle_list=obstacles(),
+           workspace=st.booleans(), seed=st.integers(0, 2 ** 16),
+           k=st.integers(0, 6), one_start=st.booleans())
+    def test_given_lengths_equal_computed(self, robot, obstacle_list,
+                                          workspace, seed, k, one_start):
+        """motions_valid given the lengths from space.distances, as the
+        visibility query gives its table's, answers as it does without
+        them."""
+        v = validity(robot, obstacle_list, workspace)
+        rng = np.random.default_rng(seed)
+        x = states(rng, robot, 2 * k + 1, obstacle_list)
+        a, bs = (x[0] if one_start else x[:k]), x[k + 1:]
+        got = v.motions_valid(a, bs, v.space.distances(a, bs))
+        assert got.tobytes() == v.motions_valid(a, bs).tobytes()
+
+    def test_invalid_start_fails_with_lengths(self):
+        """State 0 is checked with the rest, so a motion from an invalid
+        start fails even when its lengths are given."""
+        v = validity(PointRobot(), [Box([0.4, 0.4], [0.6, 0.6])], False)
+        q = np.array([0.59, 0.5])          # inside the box, by its edge
+        bs = np.array([[0.9, 0.5], [0.9, 0.7]])
+        dists = v.space.distances(q, bs)
+        pts, starts = v.motion_points(q, bs, dists)
+        # states 1..n of each motion are clear of the box
+        assert v.valid_mask(pts).tolist() == [
+            k not in starts.tolist() for k in range(len(pts))]
+        assert v.motions_valid(q, bs, dists).tolist() == [False, False]
 
     def test_circle_wrapped_torus(self, batches):
         v = scenario("torus_band_feasible").seq.finest.validity

@@ -151,7 +151,7 @@ class TestDiagnostics:
             "obstacles:\n  - {type: box, lo: [0.4, 0.4], hi: [0.6, 0.6]}\n"
             "  - {type: box, lo: [0.4], hi: [0.6]}\nlevels:")
         with pytest.raises(ScenarioError,
-                           match=r"levels\[0\]: box obstacles "
+                           match=r"levels\[0\]: obstacles "
                                  r"mix dimensions \[1, 2\]"):
             load_scenario(write(tmp_path, text))
 

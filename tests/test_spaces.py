@@ -153,6 +153,13 @@ class TestSampleNear:
                 below = True
         assert below
 
+    @pytest.mark.parametrize("radius", [-0.1, math.nan, math.inf])
+    def test_radius_must_be_nonnegative_and_finite(self, radius):
+        with pytest.raises(ValueError,
+                           match="radius must be nonnegative and finite"):
+            torus().sample_uniform_near([1.0, 1.0], radius,
+                                        np.random.default_rng(0))
+
 
 class TestMaxExtent:
     def test_unit_square(self):
@@ -183,6 +190,14 @@ class TestInvariants:
         t2 = torus()
         x = t2.normalize([7.0, -1.0])
         assert 0 <= x[0] < TWO_PI and 0 <= x[1] < TWO_PI
+
+    def test_wrap_just_below_zero_is_zero(self):
+        # np.mod rounds an angle within half an ulp of 2*pi below 0 up to
+        # 2*pi itself; normalize and interpolate_many give 0.0 instead
+        assert np.mod(-1e-17, TWO_PI) == TWO_PI
+        c = CircleSpace()
+        assert c.normalize([-1e-17]).tolist() == [0.0]
+        assert c.interpolate_many([0.0], [6.0], [1e-17]).tolist() == [[0.0]]
 
 
 class TestEdgeDistance:
@@ -264,11 +279,13 @@ def reference_distance(space, a, b):
 
 
 def reference_interpolate(space, a, b, s):
-    """a + s * _diff(a, b), wrapped into [0, 2*pi) on circles: a
-    test-local reference for interpolate."""
+    """a + s * _diff(a, b), wrapped into [0, 2*pi) on circles (np.mod,
+    whose rounding up to 2*pi itself is taken to 0.0): a test-local
+    reference for interpolate."""
     a = np.asarray(a, dtype=float)
     x = a + s * space._diff(a, np.asarray(b, dtype=float))
-    x[space.circular] = np.mod(x[space.circular], TWO_PI)
+    w = np.mod(x[space.circular], TWO_PI)
+    x[space.circular] = np.where(w == TWO_PI, 0.0, w)
     return x
 
 
@@ -359,7 +376,7 @@ def motion_states(v, a, b):
     it: the states v.motion_valid(a, b) checks."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    return v.motion_points(a, b[None], [v.space.distance(a, b)], first=0)[0]
+    return v.motion_points(a, b[None], [v.space.distance(a, b)])[0]
 
 
 def reference_motion(v, a, b):
@@ -381,10 +398,9 @@ class TestMotionDiscretization:
         for x, b, states in zip(np.broadcast_to(a, bs.shape), bs, want):
             assert motion_states(v, x, b).tobytes() == states.tobytes()
         pts, starts = v.motion_points(a, bs, v.space.distances(a, bs))
-        assert pts.tobytes() == \
-            np.concatenate([states[1:] for states in want]).tobytes()
+        assert pts.tobytes() == np.concatenate(want).tobytes()
         assert starts.tolist() == \
-            np.cumsum([0] + [len(s) - 1 for s in want[:-1]]).tolist()
+            np.cumsum([0] + [len(s) for s in want[:-1]]).tolist()
 
     def test_signed_zero_start_and_last_step(self):
         # 49 * (1 / 49) rounds below 1.0, so the last state needs s = 1.0;
@@ -398,6 +414,6 @@ class TestMotionDiscretization:
         assert motion_states(v, a, b).tobytes() == want.tobytes()
         for start in (a, a[None, :]):
             pts, starts = v.motion_points(start, b[None, :], [0.485])
-            assert pts.tobytes() == want[1:].tobytes()
+            assert pts.tobytes() == want.tobytes()
             assert starts.tolist() == [0]
 

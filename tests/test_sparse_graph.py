@@ -18,7 +18,7 @@ def visible_guard_distances(rm, q) -> dict[int, float] | None:
     delta of q with a valid straight-line motion, ordered by increasing
     distance (ties by smaller id); None when q itself is invalid.  q is
     checked on its own, then its motions in one more valid_mask call
-    (LevelValidity.motions_from), with the lengths read from its
+    (LevelValidity.motions_valid), with the lengths read from its
     distance_many row."""
     q = np.asarray(q, dtype=float)
     if not rm.validity.valid_mask(q[None, :])[0]:
@@ -27,7 +27,7 @@ def visible_guard_distances(rm, q) -> dict[int, float] | None:
     order = dists.argsort(kind="stable")
     near = order[:(dists <= rm.delta).sum()]
     lengths = dists[near].tolist()
-    sees = rm.validity.motions_from(q, rm.guard_coords()[near], lengths)
+    sees = rm.validity.motions_valid(q, rm.guard_coords()[near], lengths)
     return {g: d for g, d, ok in zip(near.tolist(), lengths, sees) if ok}
 
 
@@ -58,6 +58,21 @@ def brute_components(rm):
         if ru != rv:
             parent[ru] = rv
     return [find(i) for i in range(rm.num_guards)]
+
+
+class TestParameters:
+    """delta and stretch_t are checked in the form that rejects NaN, which
+    compares false with every bound."""
+
+    @pytest.mark.parametrize("delta", [0.0, -1.0, math.nan])
+    def test_delta_must_be_positive(self, delta):
+        with pytest.raises(ValueError, match="delta must be positive"):
+            free_world(delta=delta)
+
+    @pytest.mark.parametrize("stretch", [1.0, 0.5, math.nan])
+    def test_stretch_must_exceed_one(self, stretch):
+        with pytest.raises(ValueError, match="stretch factor must exceed 1"):
+            free_world(stretch=stretch)
 
 
 class TestVisibleGuards:

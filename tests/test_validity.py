@@ -306,13 +306,13 @@ class TestPathValid:
             v.motion_valid(a, b) for a, b in zip(path[:-1], path[1:])]
 
     def test_no_motions(self):
-        """motions_valid and motions_from answer no motions with an empty
-        bool array, from one or no start."""
+        """motions_valid answers no motions with an empty bool array, from
+        one or no start, with or without their lengths."""
         v = point_world([Box([0.4, 0.4], [0.6, 0.6])])
         none = np.empty((0, 2))
         got = [v.motions_valid(none, none), v.motions_valid([0.1, 0.1], none),
-               v.motions_from(none, none, np.empty(0)),
-               v.motions_from([0.1, 0.1], none, np.empty(0))]
+               v.motions_valid(none, none, np.empty(0)),
+               v.motions_valid([0.1, 0.1], none, np.empty(0))]
         for mask in got:
             assert mask.dtype == bool and mask.shape == (0,)
 
@@ -393,7 +393,7 @@ class TestUnconstrained:
             dists = lv.space.distances(path[0], path)
             return (lv.motions_valid(path[0], path).tolist(),
                     lv.motions_valid(path, path[::-1]).tolist(),
-                    lv.motions_from(path[0], path, dists).tolist(),
+                    lv.motions_valid(path[0], path, dists).tolist(),
                     lv.motions_valid(path[:1], path[:1]).tolist())
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(LevelValidity, "valid_mask", counting)
